@@ -117,6 +117,11 @@ class CensusRecord:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CensusRecord":
+        # the checksum hashes str(n) and str(value), so it cannot tell 23
+        # from "23"; the types are checked here instead
+        for name in ("n", "value"):
+            if type(d[name]) is not int:
+                raise TypeError(f"{name} must be an integer, got {d[name]!r}")
         return cls(
             quantity=d["quantity"],
             n=d["n"],

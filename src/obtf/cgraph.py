@@ -364,56 +364,71 @@ def _orientation_seeds(g: ColoredGraph) -> list[tuple[tuple[tuple[int, int], ...
 def posets_of_graph(g: ColoredGraph) -> list[LiteralPoset]:
     """Exactly the family posets whose colored graph is g.
 
-    Sweeps all 2^|E| orientation vectors of the lifted edges, closes each
-    seed set transitively, and keeps a candidate iff the closure is a
-    strict order, keeps complementary literals incomparable, and its cover
-    pairs are exactly the lifted edge set (a closure may demote a lifted
-    edge to a non-cover; such candidates must be rejected).
+    Depth-first search over the lifted edges in `_orientation_seeds`
+    order: each level orients one edge (forward first, then backward),
+    adding its two negation-dual relations to a transitively closed
+    relation kept up to date together with its predecessor rows.  A
+    branch is pruned as soon as
+      - the new relation a < b, or its reverse, is already in the
+        closure: either a cycle forms, or a < b is implied and cannot be
+        a cover;
+      - some literal becomes comparable to its own negation;
+      - a relation seeded earlier stops being a cover (something now
+        lies strictly between its ends).
+    Adding relations only ever makes these events true, never false, so
+    every pruned branch holds no member, and a branch that orients every
+    edge is a member whose cover pairs are exactly the lifted edge set.
     """
     m = g.edge_count()
     if m > EDGE_SWEEP_GUARD:
         raise ResourceGuardError(f"orientation sweep capped at |E| <= {EDGE_SWEEP_GUARD}, got {m}")
     size = 2 * g.n
+    pos = sum(1 << u for u in range(0, size, 2))   # the positive literals
     seeds = _orientation_seeds(g)
+    rows = [0] * size      # rows[u]: literals above u
+    preds = [0] * size     # preds[v]: literals below v
+    chosen: list[tuple[int, int]] = []
     found = []
-    for bits in range(1 << m):
-        rows = [0] * size
-        chosen = []
-        for k in range(m):
-            fwd, bwd = seeds[k]
-            for a, b in (fwd if not (bits >> k) & 1 else bwd):
-                rows[a] |= 1 << b
-                chosen.append((a, b))
-        # Warshall closure
-        for k in range(size):
-            rk = rows[k]
-            if not rk:
-                continue
-            bit = 1 << k
-            for i in range(size):
-                if rows[i] & bit:
-                    rows[i] |= rk
-        ok = True
-        for u in range(size):
-            if (rows[u] >> u) & 1 or (rows[u] >> (u ^ 1)) & 1:
-                ok = False
-                break
-        if not ok:
-            continue
-        preds = [0] * size
-        for u in range(size):
-            row = rows[u]
-            while row:
-                low = row & -row
-                preds[low.bit_length() - 1] |= 1 << u
-                row ^= low
-        # every seeded relation must survive as a cover
-        for a, b in chosen:
-            if rows[a] & preds[b]:
-                ok = False
-                break
-        if ok:
+
+    def add(a: int, b: int) -> bool:
+        """Close under a < b; False if the branch must be pruned."""
+        if (rows[a] >> b) & 1 or (rows[b] >> a) & 1:
+            return False
+        below = preds[a] | (1 << a)
+        above = rows[b] | (1 << b)
+        negated = ((below & pos) << 1) | ((below >> 1) & pos)
+        if negated & above:
+            return False        # some u <= a has not-u >= b
+        bits = below
+        while bits:
+            low = bits & -bits
+            rows[low.bit_length() - 1] |= above
+            bits ^= low
+        bits = above
+        while bits:
+            low = bits & -bits
+            preds[low.bit_length() - 1] |= below
+            bits ^= low
+        chosen.append((a, b))
+        return True
+
+    def extend(k: int) -> None:
+        if k == m:
             found.append(LiteralPoset(g.n, tuple(rows)))
+            return
+        saved_rows, saved_preds, depth = rows[:], preds[:], len(chosen)
+        for (a, b), (a2, b2) in seeds[k]:
+            if add(a, b) and add(a2, b2):
+                for x, y in chosen:
+                    if rows[x] & preds[y]:
+                        break
+                else:
+                    extend(k + 1)
+            rows[:] = saved_rows
+            preds[:] = saved_preds
+            del chosen[depth:]
+
+    extend(0)
     found.sort(key=lambda p: p.rows)
     for p in found:
         if not litposet.is_pn_member(p):

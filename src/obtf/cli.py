@@ -294,6 +294,10 @@ def cmd_posets(args) -> int:
              args.formula is not None]
     if sum(modes) != 1:
         raise UserError("give exactly one of --n, --cover-multiplicity, --formula")
+    if args.n is not None and args.n < 0:
+        raise UserError("--n must be >= 0")
+    if args.cover_multiplicity is not None and args.cover_multiplicity < 1:
+        raise UserError("--cover-multiplicity must be >= 1")
     if args.formula is not None:
         try:
             text = open(args.formula).read()

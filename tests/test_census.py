@@ -193,6 +193,17 @@ class TestCache:
         with pytest.raises(CacheError, match="checksum"):
             CensusCache(path).load()
 
+    @pytest.mark.parametrize("field,bad", [("value", "23"), ("value", True),
+                                           ("value", 23.0), ("n", "3"), ("n", True)])
+    def test_mistyped_field_refused(self, tmp_path, field, bad):
+        rec = count_obtf(3).to_json_dict()
+        rec[field] = bad    # "23" and "3" keep a valid checksum
+        path = tmp_path / "c.jsonl"
+        good = json.dumps(count_obtf(2).to_json_dict())
+        path.write_text(good + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(CacheError, match=rf":2: bad record: {field} must be an integer"):
+            CensusCache(path).load()
+
     def test_tampered_value_refused(self, tmp_path):
         rec = count_obtf(3).to_json_dict()
         rec["value"] += 1

@@ -29,7 +29,7 @@ from obtf.litposet import (
     LiteralPoset,
     ResourceGuardError,
     cover_relations,
-    enumerate_pn,
+    enumerate_pn_oracle,
 )
 
 G_BLUE = ColoredGraph.of(2, blue=[(1, 2)])
@@ -166,6 +166,31 @@ class TestDoubleCover:
             assert len(double_cover(g).edges) == 2 * g.edge_count()
 
 
+# The five 7-vertex graphs of the benchmark's seed-1 analyze workload (edge
+# counts 12..16; the 13- and 15-edge graphs are frustrated), with their
+# exact poset lists as sorted relation rows (bit v of rows[u] means u < v).
+SEVEN_VERTEX_GRAPHS = [
+    ("n 7\n1 2 R\n1 3 B\n2 3 B\n1 4 B\n2 4 B\n3 4 R\n2 5 B\n4 5 R\n"
+     "1 6 B\n1 7 R\n4 7 B\n6 7 B\n",
+     [(0, 6308, 0, 673, 133, 0, 4645, 0, 132, 0, 4097, 0, 0, 2177),
+      (9304, 0, 338, 0, 0, 74, 0, 8474, 0, 72, 0, 8194, 1090, 0)]),
+    ("n 7\n1 3 B\n2 3 B\n1 4 B\n2 4 B\n2 5 B\n3 5 B\n1 6 R\n3 6 R\n"
+     "4 6 R\n5 6 R\n1 7 B\n3 7 B\n5 7 B\n",
+     []),
+    ("n 7\n1 2 B\n1 3 R\n1 4 B\n2 4 R\n1 5 B\n2 5 R\n4 5 R\n1 6 B\n"
+     "2 6 R\n3 6 B\n5 6 R\n1 7 R\n4 7 B\n6 7 B\n",
+     [(0, 6808, 2689, 0, 0, 2049, 4617, 0, 2185, 0, 4633, 0, 0, 2177),
+      (9572, 0, 0, 1346, 1026, 0, 0, 8454, 0, 1094, 0, 8486, 1090, 0)]),
+    ("n 7\n1 2 R\n1 3 B\n2 3 R\n1 4 B\n3 4 B\n1 5 B\n3 5 R\n1 6 R\n"
+     "2 6 R\n3 6 B\n5 6 B\n2 7 R\n3 7 R\n4 7 R\n5 7 R\n",
+     []),
+    ("n 7\n1 2 B\n1 3 R\n2 3 B\n1 4 B\n2 4 R\n3 4 B\n1 5 B\n2 5 R\n"
+     "3 5 B\n4 5 R\n1 6 R\n5 6 B\n1 7 R\n3 7 R\n4 7 B\n6 7 R\n",
+     [(0, 5784, 657, 0, 0, 4745, 4633, 0, 1177, 0, 0, 4609, 0, 1169),
+      (10596, 0, 0, 354, 8518, 0, 0, 8486, 0, 2150, 8450, 0, 2146, 0)]),
+]
+
+
 class TestPosetsOfGraph:
     def test_single_blue_edge_two_posets(self):
         ps = posets_of_graph(G_BLUE)
@@ -183,9 +208,10 @@ class TestPosetsOfGraph:
         assert len(posets_of_graph(FOUR_CYCLE)) == 8
 
     def test_exactly_the_fiber_of_graph_of_poset(self):
-        # group the full family by its graph and compare per graph
+        # group the family, found by the independent relation sweep, by its
+        # graph and compare per graph
         by_graph = {}
-        for p in enumerate_pn(3):
+        for p in enumerate_pn_oracle(3):
             by_graph.setdefault(graph_of_poset(p), set()).add(p.rows)
         for g in enumerate_colored_graphs(3):
             expect = by_graph.get(g, set())
@@ -194,6 +220,12 @@ class TestPosetsOfGraph:
     def test_output_sorted(self):
         ps = posets_of_graph(FOUR_CYCLE)
         assert [p.rows for p in ps] == sorted(p.rows for p in ps)
+
+    @pytest.mark.parametrize("text,expect", SEVEN_VERTEX_GRAPHS,
+                             ids=[f"{12 + i}-edges" for i in range(5)])
+    def test_seven_vertex_graphs_exact_posets(self, text, expect):
+        g = parse_colored_graph(text)
+        assert [p.rows for p in posets_of_graph(g)] == expect
 
 
 class TestClosedWalks:

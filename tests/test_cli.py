@@ -172,6 +172,16 @@ class TestPosetsCommand:
         assert code == 0
         assert "max posets per cover graph: 4" in out
 
+    def test_negative_n_exits_2(self, capsys):
+        code, out, err = run(capsys, "posets", "--n", "-1")
+        assert code == 2
+        assert out == "" and err == "error: --n must be >= 0\n"
+
+    def test_zero_cover_multiplicity_exits_2(self, capsys):
+        code, out, err = run(capsys, "posets", "--cover-multiplicity", "0")
+        assert code == 2
+        assert out == "" and err == "error: --cover-multiplicity must be >= 1\n"
+
     def test_exactly_one_mode(self, capsys):
         code, _, err = run(capsys, "posets", "--n", "2",
                            "--cover-multiplicity", "3")
