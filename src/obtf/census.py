@@ -12,6 +12,10 @@ Five quantities are counted, each by at least two independent routes:
 Every engine walks its search space in a fixed order (vertex pairs in
 colex, states in lexicographic order), so values and checksums are
 bit-identical across runs and worker counts.
+
+ENGINES lists every engine with its size cap.  count() is the one way
+in: the default method is the first whose cap admits n, and every method
+whose cap admits n must return the same value (checked by verify).
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,8 +38,6 @@ from .boolfn import (
     all_clauses,
     all_ones,
     is_2sat_definable,
-    is_elementary,
-    is_median_closed,
     literal_mask,
     variable_masks,
 )
@@ -45,10 +48,13 @@ __all__ = [
     "CensusCache",
     "CensusRecord",
     "CheckResult",
+    "ENGINES",
     "ORDER_SEED",
     "QUANTITIES",
     "b_benchmark",
     "convention_label",
+    "conventions",
+    "count",
     "count_bb",
     "count_elementary",
     "count_functions",
@@ -56,6 +62,7 @@ __all__ = [
     "count_pn",
     "default_method",
     "definable_tables",
+    "max_n",
     "posets_per_cover_graph",
     "record_checksum",
     "verify_identities",
@@ -64,18 +71,17 @@ __all__ = [
 ORDER_SEED = "pair-colex/state-lex/v1"
 QUANTITIES = ("G", "H", "Pn", "F", "B")
 
-G_SWEEP_GUARD = 4
-G_FILTER_GUARD = 4
-G_DP_GUARD = 5
-F_DFS_GUARD = 7
-F_SWEEP_GUARD = 5
-B_CLOSED_GUARD = 7
-B_SWEEP_GUARD = 5
 COVER_QUESTION_GUARD = 6
 
 
 def convention_label(allow_empty: bool) -> str:
     return "t0" if allow_empty else "t1"
+
+
+def conventions(quantity: str) -> tuple:
+    """The conventions a quantity is counted under: t1 and t0 for G and H,
+    none for the rest."""
+    return ("t1", "t0") if quantity in ("G", "H") else (None,)
 
 
 def record_checksum(quantity: str, n: int, convention: Optional[str],
@@ -133,19 +139,6 @@ class CensusRecord:
         )
 
 
-def _finish(quantity: str, n: int, convention: Optional[str], method: str,
-            value: int, started: float) -> CensusRecord:
-    return CensusRecord(
-        quantity=quantity,
-        n=n,
-        convention=convention,
-        value=value,
-        method=method,
-        wall_time=round(time.perf_counter() - started, 6),
-        checksum=record_checksum(quantity, n, convention, method, value),
-    )
-
-
 # ---------------------------------------------------------------------------
 # G and H: function counting
 
@@ -173,8 +166,9 @@ def _nonempty_or_closure(masks: list[int]) -> set[int]:
 def definable_tables(n: int, allow_empty: bool) -> frozenset[int]:
     """Bitsets of every function realizable by a formula (clause-subset
     sweep route)."""
-    if n > G_SWEEP_GUARD:
-        raise ResourceGuardError(f"clause sweep capped at n <= {G_SWEEP_GUARD}, got {n}")
+    cap = ENGINES["G"]["clause-sweep"][1]
+    if n > cap:
+        raise ResourceGuardError(f"clause sweep capped at n <= {cap}, got {n}")
     full = all_ones(n)
     tables = {full & ~viol for viol in _nonempty_or_closure(_clause_masks(n))}
     if allow_empty:
@@ -210,30 +204,10 @@ def _definable_tables_fast(n: int, allow_empty: bool) -> frozenset[int]:
     return family - {all_ones(n)}
 
 
-def count_functions(n: int, allow_empty: bool = True,
-                    method: Optional[str] = None, workers: int = 1) -> CensusRecord:
-    """Number of distinct truth tables over all formulas (per convention).
-
-    Methods: clause-sweep (subset image, n <= 4), median-filter (test
-    every table, n <= 4), median-dp (conjunction closure, n <= 5).
-    """
-    method = method or default_method("G", n)
-    convention = convention_label(allow_empty)
-    started = time.perf_counter()
-    if method == "clause-sweep":
-        value = len(definable_tables(n, allow_empty))
-    elif method == "median-filter":
-        if n > G_FILTER_GUARD:
-            raise ResourceGuardError(f"median filter capped at n <= {G_FILTER_GUARD}, got {n}")
-        value = sum(1 for bits in range(1 << (1 << n))
-                    if is_2sat_definable(TruthTable(n, bits), allow_empty))
-    elif method == "median-dp":
-        if n > G_DP_GUARD:
-            raise ResourceGuardError(f"median dp capped at n <= {G_DP_GUARD}, got {n}")
-        value = len(_definable_tables_fast(n, allow_empty))
-    else:
-        raise ValueError(f"unknown method {method!r} for G")
-    return _finish("G", n, convention, method, value, started)
+def _median_filter_count(n: int, allow_empty: bool) -> int:
+    """Test every truth table for median closure."""
+    return sum(1 for bits in range(1 << (1 << n))
+               if is_2sat_definable(TruthTable(n, bits), allow_empty))
 
 
 def _elementary_bits(n: int, bits: int) -> bool:
@@ -253,36 +227,8 @@ def _elementary_bits(n: int, bits: int) -> bool:
     return True
 
 
-def count_elementary(n: int, allow_empty: bool = True,
-                     method: Optional[str] = None, workers: int = 1) -> CensusRecord:
-    """Number of elementary tables among the definable ones."""
-    method = method or default_method("H", n)
-    convention = convention_label(allow_empty)
-    started = time.perf_counter()
-    if method == "clause-sweep":
-        tables = definable_tables(n, allow_empty)
-    elif method == "median-dp":
-        if n > G_DP_GUARD:
-            raise ResourceGuardError(f"median dp capped at n <= {G_DP_GUARD}, got {n}")
-        tables = _definable_tables_fast(n, allow_empty)
-    else:
-        raise ValueError(f"unknown method {method!r} for H")
-    value = sum(1 for bits in tables if _elementary_bits(n, bits))
-    return _finish("H", n, convention, method, value, started)
-
-
-# ---------------------------------------------------------------------------
-# Pn: literal posets
-
-
-def count_pn(n: int, method: Optional[str] = None, workers: int = 1) -> CensusRecord:
-    """Size of the poset family, streamed over colored graphs."""
-    method = method or default_method("Pn", n)
-    if method != "orientation-sweep":
-        raise ValueError(f"unknown method {method!r} for Pn")
-    started = time.perf_counter()
-    value = sum(1 for _ in litposet.enumerate_pn(n))
-    return _finish("Pn", n, None, method, value, started)
+def _elementary_count(n: int, tables: frozenset[int]) -> int:
+    return sum(1 for bits in tables if _elementary_bits(n, bits))
 
 
 # ---------------------------------------------------------------------------
@@ -340,38 +286,28 @@ def _obtf_prefix_count(args) -> int:
     return _obtf_count_rec(states, len(prefix), m, tri)
 
 
-def count_obtf(n: int, method: Optional[str] = None, workers: int = 1) -> CensusRecord:
-    """Exact count of odd-blue-triangle-free graphs.
+def _obtf_dfs(n: int, workers: int) -> int:
+    """Branch over pairs in colex order and cut a branch the moment a
+    completed triangle is odd-blue (deleting edges preserves the property,
+    so pruning is sound).  With several workers (at most one per CPU) the
+    state prefixes are counted in a process pool."""
+    _, tri = _obtf_structures(n)
+    m = len(tri)
+    workers = min(workers, os.cpu_count() or 1)
+    if workers <= 1 or m == 0:
+        return _obtf_count_rec([0] * m, 0, m, tri)
+    depth = 1
+    while 3 ** depth < 8 * workers and depth < m:
+        depth += 1
+    tasks = [(n, prefix) for prefix in itertools.product((0, 1, 2), repeat=depth)]
+    chunk = max(1, len(tasks) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(_obtf_prefix_count, tasks, chunksize=chunk))
 
-    dfs-prune branches over pairs in colex order and cuts a branch the
-    moment a completed triangle is odd-blue (deleting edges preserves the
-    property, so pruning is sound).  flat-sweep tests every coloring and
-    is kept as the oracle.
-    """
-    method = method or default_method("F", n)
-    started = time.perf_counter()
-    if method == "dfs-prune":
-        if n > F_DFS_GUARD:
-            raise ResourceGuardError(f"pruning search capped at n <= {F_DFS_GUARD}, got {n}")
-        _, tri = _obtf_structures(n)
-        m = len(tri)
-        if workers <= 1 or m == 0:
-            value = _obtf_count_rec([0] * m, 0, m, tri)
-        else:
-            depth = 1
-            while 3 ** depth < 8 * workers and depth < m:
-                depth += 1
-            tasks = [(n, prefix) for prefix in itertools.product((0, 1, 2), repeat=depth)]
-            chunk = max(1, len(tasks) // (workers * 8))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                value = sum(pool.map(_obtf_prefix_count, tasks, chunksize=chunk))
-    elif method == "flat-sweep":
-        if n > F_SWEEP_GUARD:
-            raise ResourceGuardError(f"flat sweep capped at n <= {F_SWEEP_GUARD}, got {n}")
-        value = sum(1 for g in cgraph.enumerate_colored_graphs(n) if cgraph.is_obtf(g))
-    else:
-        raise ValueError(f"unknown method {method!r} for F")
-    return _finish("F", n, None, method, value, started)
+
+def _sweep_count(n: int, keep) -> int:
+    """Test every colored graph on n vertices (the flat-sweep oracles)."""
+    return sum(1 for g in cgraph.enumerate_colored_graphs(n) if keep(g))
 
 
 # ---------------------------------------------------------------------------
@@ -404,24 +340,6 @@ def _bb_closed_form(n: int) -> int:
     return w[n]
 
 
-def count_bb(n: int, method: Optional[str] = None, workers: int = 1) -> CensusRecord:
-    """Exact count of blue-bipartite graphs."""
-    method = method or default_method("B", n)
-    started = time.perf_counter()
-    if method == "component-closed-form":
-        if n > B_CLOSED_GUARD:
-            raise ResourceGuardError(f"closed form capped at n <= {B_CLOSED_GUARD}, got {n}")
-        value = _bb_closed_form(n)
-    elif method == "flat-sweep":
-        if n > B_SWEEP_GUARD:
-            raise ResourceGuardError(f"flat sweep capped at n <= {B_SWEEP_GUARD}, got {n}")
-        value = sum(1 for g in cgraph.enumerate_colored_graphs(n)
-                    if cgraph.find_blue_bipartition(g) is not None)
-    else:
-        raise ValueError(f"unknown method {method!r} for B")
-    return _finish("B", n, None, method, value, started)
-
-
 def b_benchmark(n: int) -> int:
     """The benchmark count 2^(C(n+1,2)-1); n >= 1."""
     if n < 1:
@@ -429,16 +347,113 @@ def b_benchmark(n: int) -> int:
     return 1 << (comb(n + 1, 2) - 1)
 
 
+# ---------------------------------------------------------------------------
+# The engine table and its entry point
+
+
+# quantity -> {method: (run, cap)}, methods in preference order.  run(n,
+# allow_empty, workers) returns the value; cap is the largest n it admits.
+ENGINES = {
+    "G": {
+        "clause-sweep": (lambda n, t0, _w: len(definable_tables(n, t0)), 4),
+        "median-filter": (lambda n, t0, _w: _median_filter_count(n, t0), 4),
+        "median-dp": (lambda n, t0, _w: len(_definable_tables_fast(n, t0)), 5),
+    },
+    "H": {
+        "clause-sweep": (lambda n, t0, _w: _elementary_count(n, definable_tables(n, t0)), 4),
+        "median-dp": (lambda n, t0, _w: _elementary_count(n, _definable_tables_fast(n, t0)), 5),
+    },
+    "Pn": {
+        "orientation-sweep": (lambda n, _t0, _w: sum(1 for _ in litposet.enumerate_pn(n)),
+                              litposet.P_N_GUARD),
+    },
+    "F": {
+        "dfs-prune": (lambda n, _t0, w: _obtf_dfs(n, w), 7),
+        "flat-sweep": (lambda n, _t0, _w: _sweep_count(n, cgraph.is_obtf), 5),
+    },
+    "B": {
+        "component-closed-form": (lambda n, _t0, _w: _bb_closed_form(n), 7),
+        "flat-sweep": (lambda n, _t0, _w: _sweep_count(
+            n, lambda g: cgraph.find_blue_bipartition(g) is not None), 5),
+    },
+}
+
+
+def _engines(quantity: str) -> dict:
+    try:
+        return ENGINES[quantity]
+    except KeyError:
+        raise ValueError(f"unknown quantity {quantity!r}") from None
+
+
+def max_n(quantity: str) -> int:
+    """The largest n any engine for the quantity admits."""
+    return max(cap for _, cap in _engines(quantity).values())
+
+
 def default_method(quantity: str, n: int) -> str:
-    if quantity == "G" or quantity == "H":
-        return "median-dp" if n > G_SWEEP_GUARD else "clause-sweep"
-    if quantity == "Pn":
-        return "orientation-sweep"
-    if quantity == "F":
-        return "dfs-prune"
-    if quantity == "B":
-        return "component-closed-form"
-    raise ValueError(f"unknown quantity {quantity!r}")
+    """The first method, in preference order, whose cap admits n."""
+    for method, (_, cap) in _engines(quantity).items():
+        if n <= cap:
+            return method
+    raise ResourceGuardError(f"{quantity}(n={n}) exceeds every engine cap, "
+                             f"the largest is {max_n(quantity)}")
+
+
+def count(quantity: str, n: int, convention: Optional[str] = None,
+          method: Optional[str] = None, workers: int = 1) -> CensusRecord:
+    """quantity(n) by the given method, else the default one, as a record.
+
+    Raises ResourceGuardError above the engine's cap, and ValueError for an
+    unknown quantity or method or a convention that does not apply.
+    """
+    engines = _engines(quantity)
+    method = method or default_method(quantity, n)
+    if method not in engines:
+        raise ValueError(f"unknown method {method!r} for {quantity}")
+    if convention not in conventions(quantity):
+        raise ValueError(f"convention {convention!r} does not apply to {quantity}")
+    run, cap = engines[method]
+    if n > cap:
+        raise ResourceGuardError(f"{quantity} {method} capped at n <= {cap}, got {n}")
+    started = time.perf_counter()
+    value = run(n, convention == "t0", workers)
+    return CensusRecord(
+        quantity=quantity,
+        n=n,
+        convention=convention,
+        value=value,
+        method=method,
+        wall_time=round(time.perf_counter() - started, 6),
+        checksum=record_checksum(quantity, n, convention, method, value),
+    )
+
+
+def count_functions(n: int, allow_empty: bool = True,
+                    method: Optional[str] = None) -> CensusRecord:
+    """G: distinct truth tables over all formulas (per convention)."""
+    return count("G", n, convention_label(allow_empty), method)
+
+
+def count_elementary(n: int, allow_empty: bool = True,
+                     method: Optional[str] = None) -> CensusRecord:
+    """H: elementary tables among the definable ones."""
+    return count("H", n, convention_label(allow_empty), method)
+
+
+def count_pn(n: int, method: Optional[str] = None) -> CensusRecord:
+    """Pn: the poset family, streamed over colored graphs."""
+    return count("Pn", n, method=method)
+
+
+def count_obtf(n: int, method: Optional[str] = None, workers: int = 1) -> CensusRecord:
+    """F: odd-blue-triangle-free graphs."""
+    return count("F", n, method=method, workers=workers)
+
+
+def count_bb(n: int, method: Optional[str] = None) -> CensusRecord:
+    """B: blue-bipartite graphs."""
+    return count("B", n, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +495,11 @@ def verify_identities(ns: Iterable[int], workers: int = 1) -> list[CheckResult]:
 
     # (i) G(n) > 2^n (2^C(n,2) - 1), both conventions
     for n in ns:
-        if not 2 <= n <= G_DP_GUARD:
+        if not 2 <= n <= max_n("G"):
             continue
         bound = (1 << n) * ((1 << comb(n, 2)) - 1)
         for allow_empty in (False, True):
-            g = count_functions(n, allow_empty, workers=workers).value
+            g = count_functions(n, allow_empty).value
             label = convention_label(allow_empty)
             out.append(CheckResult(
                 "counting-lower-bound", f"n={n} {label}",
@@ -492,17 +507,17 @@ def verify_identities(ns: Iterable[int], workers: int = 1) -> list[CheckResult]:
 
     # (ii) H(n) <= G(n) <= 1 + sum H(n-k) C(n,k) (2n-2k+2)^k
     for n in ns:
-        if n > G_SWEEP_GUARD:
+        if n > ENGINES["H"]["clause-sweep"][1]:
             continue
-        h0 = {m: count_elementary(m, True, workers=workers).value for m in range(n + 1)}
-        g0 = count_functions(n, True, workers=workers).value
+        h0 = {m: count_elementary(m, True).value for m in range(n + 1)}
+        g0 = count_functions(n, True).value
         ub0 = _chain_upper_bound(n, h0)
         ok = h0[n] <= g0 <= ub0
         out.append(CheckResult(
             "elementary-chain", f"n={n} t0",
             _verdict(ok), f"H={h0[n]} <= G={g0} <= {ub0}"))
-        h1 = {m: count_elementary(m, False, workers=workers).value for m in range(n + 1)}
-        g1 = count_functions(n, False, workers=workers).value
+        h1 = {m: count_elementary(m, False).value for m in range(n + 1)}
+        g1 = count_functions(n, False).value
         ub1 = _chain_upper_bound(n, h1)
         out.append(CheckResult(
             "elementary-chain", f"n={n} t1", "INFO",
@@ -510,7 +525,7 @@ def verify_identities(ns: Iterable[int], workers: int = 1) -> list[CheckResult]:
 
     # (iii) B closed form == flat sweep
     for n in ns:
-        if n > B_SWEEP_GUARD:
+        if n > ENGINES["B"]["flat-sweep"][1]:
             continue
         closed = count_bb(n, "component-closed-form").value
         sweep = count_bb(n, "flat-sweep").value
@@ -522,8 +537,8 @@ def verify_identities(ns: Iterable[int], workers: int = 1) -> list[CheckResult]:
     for n in ns:
         if n > litposet.P_N_GUARD:
             continue
-        pn = count_pn(n, workers=workers).value
-        h = count_elementary(n, True, workers=workers).value
+        pn = count_pn(n).value
+        h = count_elementary(n, True).value
         out.append(CheckResult(
             "poset-function-bijection", f"n={n}",
             _verdict(pn == h), f"|Pn|={pn} H_t0={h}"))
@@ -586,14 +601,14 @@ def verify_identities(ns: Iterable[int], workers: int = 1) -> list[CheckResult]:
             continue
         parts = []
         bn = b_benchmark(n)
-        if n <= 6:
+        if n <= max_n("F"):
             f_val = count_obtf(n, workers=workers).value
             parts.append(f"F/b = {f_val}/{bn} = {float(Fraction(f_val, bn)):.6f}")
-        if n <= B_CLOSED_GUARD:
+        if n <= max_n("B"):
             b_val = count_bb(n).value
             parts.append(f"B/b = {b_val}/{bn} = {float(Fraction(b_val, bn)):.6f}")
-        if 2 <= n <= G_DP_GUARD:
-            g_val = count_functions(n, True, workers=workers).value
+        if 2 <= n <= max_n("G"):
+            g_val = count_functions(n, True).value
             denom = 1 << comb(n + 1, 2)
             parts.append(f"G/2^C(n+1,2) = {g_val}/{denom} = {float(Fraction(g_val, denom)):.6f}")
         if parts:
@@ -666,38 +681,18 @@ def strict_orders(m: int):
     yield from rec(0)
 
 
-def _covers_of_order(m: int, rows_t: tuple[int, ...]) -> frozenset[tuple[int, int]]:
-    preds = [0] * m
-    for u in range(m):
-        r = rows_t[u]
-        while r:
-            low = r & -r
-            preds[low.bit_length() - 1] |= 1 << u
-            r ^= low
-    es = set()
-    for u in range(m):
-        r = rows_t[u]
-        while r:
-            low = r & -r
-            v = low.bit_length() - 1
-            r ^= low
-            if rows_t[u] & preds[v] == 0:
-                es.add((u + 1, v + 1) if u < v else (v + 1, u + 1))
-    return frozenset(es)
-
-
 def posets_per_cover_graph(m: int) -> tuple[int, frozenset[tuple[int, int]]]:
     """Over all strict orders on m labelled points, the largest number
     sharing one cover graph, with a witness graph."""
     groups: dict[frozenset, int] = {}
     best: tuple[int, frozenset] = (0, frozenset())
     for order in strict_orders(m):
-        cg = _covers_of_order(m, order)
-        count = groups.get(cg, 0) + 1
-        groups[cg] = count
-        if count > best[0]:
-            best = (count, cg)
-    return best
+        cg = litposet.cover_pairs(order)
+        k = groups.get(cg, 0) + 1
+        groups[cg] = k
+        if k > best[0]:
+            best = (k, cg)
+    return best[0], frozenset((u + 1, v + 1) for u, v in best[1])
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +707,8 @@ class CensusCache:
     """Append-only JSON-lines store of census records.
 
     Loading validates every line, including recomputing the checksum from
-    the record fields; a record without a valid checksum is refused.
+    the record fields; a record without a valid checksum is refused, and
+    so is a second record for a key whose value or checksum differs.
     """
 
     def __init__(self, path):
@@ -720,6 +716,7 @@ class CensusCache:
 
     def load(self) -> dict[tuple, CensusRecord]:
         records: dict[tuple, CensusRecord] = {}
+        first_line: dict[tuple, int] = {}
         if not self.path.exists():
             return records
         try:
@@ -738,7 +735,14 @@ class CensusCache:
                 raise CacheError(f"{self.path}:{line_no}: record without checksum refused")
             if not rec.checksum_valid():
                 raise CacheError(f"{self.path}:{line_no}: checksum mismatch")
-            records[rec.key()] = rec
+            key = rec.key()
+            old = records.get(key)
+            if old is not None and (old.value, old.checksum) != (rec.value, rec.checksum):
+                raise CacheError(
+                    f"{self.path}:{line_no}: conflicts with line {first_line[key]}: "
+                    f"{rec.quantity}(n={rec.n}) is {rec.value} here and {old.value} there")
+            first_line.setdefault(key, line_no)
+            records[key] = rec
         return records
 
     def append(self, record: CensusRecord) -> None:

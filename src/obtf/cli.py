@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-from typing import Optional
 
 from . import census, cgraph, litposet, verify
 from .boolfn import ParseError
@@ -28,8 +27,9 @@ EXIT_ENV = 3
 
 DEFAULT_CACHE = "obtf-cache.jsonl"
 
-_CENSUS_CAPS = {"G": 5, "H": 5, "Pn": 5, "F": 6, "B": 7}
-_F_BIG_CAP = 7
+# census caps each quantity at its largest engine cap, except that F(7),
+# minutes of search, needs --big
+_F_CAP_WITHOUT_BIG = 6
 
 
 class UserError(Exception):
@@ -86,19 +86,15 @@ def _emit_records(records: list[CensusRecord], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _census_cap(quantity: str, big: bool) -> int:
-    if quantity == "F" and big:
-        return _F_BIG_CAP
-    return _CENSUS_CAPS[quantity]
-
-
 def cmd_census(args) -> int:
     quantity = args.quantity
     ns = _parse_range(args.n)
-    cap = _census_cap(quantity, args.big)
+    cap, hint = census.max_n(quantity), ""
+    if quantity == "F" and not args.big:
+        hint = f" (use --big for F up to {cap})"
+        cap = _F_CAP_WITHOUT_BIG
     over = [n for n in ns if n > cap]
     if over:
-        hint = " (use --big for F up to 7)" if quantity == "F" and not args.big else ""
         raise UserError(f"{quantity}(n={over[0]}) exceeds the census cap {cap}{hint}")
     if quantity in ("G", "H"):
         conventions = [args.convention] if args.convention else ["t0", "t1"]
@@ -113,7 +109,7 @@ def cmd_census(args) -> int:
             key = (quantity, n, conv, method)
             rec = known.get(key)
             if rec is None:
-                rec = _compute_record(quantity, n, conv, method, args.workers)
+                rec = census.count(quantity, n, conv, method, args.workers)
                 cache.append(rec)
                 known[key] = rec
             records.append(rec)
@@ -121,47 +117,30 @@ def cmd_census(args) -> int:
     return EXIT_OK
 
 
-def _compute_record(quantity: str, n: int, conv: Optional[str],
-                    method: str, workers: int) -> CensusRecord:
-    if quantity == "G":
-        return census.count_functions(n, conv == "t0", method, workers)
-    if quantity == "H":
-        return census.count_elementary(n, conv == "t0", method, workers)
-    if quantity == "Pn":
-        return census.count_pn(n, method, workers)
-    if quantity == "F":
-        return census.count_obtf(n, method, workers)
-    if quantity == "B":
-        return census.count_bb(n, method, workers)
-    raise UserError(f"unknown quantity {quantity!r}")
-
-
 # ---------------------------------------------------------------------------
 # verify
 
 
-_CACHE_RECHECK_CAPS = {"G": 4, "H": 4, "Pn": 4, "F": 6, "B": 7}
-
-
 def _cache_consistency(path: str, workers: int) -> list[census.CheckResult]:
+    """Recompute every cached record that census computes without --big;
+    each record left out gets an INFO line saying why."""
     cache = CensusCache(path)
     if not cache.path.exists():
         return []
     out = []
     for rec in cache.load().values():
-        cap = _CACHE_RECHECK_CAPS.get(rec.quantity, 0)
-        if rec.n > cap:
-            continue
+        scope = f"{rec.quantity} n={rec.n} {rec.convention or '-'} {rec.method}"
         try:
-            fresh = _compute_record(rec.quantity, rec.n, rec.convention,
-                                    rec.method, workers)
-        except (ResourceGuardError, ValueError):
+            if rec.quantity == "F" and rec.n > _F_CAP_WITHOUT_BIG:
+                raise ResourceGuardError(f"F(n={rec.n}) needs --big in census")
+            fresh = census.count(rec.quantity, rec.n, rec.convention, rec.method, workers)
+        except (ResourceGuardError, ValueError) as exc:
+            out.append(census.CheckResult("cache-consistency", scope, "INFO",
+                                          f"not rechecked: {exc}"))
             continue
         ok = fresh.value == rec.value and fresh.checksum == rec.checksum
         out.append(census.CheckResult(
-            "cache-consistency",
-            f"{rec.quantity} n={rec.n} {rec.convention or '-'} {rec.method}",
-            "PASS" if ok else "FAIL",
+            "cache-consistency", scope, "PASS" if ok else "FAIL",
             f"cached={rec.value} recomputed={fresh.value}"))
     return out
 

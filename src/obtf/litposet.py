@@ -29,6 +29,7 @@ __all__ = [
     "LiteralPoset",
     "P_N_GUARD",
     "ResourceGuardError",
+    "cover_pairs",
     "cover_relations",
     "enumerate_pn",
     "enumerate_pn_oracle",
@@ -194,11 +195,10 @@ def implication_poset(f: Formula) -> LiteralPoset:
     return p
 
 
-def cover_relations(p: LiteralPoset) -> CoverGraph:
-    """Covering pairs: u < v with nothing strictly between."""
-    if not is_pn_member(p):
-        raise ValueError("not a member of the literal-poset family")
-    rows = p.rows
+def cover_pairs(rows: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+    """Covering pairs of a strict order given as closed bitmask rows (bit v
+    of rows[u] means u < v): u < v with nothing strictly between, each
+    written (min, max) in index order."""
     size = len(rows)
     preds = [0] * size
     for u in range(size):
@@ -216,7 +216,14 @@ def cover_relations(p: LiteralPoset) -> CoverGraph:
             row ^= low
             if rows[u] & preds[v] == 0:
                 edges.add((u, v) if u < v else (v, u))
-    return CoverGraph(p.n, frozenset(edges))
+    return frozenset(edges)
+
+
+def cover_relations(p: LiteralPoset) -> CoverGraph:
+    """Covering pairs: u < v with nothing strictly between."""
+    if not is_pn_member(p):
+        raise ValueError("not a member of the literal-poset family")
+    return CoverGraph(p.n, cover_pairs(p.rows))
 
 
 def poset_to_formula(p: LiteralPoset) -> Formula:

@@ -10,7 +10,7 @@ a broken internal invariant is exactly what these suites exist to catch.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import census, cgraph, litposet
 from .boolfn import Formula, all_clauses, realize_formula, truth_table, is_elementary
@@ -24,8 +24,6 @@ _PROPS_CAP = 4
 _ROUNDTRIP_CAP = 4
 _PARTITION_CAP = 4
 _WALKS_CAP = 5
-_ENGINE_G_CAP = 4
-_ENGINE_FB_CAP = 5
 _COHERENCE_CAP = 4
 _PN_ORACLE_CAP = 4
 
@@ -162,37 +160,28 @@ def check_walks(n: int) -> CheckResult:
     return _guard("short-closed-walks", f"n={n}", run)
 
 
+# F and B name their engines by these short labels in the detail text,
+# G and H print the method -> value dict
+_SHORT_LABELS = {"dfs-prune": "dfs", "component-closed-form": "closed", "flat-sweep": "sweep"}
+
+
 def check_engine_agreement(n: int) -> list[CheckResult]:
-    """Every fast engine equals its sweep oracle where the ranges overlap."""
+    """Every method whose cap admits n returns the same value, for each
+    quantity with two or more such methods."""
     out = []
-    if 0 <= n <= _ENGINE_G_CAP:
-        for allow_empty in (False, True):
-            label = census.convention_label(allow_empty)
-            vals = {m: census.count_functions(n, allow_empty, method=m).value
-                    for m in ("clause-sweep", "median-filter", "median-dp")}
-            ok = len(set(vals.values())) == 1
+    for conv in ("t1", "t0", None):
+        for quantity, engines in census.ENGINES.items():
+            methods = [m for m, (_, cap) in engines.items() if n <= cap]
+            if conv not in census.conventions(quantity) or len(methods) < 2:
+                continue
+            vals = {m: census.count(quantity, n, conv, m).value for m in methods}
+            if all(m in _SHORT_LABELS for m in vals):
+                detail = " ".join(f"{_SHORT_LABELS[m]}={v}" for m, v in vals.items())
+            else:
+                detail = str(vals)
             out.append(CheckResult(
-                "engine-agreement-G", f"n={n} {label}",
-                "PASS" if ok else "FAIL", str(vals)))
-            hv = {m: census.count_elementary(n, allow_empty, method=m).value
-                  for m in ("clause-sweep", "median-dp")}
-            ok = len(set(hv.values())) == 1
-            out.append(CheckResult(
-                "engine-agreement-H", f"n={n} {label}",
-                "PASS" if ok else "FAIL", str(hv)))
-    if 1 <= n <= _ENGINE_FB_CAP:
-        f_fast = census.count_obtf(n, "dfs-prune").value
-        f_sweep = census.count_obtf(n, "flat-sweep").value
-        out.append(CheckResult(
-            "engine-agreement-F", f"n={n}",
-            "PASS" if f_fast == f_sweep else "FAIL",
-            f"dfs={f_fast} sweep={f_sweep}"))
-        b_fast = census.count_bb(n, "component-closed-form").value
-        b_sweep = census.count_bb(n, "flat-sweep").value
-        out.append(CheckResult(
-            "engine-agreement-B", f"n={n}",
-            "PASS" if b_fast == b_sweep else "FAIL",
-            f"closed={b_fast} sweep={b_sweep}"))
+                f"engine-agreement-{quantity}", f"n={n} {conv}" if conv else f"n={n}",
+                "PASS" if len(set(vals.values())) == 1 else "FAIL", detail))
     return out
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 from math import comb
 
 import pytest
@@ -8,12 +9,16 @@ from obtf.census import (
     CacheError,
     CensusCache,
     CensusRecord,
+    ENGINES,
     b_benchmark,
+    count,
     count_bb,
     count_elementary,
     count_functions,
     count_obtf,
     count_pn,
+    default_method,
+    max_n,
     posets_per_cover_graph,
     record_checksum,
     verify_identities,
@@ -130,6 +135,31 @@ class TestObtfCount:
         with pytest.raises(ResourceGuardError):
             count_obtf(6, "flat-sweep")
 
+    def test_workers_clamped_to_cpu_count(self, monkeypatch):
+        # an in-process stand-in for the pool: no process is started
+        seen = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        cpus = max(2, os.cpu_count() or 1)   # two, so the pool path runs
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(census, "ProcessPoolExecutor", FakePool)
+        rec = count_obtf(4, workers=os.cpu_count() + 1)
+        assert seen and all(w <= cpus for w in seen)
+        assert rec.value == F_COUNTS[4]
+        assert rec.checksum == record_checksum("F", 4, None, "dfs-prune", F_COUNTS[4])
+
 
 class TestBbCount:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -148,6 +178,53 @@ class TestBbCount:
     def test_benchmark(self):
         assert b_benchmark(3) == 32
         assert b_benchmark(5) == 16384
+
+
+class TestEngineTable:
+    @pytest.mark.parametrize("quantity,n,method", [
+        ("G", 0, "clause-sweep"), ("G", 4, "clause-sweep"), ("G", 5, "median-dp"),
+        ("H", 4, "clause-sweep"), ("H", 5, "median-dp"),
+        ("Pn", 0, "orientation-sweep"), ("Pn", 5, "orientation-sweep"),
+        ("F", 0, "dfs-prune"), ("F", 7, "dfs-prune"),
+        ("B", 0, "component-closed-form"), ("B", 7, "component-closed-form"),
+    ])
+    def test_default_method_is_first_admitting_method(self, quantity, n, method):
+        assert default_method(quantity, n) == method
+
+    def test_caps(self):
+        assert {q: max_n(q) for q in ENGINES} == {"G": 5, "H": 5, "Pn": 5, "F": 7, "B": 7}
+        assert {q: list(e) for q, e in ENGINES.items()} == {
+            "G": ["clause-sweep", "median-filter", "median-dp"],
+            "H": ["clause-sweep", "median-dp"],
+            "Pn": ["orientation-sweep"],
+            "F": ["dfs-prune", "flat-sweep"],
+            "B": ["component-closed-form", "flat-sweep"],
+        }
+
+    def test_beyond_every_cap(self):
+        with pytest.raises(ResourceGuardError, match="largest is 5"):
+            default_method("G", 6)
+        with pytest.raises(ResourceGuardError, match="largest is 7"):
+            count("B", 8)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="unknown quantity"):
+            count("X", 2)
+        with pytest.raises(ValueError, match="unknown method 'magic' for F"):
+            count("F", 2, method="magic")
+        with pytest.raises(ValueError, match="convention None does not apply to G"):
+            count("G", 2)
+        with pytest.raises(ValueError, match="convention 't0' does not apply to F"):
+            count("F", 2, "t0")
+
+    def test_count_names_are_entry_point_records(self):
+        pairs = [(count_functions(3, False), count("G", 3, "t1")),
+                 (count_elementary(3, True), count("H", 3, "t0")),
+                 (count_pn(3), count("Pn", 3)),
+                 (count_obtf(3, "flat-sweep"), count("F", 3, method="flat-sweep")),
+                 (count_bb(3), count("B", 3))]
+        for a, b in pairs:
+            assert a.key() == b.key() and (a.value, a.checksum) == (b.value, b.checksum)
 
 
 class TestRecords:
@@ -203,6 +280,24 @@ class TestCache:
         path.write_text(good + "\n" + json.dumps(rec) + "\n")
         with pytest.raises(CacheError, match=rf":2: bad record: {field} must be an integer"):
             CensusCache(path).load()
+
+    def test_conflicting_duplicate_refused(self, tmp_path):
+        rec = count_obtf(4).to_json_dict()
+        forged = dict(rec, value=418,
+                      checksum=record_checksum("F", 4, None, "dfs-prune", 418))
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in (rec, rec, forged)) + "\n")
+        with pytest.raises(CacheError, match=r":3: conflicts with line 1: "
+                                             r"F\(n=4\) is 418 here and 417 there"):
+            CensusCache(path).load()
+
+    def test_identical_duplicates_load(self, tmp_path):
+        first, second = count_obtf(4), count_obtf(4)
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(first.to_json_dict()) + "\n"
+                        + json.dumps(second.to_json_dict()) + "\n")
+        loaded = CensusCache(path).load()
+        assert list(loaded) == [first.key()] and loaded[first.key()].value == 417
 
     def test_tampered_value_refused(self, tmp_path):
         rec = count_obtf(3).to_json_dict()

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from obtf.census import record_checksum
 from obtf.cli import main
 
 
@@ -64,6 +65,20 @@ class TestCensusCommand:
         assert code == 3
         assert "cache" in err
 
+    def test_conflicting_cache_records_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "c.jsonl"
+        code, _, _ = run(capsys, "census", "--quantity", "F", "--n", "4",
+                         "--cache", str(path))
+        assert code == 0
+        rec = json.loads(path.read_text())
+        rec.update(value=418, checksum=record_checksum("F", 4, None, "dfs-prune", 418))
+        with path.open("a") as fh:
+            fh.write(json.dumps(rec) + "\n")
+        code, out, err = run(capsys, "census", "--quantity", "F", "--n", "4",
+                             "--cache", str(path))
+        assert code == 3 and out == ""
+        assert ":2: conflicts with line 1" in err
+
     def test_worker_counts_give_identical_records(self, capsys, tmp_path):
         outs = []
         for workers, name in ((1, "w1.jsonl"), (2, "w2.jsonl")):
@@ -104,6 +119,22 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--range", "2", "--cache", str(path))
         assert code == 0
         assert "cache-consistency" in out
+
+
+    @pytest.mark.parametrize("quantity,n,method,detail", [
+        ("F", 7, "dfs-prune", "not rechecked: F(n=7) needs --big in census"),
+        ("F", 3, "magic", "not rechecked: unknown method 'magic' for F"),
+    ])
+    def test_cache_skips_are_reported(self, capsys, tmp_path, quantity, n, method, detail):
+        value = 266919023 if n == 7 else 23
+        rec = {"quantity": quantity, "n": n, "convention": None, "value": value,
+               "method": method, "wall_time": 0.0,
+               "checksum": record_checksum(quantity, n, None, method, value)}
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
+        code, out, _ = run(capsys, "verify", "--range", "1", "--cache", str(path))
+        assert code == 0
+        assert f"[info] cache-consistency {quantity} n={n} - {method}: {detail}\n" in out
 
 
 class TestAnalyzeCommand:

@@ -1,0 +1,42 @@
+"""census and verify output pinned byte for byte.
+
+Each digest is the SHA-256 of a command's JSON output with every
+`wall_time` removed, re-serialised with sorted keys; the values were
+taken from the engines before they moved behind `census.ENGINES`.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from obtf.cli import main
+
+GOLDEN = {
+    ("census", "G", "1..5"): "f2335996e5b9daa077a15c33067f89afaefd8e37b099e3fe2c2874b33ccc1007",
+    ("census", "H", "1..5"): "e6f3f027b2e2aaee8a3d63fcb1bd91bdbc7be4190813e231eea19696130b19df",
+    ("census", "F", "1..6"): "f2a598f5b7624a59f674df9d14b8827d3727853bc230f9f2a9cc99ba7dce8772",
+    ("census", "B", "1..7"): "b646dfd015298d8db1be62f432e8f17137700be6a28762aa27d3358ddd1a0605",
+    ("verify", None, "1..4"): "fcf42cd84add68bc5dcfccb3cb4175e400f9f615d85935be76910094fb53fc37",
+}
+
+
+def _strip_wall_time(obj):
+    if isinstance(obj, dict):
+        return {k: _strip_wall_time(v) for k, v in obj.items() if k != "wall_time"}
+    if isinstance(obj, list):
+        return [_strip_wall_time(v) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("command,quantity,sizes", sorted(GOLDEN, key=str))
+def test_output_digest(capsys, monkeypatch, tmp_path, command, quantity, sizes):
+    monkeypatch.delenv("OBTF_CACHE", raising=False)   # verify would recheck it
+    if command == "census":
+        argv = ["census", "--quantity", quantity, "--n", sizes,
+                "--cache", str(tmp_path / "c.jsonl")]
+    else:
+        argv = ["verify", "--range", sizes]
+    assert main(argv + ["--format", "json"]) == 0
+    masked = json.dumps(_strip_wall_time(json.loads(capsys.readouterr().out)), sort_keys=True)
+    assert hashlib.sha256(masked.encode()).hexdigest() == GOLDEN[command, quantity, sizes]

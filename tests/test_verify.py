@@ -54,6 +54,21 @@ def test_engine_agreement_structure():
     assert all(c.status == "PASS" for c in checks)
 
 
+def test_engine_agreement_at_zero_runs_f_and_b():
+    checks = verify.check_engine_agreement(0)
+    assert [(c.name, c.scope, c.detail) for c in checks if c.name[-1] in "FB"] == [
+        ("engine-agreement-F", "n=0", "dfs=1 sweep=1"),
+        ("engine-agreement-B", "n=0", "closed=1 sweep=1"),
+    ]
+    assert all(c.status == "PASS" for c in checks)
+
+
+def test_engine_agreement_needs_two_engines():
+    # at n=5 only median-dp runs G and H; F and B still have two engines
+    names = [c.name for c in verify.check_engine_agreement(5)]
+    assert names == ["engine-agreement-F", "engine-agreement-B"]
+
+
 def test_bb_coherence_small():
     assert verify.check_bb_coherence(3).status == "PASS"
 
