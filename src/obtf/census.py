@@ -20,6 +20,7 @@ whose cap admits n must return the same value (checked by verify).
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import itertools
 import json
@@ -28,6 +29,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from pathlib import Path
 from typing import Iterable, Optional
@@ -176,6 +178,7 @@ def definable_tables(n: int, allow_empty: bool) -> frozenset[int]:
     return frozenset(tables)
 
 
+@lru_cache(maxsize=None)
 def _median_closed_family_dp(n: int) -> frozenset[int]:
     """All median-closed subsets of {0,1}^n as solution sets of unit- and
     two-clause conjunctions (conjunction-closure dynamic program).
@@ -210,80 +213,95 @@ def _median_filter_count(n: int, allow_empty: bool) -> int:
                if is_2sat_definable(TruthTable(n, bits), allow_empty))
 
 
-def _elementary_bits(n: int, bits: int) -> bool:
-    """is_elementary on a raw bitset; hot path for family filtering."""
-    if bits == 0:
-        return False
+@lru_cache(maxsize=None)
+def _elementary_lookups(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per-byte lookup tables for the elementary test.
+
+    A table is elementary iff it meets every test mask: all-ones (it is
+    satisfiable), x_i and not-x_i (no spine), x_i xor x_j and its
+    complement (no associated pair).  Entry h of the table for byte k has
+    bit t set iff byte value h at byte k meets test t, so a bitset passes
+    iff the OR of its byte lookups sets every test bit.  Four bytes hold
+    the truth table of every n <= 5.
+    """
     masks = variable_masks(n)
     full = all_ones(n)
-    for m in masks:
-        if bits & ~m == 0 or bits & m == 0:
-            return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = masks[i] ^ masks[j]
-            if bits & diff == 0 or bits & (full ^ diff) == 0:
-                return False
-    return True
+    tests = [full, *masks, *(full ^ m for m in masks)]
+    for i, j in itertools.combinations(range(n), 2):
+        diff = masks[i] ^ masks[j]
+        tests += [diff, full ^ diff]
+    return tuple(
+        tuple(sum(1 << t for t, test in enumerate(tests) if (h << (8 * k)) & test)
+              for h in range(256))
+        for k in range(4))
 
 
 def _elementary_count(n: int, tables: frozenset[int]) -> int:
-    return sum(1 for bits in tables if _elementary_bits(n, bits))
+    if n > 5:
+        raise ResourceGuardError(f"elementary filter capped at n <= 5, got {n}")
+    l0, l1, l2, l3 = _elementary_lookups(n)
+    want = l0[255] | l1[255] | l2[255] | l3[255]    # the all-ones table meets every test
+    return sum(1 for b in tables
+               if l0[b & 255] | l1[(b >> 8) & 255] | l2[(b >> 16) & 255] | l3[b >> 24] == want)
 
 
 # ---------------------------------------------------------------------------
 # F: odd-blue-triangle-free graphs
+#
+# Vertices are 0-based bits here.  nbr[v] and blue[v] are the neighbours
+# and blue neighbours of v among the pairs decided so far.  Pairs go in
+# colex order, so when (a, b) is decided every pair (x, a) and (x, b)
+# with x < a already is, and the triangles it closes are exactly the
+# common neighbours of a and b.  d marks those whose two other edges have
+# one blue edge between them: (a, b) may be red iff d is empty (every
+# triangle keeps an even blue count) and blue iff d is all of them.
 
 
-def _obtf_structures(n: int):
-    pairs = cgraph.pairs_colex(n)
-    index = {p: i for i, p in enumerate(pairs)}
-    tri = []
-    for a, b in pairs:
-        tri.append([(index[(x, a)], index[(x, b)]) for x in range(1, a)])
-    return pairs, tri
-
-
-def _color_ok(states, checks, s: int) -> bool:
-    """Adding color s (1 red, 2 blue) completes no odd-blue triangle."""
-    for i1, i2 in checks:
-        s1 = states[i1]
-        if not s1:
-            continue
-        s2 = states[i2]
-        if not s2:
-            continue
-        if ((s1 == 2) + (s2 == 2) + (s == 2)) & 1:
-            return False
-    return True
-
-
-def _obtf_count_rec(states, k: int, m: int, tri) -> int:
-    if k == m:
+def _obtf_count_rec(nbr: list[int], blue: list[int], k: int, pairs) -> int:
+    """Completions of the pairs from k on."""
+    if k == len(pairs):
         return 1
-    total = 0
-    checks = tri[k]
-    for s in (0, 1, 2):
-        if s and not _color_ok(states, checks, s):
-            continue
-        states[k] = s
-        total += _obtf_count_rec(states, k + 1, m, tri)
-    states[k] = 0
+    a, b = pairs[k]
+    common = nbr[a] & nbr[b]
+    d = (blue[a] ^ blue[b]) & common
+    if k + 1 == len(pairs):
+        return 1 + (d == 0) + (d == common)
+    total = _obtf_count_rec(nbr, blue, k + 1, pairs)
+    ba, bb = 1 << a, 1 << b
+    nbr[a] |= bb
+    nbr[b] |= ba
+    if d == 0:
+        total += _obtf_count_rec(nbr, blue, k + 1, pairs)
+    if d == common:
+        blue[a] |= bb
+        blue[b] |= ba
+        total += _obtf_count_rec(nbr, blue, k + 1, pairs)
+        blue[a] ^= bb
+        blue[b] ^= ba
+    nbr[a] ^= bb
+    nbr[b] ^= ba
     return total
 
 
 def _obtf_prefix_count(args) -> int:
-    """Worker task: count completions of one state prefix (0 if the prefix
-    itself already contains an odd-blue triangle)."""
+    """Worker task: count completions of one state prefix (0 absent, 1
+    red, 2 blue; 0 if the prefix itself already contains an odd-blue
+    triangle)."""
     n, prefix = args
-    _, tri = _obtf_structures(n)
-    m = len(tri)
-    states = [0] * m
-    for k, s in enumerate(prefix):
-        if s and not _color_ok(states, tri[k], s):
+    pairs = [(a - 1, b - 1) for a, b in cgraph.pairs_colex(n)]
+    nbr, blue = [0] * n, [0] * n
+    for (a, b), s in zip(pairs, prefix):
+        if not s:
+            continue
+        common = nbr[a] & nbr[b]
+        if (blue[a] ^ blue[b]) & common != (common if s == 2 else 0):
             return 0
-        states[k] = s
-    return _obtf_count_rec(states, len(prefix), m, tri)
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
+        if s == 2:
+            blue[a] |= 1 << b
+            blue[b] |= 1 << a
+    return _obtf_count_rec(nbr, blue, len(prefix), pairs)
 
 
 def _obtf_dfs(n: int, workers: int) -> int:
@@ -291,11 +309,10 @@ def _obtf_dfs(n: int, workers: int) -> int:
     completed triangle is odd-blue (deleting edges preserves the property,
     so pruning is sound).  With several workers (at most one per CPU) the
     state prefixes are counted in a process pool."""
-    _, tri = _obtf_structures(n)
-    m = len(tri)
+    m = comb(n, 2)
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or m == 0:
-        return _obtf_count_rec([0] * m, 0, m, tri)
+        return _obtf_prefix_count((n, ()))
     depth = 1
     while 3 ** depth < 8 * workers and depth < m:
         depth += 1
@@ -730,7 +747,9 @@ class CensusCache:
                 d = json.loads(line)
                 rec = CensusRecord.from_json_dict(d)
             except (ValueError, KeyError, TypeError) as exc:
-                raise CacheError(f"{self.path}:{line_no}: bad record: {exc}") from exc
+                raise CacheError(
+                    f"{self.path}:{line_no}: bad record: {exc}; if an interrupted "
+                    f"write left it, delete line {line_no} and rerun") from exc
             if not isinstance(rec.checksum, str) or not rec.checksum:
                 raise CacheError(f"{self.path}:{line_no}: record without checksum refused")
             if not rec.checksum_valid():
@@ -746,9 +765,20 @@ class CensusCache:
         return records
 
     def append(self, record: CensusRecord) -> None:
+        """Append one record as a single write on an O_APPEND descriptor,
+        under an exclusive lock, so concurrent writers never interleave
+        within a line."""
+        line = (json.dumps(record.to_json_dict(), sort_keys=True) + "\n").encode("ascii")
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a") as fh:
-                fh.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+                written = os.write(fd, line)
+            finally:
+                os.close(fd)    # releases the lock
         except OSError as exc:
             raise CacheError(f"cannot write cache {self.path}: {exc}") from exc
+        if written != len(line):
+            raise CacheError(f"short write to cache {self.path}: "
+                             f"{written} of {len(line)} bytes; delete its last line")

@@ -299,6 +299,35 @@ class TestCache:
         loaded = CensusCache(path).load()
         assert list(loaded) == [first.key()] and loaded[first.key()].value == 417
 
+    def test_append_is_one_write_per_record(self, tmp_path, monkeypatch):
+        writes = []
+        real_write = os.write
+
+        def counting_write(fd, data):
+            writes.append(data)
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", counting_write)
+        cache = CensusCache(tmp_path / "c.jsonl")
+        records = [count_obtf(3), count_bb(4)]
+        for rec in records:
+            cache.append(rec)
+        monkeypatch.undo()
+        assert writes == [(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n").encode()
+                          for rec in records]
+        assert list(cache.load().values()) == records
+
+    def test_torn_last_line_is_named(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        cache = CensusCache(path)
+        cache.append(count_obtf(2))
+        cache.append(count_obtf(3))
+        torn = json.dumps(count_obtf(4).to_json_dict(), sort_keys=True)
+        with path.open("a") as fh:
+            fh.write(torn[:len(torn) // 2])    # a write cut off mid-record
+        with pytest.raises(CacheError, match=r":3: bad record: .*delete line 3"):
+            cache.load()
+
     def test_tampered_value_refused(self, tmp_path):
         rec = count_obtf(3).to_json_dict()
         rec["value"] += 1

@@ -1,10 +1,18 @@
-"""Property-based checks of the colored-graph engines against their oracles."""
+"""Property-based checks of the colored-graph engines against their oracles,
+and of the colored-graph text format."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obtf.cgraph import ColoredGraph, graph_of_poset, pairs_colex, posets_of_graph
+from obtf.cgraph import (
+    ColoredGraph,
+    format_colored_graph,
+    graph_of_poset,
+    pairs_colex,
+    parse_colored_graph,
+    posets_of_graph,
+)
 from obtf.litposet import enumerate_pn_oracle
 
 
@@ -32,3 +40,11 @@ def colored_graphs(draw, max_n=4):
 @given(g=colored_graphs())
 def test_posets_of_graph_is_the_oracle_fiber(oracle_fibers, g):
     assert [p.rows for p in posets_of_graph(g)] == oracle_fibers.get(g, [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=colored_graphs(max_n=6))
+def test_colored_graph_text_round_trip(g):
+    text = format_colored_graph(g)
+    assert parse_colored_graph(text) == g
+    assert format_colored_graph(parse_colored_graph(text)) == text
