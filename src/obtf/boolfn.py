@@ -26,8 +26,10 @@ __all__ = [
     "is_elementary",
     "is_median_closed",
     "parse_formula",
+    "parse_lines",
     "format_formula",
     "realize_formula",
+    "signed_pair",
     "spine",
     "truth_table",
     "variable_masks",
@@ -144,9 +146,6 @@ class TruthTable:
     @property
     def satisfying_count(self) -> int:
         return self.bits.bit_count()
-
-    def is_satisfiable(self) -> bool:
-        return self.bits != 0
 
     def assignments(self) -> Iterator[int]:
         """Indices of satisfying assignments, ascending."""
@@ -297,32 +296,49 @@ def realize_formula(t: TruthTable) -> Formula:
     return f
 
 
+def parse_lines(text: str, noun: str) -> tuple[int, list[tuple[int, list[str]]]]:
+    """The line reader behind the three text formats: the count from the
+    `n <int>` header, then the fields of every later line with its 1-based
+    number.  Blank lines and `#` comments are skipped; noun names what the
+    count counts in the header errors."""
+    n = None
+    lines = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if n is not None:
+            lines.append((line_no, fields))
+            continue
+        if len(fields) != 2 or fields[0] != "n":
+            raise ParseError(line_no, "expected header 'n <int>'")
+        try:
+            n = int(fields[1])
+        except ValueError:
+            raise ParseError(line_no, f"bad {noun} count {fields[1]!r}") from None
+        if n < 0:
+            raise ParseError(line_no, f"{noun} count must be >= 0")
+    if n is None:
+        raise ParseError(1, "missing header 'n <int>'")
+    return n, lines
+
+
+def signed_pair(line_no: int, fields: list[str]) -> tuple[int, int]:
+    """A body line of two signed integers (formula and poset formats)."""
+    try:
+        a, b = map(int, fields)
+    except ValueError:
+        raise ParseError(line_no, "expected two signed integers") from None
+    return a, b
+
+
 def parse_formula(text: str) -> Formula:
     """Formula text format: `n <int>` then one clause per line as two
     signed integers; blank lines and `#` comments ignored."""
-    n = None
+    n, lines = parse_lines(text, "variable")
     pairs = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if n is None:
-            if len(fields) != 2 or fields[0] != "n":
-                raise ParseError(line_no, "expected header 'n <int>'")
-            try:
-                n = int(fields[1])
-            except ValueError:
-                raise ParseError(line_no, f"bad variable count {fields[1]!r}") from None
-            if n < 0:
-                raise ParseError(line_no, "variable count must be >= 0")
-            continue
-        if len(fields) != 2:
-            raise ParseError(line_no, "expected two signed integers")
-        try:
-            a, b = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ParseError(line_no, "expected two signed integers") from None
+    for line_no, fields in lines:
+        a, b = signed_pair(line_no, fields)
         try:
             c = Clause(Literal.from_signed(a), Literal.from_signed(b))
         except ValueError as exc:
@@ -330,8 +346,6 @@ def parse_formula(text: str) -> Formula:
         if c.second.var > n:
             raise ParseError(line_no, f"variable beyond n={n}")
         pairs.append((a, b))
-    if n is None:
-        raise ParseError(1, "missing header 'n <int>'")
     return Formula.from_signed_pairs(n, pairs)
 
 

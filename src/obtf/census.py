@@ -1,4 +1,4 @@
-"""Exact counting engines and identity checks.
+"""Exact counting engines, their records, and the census cache.
 
 Five quantities are counted, each by at least two independent routes:
 
@@ -15,7 +15,8 @@ bit-identical across runs and worker counts.
 
 ENGINES lists every engine with its size cap.  count() is the one way
 in: the default method is the first whose cap admits n, and every method
-whose cap admits n must return the same value (checked by verify).
+whose cap admits n must return the same value (verify checks this and
+the identities between quantities).
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import cgraph, litposet
 from .boolfn import (
@@ -49,7 +49,6 @@ __all__ = [
     "CacheError",
     "CensusCache",
     "CensusRecord",
-    "CheckResult",
     "ENGINES",
     "ORDER_SEED",
     "QUANTITIES",
@@ -67,7 +66,6 @@ __all__ = [
     "max_n",
     "posets_per_cover_graph",
     "record_checksum",
-    "verify_identities",
 ]
 
 ORDER_SEED = "pair-colex/state-lex/v1"
@@ -471,167 +469,6 @@ def count_obtf(n: int, method: Optional[str] = None, workers: int = 1) -> Census
 def count_bb(n: int, method: Optional[str] = None) -> CensusRecord:
     """B: blue-bipartite graphs."""
     return count("B", n, method=method)
-
-
-# ---------------------------------------------------------------------------
-# Identity checks
-
-
-@dataclass
-class CheckResult:
-    name: str
-    scope: str
-    status: str          # PASS / FAIL / INFO
-    detail: str
-    witness: Optional[str] = None
-
-    @property
-    def failed(self) -> bool:
-        return self.status == "FAIL"
-
-
-def _verdict(ok: bool) -> str:
-    return "PASS" if ok else "FAIL"
-
-
-def _chain_upper_bound(n: int, h_values: dict[int, int]) -> int:
-    return 1 + sum(h_values[n - k] * comb(n, k) * (2 * n - 2 * k + 2) ** k
-                   for k in range(n + 1))
-
-
-def verify_identities(ns: Iterable[int], workers: int = 1) -> list[CheckResult]:
-    """The census-level identity checks, one result line per instance.
-
-    Covers the counting lower bound, the elementary-function chain
-    inequality, closed form versus sweep for B, the poset/function
-    bijection, the poset-count bounds per graph, and the descriptive
-    ratio table.
-    """
-    ns = sorted(set(ns))
-    out: list[CheckResult] = []
-
-    # (i) G(n) > 2^n (2^C(n,2) - 1), both conventions
-    for n in ns:
-        if not 2 <= n <= max_n("G"):
-            continue
-        bound = (1 << n) * ((1 << comb(n, 2)) - 1)
-        for allow_empty in (False, True):
-            g = count_functions(n, allow_empty).value
-            label = convention_label(allow_empty)
-            out.append(CheckResult(
-                "counting-lower-bound", f"n={n} {label}",
-                _verdict(g > bound), f"G={g} > {bound}"))
-
-    # (ii) H(n) <= G(n) <= 1 + sum H(n-k) C(n,k) (2n-2k+2)^k
-    for n in ns:
-        if n > ENGINES["H"]["clause-sweep"][1]:
-            continue
-        h0 = {m: count_elementary(m, True).value for m in range(n + 1)}
-        g0 = count_functions(n, True).value
-        ub0 = _chain_upper_bound(n, h0)
-        ok = h0[n] <= g0 <= ub0
-        out.append(CheckResult(
-            "elementary-chain", f"n={n} t0",
-            _verdict(ok), f"H={h0[n]} <= G={g0} <= {ub0}"))
-        h1 = {m: count_elementary(m, False).value for m in range(n + 1)}
-        g1 = count_functions(n, False).value
-        ub1 = _chain_upper_bound(n, h1)
-        out.append(CheckResult(
-            "elementary-chain", f"n={n} t1", "INFO",
-            f"H={h1[n]}, G={g1}, bound={ub1}, holds={h1[n] <= g1 <= ub1}"))
-
-    # (iii) B closed form == flat sweep
-    for n in ns:
-        if n > ENGINES["B"]["flat-sweep"][1]:
-            continue
-        closed = count_bb(n, "component-closed-form").value
-        sweep = count_bb(n, "flat-sweep").value
-        out.append(CheckResult(
-            "bb-closed-form", f"n={n}",
-            _verdict(closed == sweep), f"closed={closed} sweep={sweep}"))
-
-    # (iv) bijection: |Pn| == H(n, t0)
-    for n in ns:
-        if n > litposet.P_N_GUARD:
-            continue
-        pn = count_pn(n).value
-        h = count_elementary(n, True).value
-        out.append(CheckResult(
-            "poset-function-bijection", f"n={n}",
-            _verdict(pn == h), f"|Pn|={pn} H_t0={h}"))
-
-    # (v) per-graph poset bounds: triangle-connected blue-bipartite <= 2,
-    #     and |posets| <= 2^eta <= (2n)! over all graphs
-    for n in ns:
-        if n <= 5:
-            bad = None
-            two = edgeless = 0
-            short = []
-            for g in cgraph.enumerate_colored_graphs(n):
-                if cgraph.find_blue_bipartition(g) is None:
-                    continue
-                if not cgraph.is_triangle_connected(g):
-                    continue
-                k = len(cgraph.posets_of_graph(g))
-                if k > 2:
-                    bad = g
-                    break
-                if k == 2:
-                    two += 1
-                elif g.edge_count() == 0:
-                    edgeless += 1
-                else:
-                    short.append(g)
-            out.append(CheckResult(
-                "triangle-connected-two-posets", f"n={n}",
-                _verdict(bad is None),
-                f"graphs with 2 posets: {two}, edgeless (1 poset): {edgeless}, "
-                f"other shortfalls: {len(short)}",
-                witness=cgraph.format_colored_graph(bad) if bad else None))
-            out.append(CheckResult(
-                "two-poset-equality-tally", f"n={n}", "INFO",
-                f"equality holds at every graph with an edge ({two} graphs)"
-                if not short else
-                f"equality fails at {len(short)} non-edgeless graphs, first: "
-                + cgraph.format_colored_graph(short[0]).replace("\n", "; ")))
-        if n <= 4:
-            bad = None
-            detail = ""
-            bound_fact = 1
-            for i in range(1, 2 * n + 1):
-                bound_fact *= i
-            for g in cgraph.enumerate_colored_graphs(n):
-                k = len(cgraph.posets_of_graph(g))
-                e = 1 << cgraph.eta(g)
-                if not (k <= e <= bound_fact):
-                    bad = g
-                    detail = f"|posets|={k} 2^eta={e} (2n)!={bound_fact}"
-                    break
-            out.append(CheckResult(
-                "poset-count-bounds", f"n={n}",
-                _verdict(bad is None), detail or f"all graphs within 2^eta <= {bound_fact}",
-                witness=cgraph.format_colored_graph(bad) if bad else None))
-
-    # (vi) descriptive ratios; no pass/fail, the limits are out of reach here
-    for n in ns:
-        if n < 1:
-            continue
-        parts = []
-        bn = b_benchmark(n)
-        if n <= max_n("F"):
-            f_val = count_obtf(n, workers=workers).value
-            parts.append(f"F/b = {f_val}/{bn} = {float(Fraction(f_val, bn)):.6f}")
-        if n <= max_n("B"):
-            b_val = count_bb(n).value
-            parts.append(f"B/b = {b_val}/{bn} = {float(Fraction(b_val, bn)):.6f}")
-        if 2 <= n <= max_n("G"):
-            g_val = count_functions(n, True).value
-            denom = 1 << comb(n + 1, 2)
-            parts.append(f"G/2^C(n+1,2) = {g_val}/{denom} = {float(Fraction(g_val, denom)):.6f}")
-        if parts:
-            out.append(CheckResult("ratio-table", f"n={n}", "INFO", "; ".join(parts)))
-
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import litposet
-from .boolfn import ParseError
+from .boolfn import ParseError, parse_lines
 from .litposet import CoverGraph, LiteralPoset, ResourceGuardError
 
 __all__ = [
@@ -88,14 +88,6 @@ class ColoredGraph:
 
     def edge_count(self) -> int:
         return len(self.red) + len(self.blue)
-
-    def color_of(self, u: int, v: int) -> Optional[str]:
-        e = (min(u, v), max(u, v))
-        if e in self.red:
-            return "R"
-        if e in self.blue:
-            return "B"
-        return None
 
     def without_vertices(self, drop) -> "ColoredGraph":
         """Drop all edges meeting the given vertices; labels are kept, so
@@ -484,23 +476,9 @@ def check_closed_walks(g: ColoredGraph, max_len: int = 5) -> bool:
 def parse_colored_graph(text: str) -> ColoredGraph:
     """Colored-graph text format: `n <int>`, then `u v R|B` per edge with
     1-based vertex ids; `#` starts a comment."""
-    n = None
+    n, lines = parse_lines(text, "vertex")
     red, blue = set(), set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if n is None:
-            if len(fields) != 2 or fields[0] != "n":
-                raise ParseError(line_no, "expected header 'n <int>'")
-            try:
-                n = int(fields[1])
-            except ValueError:
-                raise ParseError(line_no, f"bad vertex count {fields[1]!r}") from None
-            if n < 0:
-                raise ParseError(line_no, "vertex count must be >= 0")
-            continue
+    for line_no, fields in lines:
         if len(fields) != 3:
             raise ParseError(line_no, "expected 'u v R|B'")
         try:
@@ -519,8 +497,6 @@ def parse_colored_graph(text: str) -> ColoredGraph:
         if e in other:
             raise ParseError(line_no, f"edge {e} already has the other color")
         (red if color == "R" else blue).add(e)
-    if n is None:
-        raise ParseError(1, "missing header 'n <int>'")
     return ColoredGraph(n, frozenset(red), frozenset(blue))
 
 

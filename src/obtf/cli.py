@@ -121,7 +121,7 @@ def cmd_census(args) -> int:
 # verify
 
 
-def _cache_consistency(path: str, workers: int) -> list[census.CheckResult]:
+def _cache_consistency(path: str, workers: int) -> list[verify.CheckResult]:
     """Recompute every cached record that census computes without --big;
     each record left out gets an INFO line saying why."""
     cache = CensusCache(path)
@@ -135,17 +135,17 @@ def _cache_consistency(path: str, workers: int) -> list[census.CheckResult]:
                 raise ResourceGuardError(f"F(n={rec.n}) needs --big in census")
             fresh = census.count(rec.quantity, rec.n, rec.convention, rec.method, workers)
         except (ResourceGuardError, ValueError) as exc:
-            out.append(census.CheckResult("cache-consistency", scope, "INFO",
+            out.append(verify.CheckResult("cache-consistency", scope, "INFO",
                                           f"not rechecked: {exc}"))
             continue
         ok = fresh.value == rec.value and fresh.checksum == rec.checksum
-        out.append(census.CheckResult(
+        out.append(verify.CheckResult(
             "cache-consistency", scope, "PASS" if ok else "FAIL",
             f"cached={rec.value} recomputed={fresh.value}"))
     return out
 
 
-def _emit_checks(checks: list[census.CheckResult], fmt: str) -> str:
+def _emit_checks(checks: list[verify.CheckResult], fmt: str) -> str:
     if fmt == "json":
         payload = [{"name": c.name, "scope": c.scope, "status": c.status,
                     "detail": c.detail, "witness": c.witness} for c in checks]
@@ -173,8 +173,7 @@ def cmd_verify(args) -> int:
         raise UserError("verification at n >= 5 requires --big")
     if any(n > 5 for n in ns):
         raise UserError("verification checks are capped at n <= 5")
-    checks = census.verify_identities(ns, workers=args.workers)
-    checks += verify.run_suites(ns, seed=args.seed, big=args.big)
+    checks = verify.run_suites(ns, seed=args.seed, big=args.big, workers=args.workers)
     if args.cache:
         checks += _cache_consistency(args.cache, args.workers)
     sys.stdout.write(_emit_checks(checks, args.format))

@@ -21,6 +21,8 @@ from .boolfn import (
     ParseError,
     TruthTable,
     is_elementary,
+    parse_lines,
+    signed_pair,
     truth_table,
 )
 
@@ -302,35 +304,14 @@ def parse_poset(text: str) -> LiteralPoset:
     """Poset text format: `n <int>` then one relation per line as two
     signed integers `a b` meaning literal(a) < literal(b); relations not
     listed are implied by closure and negation symmetry."""
-    n = None
+    n, lines = parse_lines(text, "variable")
     relations = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if n is None:
-            if len(fields) != 2 or fields[0] != "n":
-                raise ParseError(line_no, "expected header 'n <int>'")
-            try:
-                n = int(fields[1])
-            except ValueError:
-                raise ParseError(line_no, f"bad variable count {fields[1]!r}") from None
-            if n < 0:
-                raise ParseError(line_no, "variable count must be >= 0")
-            continue
-        if len(fields) != 2:
-            raise ParseError(line_no, "expected two signed integers")
-        try:
-            a, b = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ParseError(line_no, "expected two signed integers") from None
+    for line_no, fields in lines:
+        a, b = signed_pair(line_no, fields)
         for x in (a, b):
             if x == 0 or abs(x) > n:
                 raise ParseError(line_no, f"literal {x} out of range for n={n}")
         relations.append((signed_to_index(a), signed_to_index(b)))
-    if n is None:
-        raise ParseError(1, "missing header 'n <int>'")
     p = LiteralPoset.from_relations(n, relations)
     if not is_pn_member(p):
         raise ParseError(1, "relations do not close to a member of the poset family")

@@ -1,38 +1,226 @@
-"""Exhaustive property suites behind the verify command.
+"""Every check behind the verify command; run_suites is the one entry.
 
-Each suite walks a toy-sized space completely and returns one CheckResult
-per instance; failures carry the witness object in the text formats, so a
-counterexample can be re-analyzed directly.  Anything raised by the
-library while checking is converted into a failure rather than a crash:
-a broken internal invariant is exactly what these suites exist to catch.
+The identity checks compare census values along the paper's counting
+identities, and the property suites walk toy-sized spaces completely.
+Each returns CheckResult lines; failures carry the witness object in the
+text formats, so a counterexample can be re-analyzed directly.  Anything
+raised by the library while checking is converted into a failure rather
+than a crash: a broken internal invariant is exactly what these checks
+exist to catch.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from dataclasses import dataclass
+from math import comb, factorial
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import census, cgraph, litposet
 from .boolfn import Formula, all_clauses, realize_formula, truth_table, is_elementary
-from .census import CheckResult
 
-__all__ = ["run_suites", "DEFAULT_SEED"]
+__all__ = ["CheckResult", "run_suites", "verify_identities", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 20260809
 
-_PROPS_CAP = 4
-_ROUNDTRIP_CAP = 4
-_PARTITION_CAP = 4
-_WALKS_CAP = 5
-_COHERENCE_CAP = 4
-_PN_ORACLE_CAP = 4
+@dataclass
+class CheckResult:
+    name: str
+    scope: str
+    status: str          # PASS / FAIL / INFO
+    detail: str
+    witness: Optional[str] = None
+
+    @property
+    def failed(self) -> bool:
+        return self.status == "FAIL"
+
+
+def _guard_all(name: str, scope: str, fn) -> list[CheckResult]:
+    """fn()'s lines, or one FAIL line saying what it raised."""
+    try:
+        return list(fn())
+    except Exception as exc:  # noqa: BLE001 - a crash is a finding here
+        return [CheckResult(name, scope, "FAIL", f"raised {type(exc).__name__}: {exc}")]
 
 
 def _guard(name: str, scope: str, fn) -> CheckResult:
-    try:
-        return fn()
-    except Exception as exc:  # noqa: BLE001 - a crash is a finding here
-        return CheckResult(name, scope, "FAIL", f"raised {type(exc).__name__}: {exc}")
+    return _guard_all(name, scope, lambda: [fn()])[0]
+
+
+# count(quantity, n, convention=None, method=None) -> the census value
+Count = Callable[..., int]
+
+
+def _counter(workers: int = 1) -> Count:
+    """census.count's values behind a memo keyed by (quantity, n,
+    convention, method), so one verify run counts each value once.  Made
+    per run rather than module-wide, so a patched engine is seen."""
+    memo: dict[tuple, int] = {}
+
+    def count(quantity: str, n: int, convention: Optional[str] = None,
+              method: Optional[str] = None) -> int:
+        key = (quantity, n, convention, method or census.default_method(quantity, n))
+        if key not in memo:
+            memo[key] = census.count(*key, workers).value
+        return memo[key]
+    return count
+
+
+# ---------------------------------------------------------------------------
+# Identity checks: each yields its lines at one n, nothing outside its range
+
+
+def _verdict(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+def _counting_lower_bound(n: int, count: Count) -> Iterator[CheckResult]:
+    """G(n) > 2^n (2^C(n,2) - 1), both conventions."""
+    if not 2 <= n <= census.max_n("G"):
+        return
+    bound = (1 << n) * ((1 << comb(n, 2)) - 1)
+    for conv in ("t1", "t0"):
+        g = count("G", n, conv)
+        yield CheckResult("counting-lower-bound", f"n={n} {conv}",
+                          _verdict(g > bound), f"G={g} > {bound}")
+
+
+def _elementary_chain(n: int, count: Count) -> Iterator[CheckResult]:
+    """H(n) <= G(n) <= 1 + sum H(n-k) C(n,k) (2n-2k+2)^k; checked under
+    t0, reported under t1."""
+    if n > census.ENGINES["H"]["clause-sweep"][1]:
+        return
+    for conv in ("t0", "t1"):
+        h = [count("H", m, conv) for m in range(n + 1)]
+        g = count("G", n, conv)
+        ub = 1 + sum(h[n - k] * comb(n, k) * (2 * n - 2 * k + 2) ** k for k in range(n + 1))
+        ok = h[n] <= g <= ub
+        if conv == "t0":
+            yield CheckResult("elementary-chain", f"n={n} t0", _verdict(ok),
+                              f"H={h[n]} <= G={g} <= {ub}")
+        else:
+            yield CheckResult("elementary-chain", f"n={n} t1", "INFO",
+                              f"H={h[n]}, G={g}, bound={ub}, holds={ok}")
+
+
+def _bb_closed_form(n: int, count: Count) -> Iterator[CheckResult]:
+    """B's closed form equals its flat sweep."""
+    if n <= census.ENGINES["B"]["flat-sweep"][1]:
+        closed = count("B", n, method="component-closed-form")
+        sweep = count("B", n, method="flat-sweep")
+        yield CheckResult("bb-closed-form", f"n={n}", _verdict(closed == sweep),
+                          f"closed={closed} sweep={sweep}")
+
+
+def _poset_function_bijection(n: int, count: Count) -> Iterator[CheckResult]:
+    """|Pn| = H(n, t0)."""
+    if n <= litposet.P_N_GUARD:
+        pn, h = count("Pn", n), count("H", n, "t0")
+        yield CheckResult("poset-function-bijection", f"n={n}", _verdict(pn == h),
+                          f"|Pn|={pn} H_t0={h}")
+
+
+def _triangle_connected_two_posets(n: int, count: Count) -> Iterator[CheckResult]:
+    """A triangle-connected blue-bipartite graph carries at most 2 posets,
+    with a tally of where equality holds."""
+    if n > 5:
+        return
+    bad = None
+    two = edgeless = 0
+    short = []
+    for g in cgraph.enumerate_colored_graphs(n):
+        if cgraph.find_blue_bipartition(g) is None:
+            continue
+        if not cgraph.is_triangle_connected(g):
+            continue
+        k = len(cgraph.posets_of_graph(g))
+        if k > 2:
+            bad = g
+            break
+        if k == 2:
+            two += 1
+        elif g.edge_count() == 0:
+            edgeless += 1
+        else:
+            short.append(g)
+    yield CheckResult(
+        "triangle-connected-two-posets", f"n={n}", _verdict(bad is None),
+        f"graphs with 2 posets: {two}, edgeless (1 poset): {edgeless}, "
+        f"other shortfalls: {len(short)}",
+        witness=cgraph.format_colored_graph(bad) if bad else None)
+    yield CheckResult(
+        "two-poset-equality-tally", f"n={n}", "INFO",
+        f"equality holds at every graph with an edge ({two} graphs)"
+        if not short else
+        f"equality fails at {len(short)} non-edgeless graphs, first: "
+        + cgraph.format_colored_graph(short[0]).replace("\n", "; "))
+
+
+def _poset_count_bounds(n: int, count: Count) -> Iterator[CheckResult]:
+    """|posets| <= 2^eta <= (2n)! over all graphs."""
+    if n > 4:
+        return
+    bound_fact = factorial(2 * n)
+    for g in cgraph.enumerate_colored_graphs(n):
+        k = len(cgraph.posets_of_graph(g))
+        e = 1 << cgraph.eta(g)
+        if not k <= e <= bound_fact:
+            yield CheckResult("poset-count-bounds", f"n={n}", "FAIL",
+                              f"|posets|={k} 2^eta={e} (2n)!={bound_fact}",
+                              witness=cgraph.format_colored_graph(g))
+            return
+    yield CheckResult("poset-count-bounds", f"n={n}", "PASS",
+                      f"all graphs within 2^eta <= {bound_fact}")
+
+
+def _ratio_table(n: int, count: Count) -> Iterator[CheckResult]:
+    """Descriptive ratios; no pass/fail, the limits are out of reach here."""
+    if n < 1:
+        return
+    parts = []
+    bn = census.b_benchmark(n)
+    if n <= census.max_n("F"):
+        f = count("F", n)
+        parts.append(f"F/b = {f}/{bn} = {f / bn:.6f}")
+    if n <= census.max_n("B"):
+        b = count("B", n)
+        parts.append(f"B/b = {b}/{bn} = {b / bn:.6f}")
+    if 2 <= n <= census.max_n("G"):
+        g = count("G", n, "t0")
+        denom = 1 << comb(n + 1, 2)
+        parts.append(f"G/2^C(n+1,2) = {g}/{denom} = {g / denom:.6f}")
+    if parts:
+        yield CheckResult("ratio-table", f"n={n}", "INFO", "; ".join(parts))
+
+
+# Each group runs over every n before the next group starts; the checks
+# within a group take turns at each n.
+_IDENTITIES = (
+    (("counting-lower-bound", _counting_lower_bound),),
+    (("elementary-chain", _elementary_chain),),
+    (("bb-closed-form", _bb_closed_form),),
+    (("poset-function-bijection", _poset_function_bijection),),
+    (("triangle-connected-two-posets", _triangle_connected_two_posets),
+     ("poset-count-bounds", _poset_count_bounds)),
+    (("ratio-table", _ratio_table),),
+)
+
+
+def verify_identities(ns: Iterable[int], count: Optional[Count] = None) -> list[CheckResult]:
+    """The census-level identity checks, one result line per instance."""
+    count = count or _counter()
+    ns = sorted(set(ns))
+    out: list[CheckResult] = []
+    for group in _IDENTITIES:
+        for n in ns:
+            for name, check in group:
+                out += _guard_all(name, f"n={n}", lambda: check(n, count))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Property suites
 
 
 def check_poset_graph_properties(n: int) -> CheckResult:
@@ -118,10 +306,12 @@ def check_formula_independence(n: int, seed: int, trials: int = 200) -> CheckRes
     return _guard("formula-independence", f"n={n}", run)
 
 
-def check_partition_law(n: int) -> CheckResult:
+def check_partition_law(n: int, count: Optional[Count] = None) -> CheckResult:
     """Poset counts per graph partition the family: the sum over all
     colored graphs matches the streamed family count, and every graph
     with an odd-blue triangle contributes zero."""
+    count = count or _counter()
+
     def run():
         total = 0
         for g in cgraph.enumerate_colored_graphs(n):
@@ -132,10 +322,8 @@ def check_partition_law(n: int) -> CheckResult:
                     f"odd-blue-triangle graph carries {k} posets",
                     witness=cgraph.format_colored_graph(g))
             total += k
-        pn = census.count_pn(n).value
-        ok = total == pn
-        return CheckResult("graph-partition-law", f"n={n}",
-                           "PASS" if ok else "FAIL",
+        pn = count("Pn", n)
+        return CheckResult("graph-partition-law", f"n={n}", _verdict(total == pn),
                            f"sum over graphs {total}, family count {pn}")
     return _guard("graph-partition-law", f"n={n}", run)
 
@@ -165,23 +353,24 @@ def check_walks(n: int) -> CheckResult:
 _SHORT_LABELS = {"dfs-prune": "dfs", "component-closed-form": "closed", "flat-sweep": "sweep"}
 
 
-def check_engine_agreement(n: int) -> list[CheckResult]:
+def check_engine_agreement(n: int, count: Optional[Count] = None) -> list[CheckResult]:
     """Every method whose cap admits n returns the same value, for each
     quantity with two or more such methods."""
+    count = count or _counter()
     out = []
     for conv in ("t1", "t0", None):
         for quantity, engines in census.ENGINES.items():
             methods = [m for m, (_, cap) in engines.items() if n <= cap]
             if conv not in census.conventions(quantity) or len(methods) < 2:
                 continue
-            vals = {m: census.count(quantity, n, conv, m).value for m in methods}
+            vals = {m: count(quantity, n, conv, m) for m in methods}
             if all(m in _SHORT_LABELS for m in vals):
                 detail = " ".join(f"{_SHORT_LABELS[m]}={v}" for m, v in vals.items())
             else:
                 detail = str(vals)
             out.append(CheckResult(
                 f"engine-agreement-{quantity}", f"n={n} {conv}" if conv else f"n={n}",
-                "PASS" if len(set(vals.values())) == 1 else "FAIL", detail))
+                _verdict(len(set(vals.values())) == 1), detail))
     return out
 
 
@@ -226,36 +415,37 @@ def check_pn_oracle(n: int) -> CheckResult:
     def run():
         via_graphs = {p.rows for p in litposet.enumerate_pn(n)}
         via_sweep = {p.rows for p in litposet.enumerate_pn_oracle(n)}
-        ok = via_graphs == via_sweep
-        return CheckResult("poset-enumeration-oracle", f"n={n}",
-                           "PASS" if ok else "FAIL",
+        return CheckResult("poset-enumeration-oracle", f"n={n}", _verdict(via_graphs == via_sweep),
                            f"graph-driven {len(via_graphs)}, sweep {len(via_sweep)}")
     return _guard("poset-enumeration-oracle", f"n={n}", run)
 
 
 def run_suites(ns: Iterable[int], seed: int = DEFAULT_SEED,
-               big: bool = False) -> list[CheckResult]:
-    """All property suites over the requested sizes, capped per suite.
+               big: bool = False, workers: int = 1) -> list[CheckResult]:
+    """Every verify check over the requested sizes: the identity checks,
+    then the property suites per size, capped per suite.  All of them
+    share one count memo, so each census value is counted once.
 
     The heaviest sweeps (poset relation oracle at n=4, anything at n=5)
     only run when big is set.
     """
     ns = sorted(set(ns))
-    out: list[CheckResult] = []
+    count = _counter(workers)
+    out = verify_identities(ns, count)
     for n in ns:
-        if 1 <= n <= _PROPS_CAP:
-            out.append(check_poset_graph_properties(n))
-        if 1 <= n <= _ROUNDTRIP_CAP:
-            out.append(check_roundtrip(n))
+        small = 1 <= n <= 4
+        if small:
+            out += [check_poset_graph_properties(n), check_roundtrip(n)]
         if n in (2, 3):
             out.append(check_formula_independence(n, seed))
-        if 1 <= n <= _PARTITION_CAP:
-            out.append(check_partition_law(n))
-        if 1 <= n <= _WALKS_CAP and (big or n <= 4):
+        if small:
+            out.append(check_partition_law(n, count))
+        if small or (big and n == 5):
             out.append(check_walks(n))
-        out.extend(check_engine_agreement(n))
-        if 1 <= n <= _COHERENCE_CAP:
+        out += _guard_all("engine-agreement", f"n={n}",
+                          lambda: check_engine_agreement(n, count))
+        if small:
             out.append(check_bb_coherence(n))
-        if 1 <= n <= _PN_ORACLE_CAP and (big or n <= 3):
+        if small and (big or n <= 3):
             out.append(check_pn_oracle(n))
     return out

@@ -21,9 +21,9 @@ from obtf.census import (
     max_n,
     posets_per_cover_graph,
     record_checksum,
-    verify_identities,
 )
 from obtf.litposet import ResourceGuardError
+from obtf.verify import verify_identities
 
 # Values below were first computed by the flat-sweep oracles (and by hand
 # where feasible: B via the component recurrence, the family counts via

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from obtf import cgraph, census, verify
+from obtf import cgraph, census, cli, verify
 
 
 def test_default_suites_all_pass():
@@ -37,7 +39,7 @@ class TestMutationSensitivity:
         assert check.witness is not None
 
     def test_bijection_catches_inversion(self, inverted_obtf):
-        checks = [c for c in census.verify_identities([2])
+        checks = [c for c in verify.verify_identities([2])
                   if c.name == "poset-function-bijection"]
         assert checks and all(c.status == "FAIL" for c in checks)
 
@@ -75,3 +77,41 @@ def test_bb_coherence_small():
 
 def test_walks_suite_small():
     assert verify.check_walks(3).status == "PASS"
+
+
+@pytest.mark.parametrize("module,name,failing", [
+    (cgraph, "posets_of_graph", ["poset-function-bijection", "triangle-connected-two-posets",
+                                 "poset-count-bounds", "graph-partition-law"]),
+    (census, "_bb_closed_form", ["bb-closed-form", "ratio-table", "engine-agreement"]),
+])
+def test_crashing_check_prints_fail_lines(monkeypatch, capsys, module, name, failing):
+    def broken(*args):
+        raise AssertionError("broken invariant")
+
+    monkeypatch.setattr(module, name, broken)
+    assert cli.main(["verify", "--range", "1..2"]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    lines = out.splitlines()
+    for check in failing:
+        assert f"[FAIL] {check} n=2: raised AssertionError: broken invariant" in lines
+    # checks that never reach the broken function still report
+    assert "[PASS] counting-lower-bound n=2 t1: G=15 > 4" in lines
+    assert "[PASS] short-closed-walks n=2: 3 graphs free of odd short walks" in lines
+
+
+def test_each_value_counted_once(monkeypatch, capsys):
+    counted = Counter()
+    real = census.count
+
+    def spy(*args, **kwargs):
+        rec = real(*args, **kwargs)
+        counted[rec.key()] += 1
+        return rec
+
+    monkeypatch.setattr(census, "count", spy)
+    monkeypatch.delenv("OBTF_CACHE", raising=False)
+    assert cli.main(["verify", "--range", "1..4", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert counted[("B", 4, None, "flat-sweep")] == 1
+    assert {key: k for key, k in counted.items() if k > 1} == {}
