@@ -22,6 +22,7 @@ __all__ = [
     "all_clauses",
     "all_ones",
     "associated_pairs",
+    "bits",
     "is_2sat_definable",
     "is_elementary",
     "is_median_closed",
@@ -147,13 +148,13 @@ class TruthTable:
     def satisfying_count(self) -> int:
         return self.bits.bit_count()
 
-    def assignments(self) -> Iterator[int]:
-        """Indices of satisfying assignments, ascending."""
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def all_ones(n: int) -> int:
@@ -245,12 +246,12 @@ def is_median_closed(t: TruthTable) -> bool:
     The assignment encoding makes majority a bitwise expression on the
     indices themselves: maj(a,b,c) = (a&b)|(a&c)|(b&c).
     """
-    sat = list(t.assignments())
+    table = t.bits
+    sat = list(bits(table))
     if len(sat) <= 2:
         return True
-    bits = t.bits
     for a, b, c in itertools.combinations(sat, 3):
-        if not (bits >> ((a & b) | (a & c) | (b & c))) & 1:
+        if not (table >> ((a & b) | (a & c) | (b & c))) & 1:
             return False
     return True
 

@@ -20,6 +20,7 @@ from .boolfn import (
     Literal,
     ParseError,
     TruthTable,
+    bits,
     is_elementary,
     parse_lines,
     signed_pair,
@@ -108,10 +109,8 @@ class LiteralPoset:
 
     def relation_pairs(self) -> Iterator[tuple[int, int]]:
         for u, row in enumerate(self.rows):
-            while row:
-                low = row & -row
-                yield (u, low.bit_length() - 1)
-                row ^= low
+            for v in bits(row):
+                yield (u, v)
 
 
 @dataclass(frozen=True)
@@ -157,11 +156,7 @@ def is_pn_member(p: LiteralPoset) -> bool:
     if transitive_closure(rows) != rows:
         return False
     for u in range(size):
-        row = rows[u]
-        while row:
-            low = row & -row
-            v = low.bit_length() - 1
-            row ^= low
+        for v in bits(rows[u]):
             if not (rows[v ^ 1] >> (u ^ 1)) & 1:
                 return False
             if (rows[v] >> u) & 1:
@@ -203,6 +198,8 @@ def cover_pairs(rows: tuple[int, ...]) -> frozenset[tuple[int, int]]:
     written (min, max) in index order."""
     size = len(rows)
     preds = [0] * size
+    # set bits inline: bits() made a call 60% slower, 0.35 s over the 130,023
+    # calls of posets --cover-multiplicity 6
     for u in range(size):
         row = rows[u]
         while row:

@@ -2,11 +2,11 @@
 
 The identity checks compare census values along the paper's counting
 identities, and the property suites walk toy-sized spaces completely.
-Each returns CheckResult lines; failures carry the witness object in the
-text formats, so a counterexample can be re-analyzed directly.  Anything
-raised by the library while checking is converted into a failure rather
-than a crash: a broken internal invariant is exactly what these checks
-exist to catch.
+Each check(n, run) yields its CheckResult lines at n, none outside its
+sizes, sharing one Run per verify pass.  Failures carry the witness in
+the text formats, so a counterexample can be re-analyzed directly.  A
+raise while checking becomes a failure rather than a crash: a broken
+internal invariant is exactly what these checks exist to catch.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import census, cgraph, litposet
 from .boolfn import Formula, all_clauses, realize_formula, truth_table, is_elementary
 
-__all__ = ["CheckResult", "run_suites", "verify_identities", "DEFAULT_SEED"]
+__all__ = ["CheckResult", "Run", "run_suites", "verify_identities", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 20260809
 
@@ -36,35 +36,36 @@ class CheckResult:
         return self.status == "FAIL"
 
 
-def _guard_all(name: str, scope: str, fn) -> list[CheckResult]:
-    """fn()'s lines, or one FAIL line saying what it raised."""
-    try:
-        return list(fn())
-    except Exception as exc:  # noqa: BLE001 - a crash is a finding here
-        return [CheckResult(name, scope, "FAIL", f"raised {type(exc).__name__}: {exc}")]
+class Run:
+    """What the checks of one verify run share: the seed, the --big flag,
+    and one memo of census values, of each graph's posets and of the poset
+    family per n, so each is computed once per run.  Made per run, never
+    module-wide, and census.count and cgraph.posets_of_graph are looked
+    up at each call, so a patched one is seen; a raise is never stored."""
 
+    def __init__(self, seed: int = DEFAULT_SEED, big: bool = False, workers: int = 1):
+        self.seed, self.big, self.workers = seed, big, workers
+        self._memo: dict[tuple, object] = {}
 
-def _guard(name: str, scope: str, fn) -> CheckResult:
-    return _guard_all(name, scope, lambda: [fn()])[0]
+    def _once(self, key: tuple, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
-
-# count(quantity, n, convention=None, method=None) -> the census value
-Count = Callable[..., int]
-
-
-def _counter(workers: int = 1) -> Count:
-    """census.count's values behind a memo keyed by (quantity, n,
-    convention, method), so one verify run counts each value once.  Made
-    per run rather than module-wide, so a patched engine is seen."""
-    memo: dict[tuple, int] = {}
-
-    def count(quantity: str, n: int, convention: Optional[str] = None,
+    def count(self, quantity: str, n: int, convention: Optional[str] = None,
               method: Optional[str] = None) -> int:
         key = (quantity, n, convention, method or census.default_method(quantity, n))
-        if key not in memo:
-            memo[key] = census.count(*key, workers).value
-        return memo[key]
-    return count
+        return self._once(key, lambda: census.count(*key, self.workers).value)
+
+    def posets(self, g: cgraph.ColoredGraph) -> list[litposet.LiteralPoset]:
+        return self._once(("posets", g), lambda: cgraph.posets_of_graph(g))
+
+    def family(self, n: int) -> list[litposet.LiteralPoset]:
+        """The poset family on n variables in litposet.enumerate_pn's order:
+        the posets of each odd-blue-triangle-free graph in turn."""
+        return self._once(("family", n), lambda: [
+            p for g in cgraph.enumerate_colored_graphs(n)
+            if cgraph.is_obtf(g) for p in self.posets(g)])
 
 
 # ---------------------------------------------------------------------------
@@ -75,25 +76,25 @@ def _verdict(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
 
-def _counting_lower_bound(n: int, count: Count) -> Iterator[CheckResult]:
+def _counting_lower_bound(n: int, run: Run) -> Iterator[CheckResult]:
     """G(n) > 2^n (2^C(n,2) - 1), both conventions."""
     if not 2 <= n <= census.max_n("G"):
         return
     bound = (1 << n) * ((1 << comb(n, 2)) - 1)
     for conv in ("t1", "t0"):
-        g = count("G", n, conv)
+        g = run.count("G", n, conv)
         yield CheckResult("counting-lower-bound", f"n={n} {conv}",
                           _verdict(g > bound), f"G={g} > {bound}")
 
 
-def _elementary_chain(n: int, count: Count) -> Iterator[CheckResult]:
+def _elementary_chain(n: int, run: Run) -> Iterator[CheckResult]:
     """H(n) <= G(n) <= 1 + sum H(n-k) C(n,k) (2n-2k+2)^k; checked under
     t0, reported under t1."""
     if n > census.ENGINES["H"]["clause-sweep"][1]:
         return
     for conv in ("t0", "t1"):
-        h = [count("H", m, conv) for m in range(n + 1)]
-        g = count("G", n, conv)
+        h = [run.count("H", m, conv) for m in range(n + 1)]
+        g = run.count("G", n, conv)
         ub = 1 + sum(h[n - k] * comb(n, k) * (2 * n - 2 * k + 2) ** k for k in range(n + 1))
         ok = h[n] <= g <= ub
         if conv == "t0":
@@ -104,24 +105,24 @@ def _elementary_chain(n: int, count: Count) -> Iterator[CheckResult]:
                               f"H={h[n]}, G={g}, bound={ub}, holds={ok}")
 
 
-def _bb_closed_form(n: int, count: Count) -> Iterator[CheckResult]:
+def _bb_closed_form(n: int, run: Run) -> Iterator[CheckResult]:
     """B's closed form equals its flat sweep."""
     if n <= census.ENGINES["B"]["flat-sweep"][1]:
-        closed = count("B", n, method="component-closed-form")
-        sweep = count("B", n, method="flat-sweep")
+        closed = run.count("B", n, method="component-closed-form")
+        sweep = run.count("B", n, method="flat-sweep")
         yield CheckResult("bb-closed-form", f"n={n}", _verdict(closed == sweep),
                           f"closed={closed} sweep={sweep}")
 
 
-def _poset_function_bijection(n: int, count: Count) -> Iterator[CheckResult]:
+def _poset_function_bijection(n: int, run: Run) -> Iterator[CheckResult]:
     """|Pn| = H(n, t0)."""
     if n <= litposet.P_N_GUARD:
-        pn, h = count("Pn", n), count("H", n, "t0")
+        pn, h = run.count("Pn", n), run.count("H", n, "t0")
         yield CheckResult("poset-function-bijection", f"n={n}", _verdict(pn == h),
                           f"|Pn|={pn} H_t0={h}")
 
 
-def _triangle_connected_two_posets(n: int, count: Count) -> Iterator[CheckResult]:
+def _triangle_connected_two_posets(n: int, run: Run) -> Iterator[CheckResult]:
     """A triangle-connected blue-bipartite graph carries at most 2 posets,
     with a tally of where equality holds."""
     if n > 5:
@@ -134,7 +135,7 @@ def _triangle_connected_two_posets(n: int, count: Count) -> Iterator[CheckResult
             continue
         if not cgraph.is_triangle_connected(g):
             continue
-        k = len(cgraph.posets_of_graph(g))
+        k = len(run.posets(g))
         if k > 2:
             bad = g
             break
@@ -157,13 +158,13 @@ def _triangle_connected_two_posets(n: int, count: Count) -> Iterator[CheckResult
         + cgraph.format_colored_graph(short[0]).replace("\n", "; "))
 
 
-def _poset_count_bounds(n: int, count: Count) -> Iterator[CheckResult]:
+def _poset_count_bounds(n: int, run: Run) -> Iterator[CheckResult]:
     """|posets| <= 2^eta <= (2n)! over all graphs."""
     if n > 4:
         return
     bound_fact = factorial(2 * n)
     for g in cgraph.enumerate_colored_graphs(n):
-        k = len(cgraph.posets_of_graph(g))
+        k = len(run.posets(g))
         e = 1 << cgraph.eta(g)
         if not k <= e <= bound_fact:
             yield CheckResult("poset-count-bounds", f"n={n}", "FAIL",
@@ -174,178 +175,154 @@ def _poset_count_bounds(n: int, count: Count) -> Iterator[CheckResult]:
                       f"all graphs within 2^eta <= {bound_fact}")
 
 
-def _ratio_table(n: int, count: Count) -> Iterator[CheckResult]:
+def _ratio_table(n: int, run: Run) -> Iterator[CheckResult]:
     """Descriptive ratios; no pass/fail, the limits are out of reach here."""
     if n < 1:
         return
     parts = []
     bn = census.b_benchmark(n)
     if n <= census.max_n("F"):
-        f = count("F", n)
+        f = run.count("F", n)
         parts.append(f"F/b = {f}/{bn} = {f / bn:.6f}")
     if n <= census.max_n("B"):
-        b = count("B", n)
+        b = run.count("B", n)
         parts.append(f"B/b = {b}/{bn} = {b / bn:.6f}")
     if 2 <= n <= census.max_n("G"):
-        g = count("G", n, "t0")
+        g = run.count("G", n, "t0")
         denom = 1 << comb(n + 1, 2)
         parts.append(f"G/2^C(n+1,2) = {g}/{denom} = {g / denom:.6f}")
     if parts:
         yield CheckResult("ratio-table", f"n={n}", "INFO", "; ".join(parts))
 
 
-# Each group runs over every n before the next group starts; the checks
-# within a group take turns at each n.
-_IDENTITIES = (
-    (("counting-lower-bound", _counting_lower_bound),),
-    (("elementary-chain", _elementary_chain),),
-    (("bb-closed-form", _bb_closed_form),),
-    (("poset-function-bijection", _poset_function_bijection),),
-    (("triangle-connected-two-posets", _triangle_connected_two_posets),
-     ("poset-count-bounds", _poset_count_bounds)),
-    (("ratio-table", _ratio_table),),
-)
-
-
-def verify_identities(ns: Iterable[int], count: Optional[Count] = None) -> list[CheckResult]:
-    """The census-level identity checks, one result line per instance."""
-    count = count or _counter()
-    ns = sorted(set(ns))
-    out: list[CheckResult] = []
-    for group in _IDENTITIES:
-        for n in ns:
-            for name, check in group:
-                out += _guard_all(name, f"n={n}", lambda: check(n, count))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Property suites
 
 
-def check_poset_graph_properties(n: int) -> CheckResult:
+def check_poset_graph_properties(n: int, run: Run) -> Iterator[CheckResult]:
     """Single color per vertex pair, double cover equal to the cover
     relations, and no odd-blue triangle, for every family poset."""
-    def run():
-        count = 0
-        for p in litposet.enumerate_pn(n):
-            g = cgraph.graph_of_poset(p)  # raises on two-color demand or odd-blue
-            if cgraph.double_cover(g) != litposet.cover_relations(p):
-                return CheckResult(
-                    "poset-graph-properties", f"n={n}", "FAIL",
-                    "double cover differs from cover relations",
-                    witness=litposet.format_poset(p))
-            count += 1
-        if count == 0:
-            # the family always contains the antichain; an empty
-            # enumeration means something upstream is broken
-            return CheckResult("poset-graph-properties", f"n={n}", "FAIL",
-                               "family enumeration came back empty")
-        return CheckResult("poset-graph-properties", f"n={n}", "PASS",
-                           f"{count} posets checked")
-    return _guard("poset-graph-properties", f"n={n}", run)
+    if not 1 <= n <= 4:
+        return
+    posets = run.family(n)
+    if not posets:
+        # the family always contains the antichain; an empty
+        # enumeration means something upstream is broken
+        yield CheckResult("poset-graph-properties", f"n={n}", "FAIL",
+                          "family enumeration came back empty")
+        return
+    for p in posets:
+        g = cgraph.graph_of_poset(p)  # raises on two-color demand or odd-blue
+        if cgraph.double_cover(g) != litposet.cover_relations(p):
+            yield CheckResult(
+                "poset-graph-properties", f"n={n}", "FAIL",
+                "double cover differs from cover relations",
+                witness=litposet.format_poset(p))
+            return
+    yield CheckResult("poset-graph-properties", f"n={n}", "PASS",
+                      f"{len(posets)} posets checked")
 
 
-def check_roundtrip(n: int) -> CheckResult:
+def check_roundtrip(n: int, run: Run) -> Iterator[CheckResult]:
     """poset -> function -> canonical realizing formula -> implication
     poset returns the original, for every family poset."""
-    def run():
-        count = 0
-        for p in litposet.enumerate_pn(n):
-            t = litposet.poset_to_function(p)
-            if not is_elementary(t):
-                return CheckResult(
-                    "bijection-roundtrip", f"n={n}", "FAIL",
-                    "poset function is not elementary",
-                    witness=litposet.format_poset(p))
-            back = litposet.implication_poset(realize_formula(t))
-            if back != p:
-                return CheckResult(
-                    "bijection-roundtrip", f"n={n}", "FAIL",
-                    "roundtrip returned a different poset",
-                    witness=litposet.format_poset(p))
-            count += 1
-        if count == 0:
-            return CheckResult("bijection-roundtrip", f"n={n}", "FAIL",
-                               "family enumeration came back empty")
-        return CheckResult("bijection-roundtrip", f"n={n}", "PASS",
-                           f"{count} posets round-tripped")
-    return _guard("bijection-roundtrip", f"n={n}", run)
+    if not 1 <= n <= 4:
+        return
+    posets = run.family(n)
+    if not posets:
+        yield CheckResult("bijection-roundtrip", f"n={n}", "FAIL",
+                          "family enumeration came back empty")
+        return
+    for p in posets:
+        t = litposet.poset_to_function(p)
+        if not is_elementary(t):
+            problem = "poset function is not elementary"
+        elif litposet.implication_poset(realize_formula(t)) != p:
+            problem = "roundtrip returned a different poset"
+        else:
+            continue
+        yield CheckResult("bijection-roundtrip", f"n={n}", "FAIL", problem,
+                          witness=litposet.format_poset(p))
+        return
+    yield CheckResult("bijection-roundtrip", f"n={n}", "PASS",
+                      f"{len(posets)} posets round-tripped")
 
 
-def check_formula_independence(n: int, seed: int, trials: int = 200) -> CheckResult:
+def check_formula_independence(n: int, run: Run) -> Iterator[CheckResult]:
     """The implication poset depends only on the function: random formula
     pairs with equal elementary tables give equal posets."""
-    def run():
-        rng = random.Random(seed + n)
-        clauses = all_clauses(n)
-        compared = 0
-        for _ in range(trials):
-            size = rng.randint(0, len(clauses))
-            f1 = Formula.of(n, rng.sample(clauses, size))
-            t = truth_table(f1)
-            if not is_elementary(t):
-                continue
-            # second realization: pad with further clauses valid on the table
-            extra = [c for c in clauses
-                     if truth_table(Formula.of(n, [c])).bits & t.bits == t.bits]
-            f2 = Formula.of(n, list(f1.clauses) + rng.sample(extra, rng.randint(0, len(extra))))
-            if truth_table(f2) != t:
-                return CheckResult("formula-independence", f"n={n}", "FAIL",
-                                   "padding with valid clauses changed the table")
-            p1 = litposet.implication_poset(f1)
-            p2 = litposet.implication_poset(f2)
-            p3 = litposet.implication_poset(realize_formula(t))
-            if not (p1 == p2 == p3):
-                return CheckResult("formula-independence", f"n={n}", "FAIL",
-                                   "equal functions produced different posets",
-                                   witness=litposet.format_poset(p1))
-            compared += 1
-        return CheckResult("formula-independence", f"n={n}", "PASS",
-                           f"{compared} elementary formula pairs agreed (seed {seed})")
-    return _guard("formula-independence", f"n={n}", run)
+    if n not in (2, 3):
+        return
+    rng = random.Random(run.seed + n)
+    clauses = all_clauses(n)
+    compared = 0
+    for _ in range(200):
+        size = rng.randint(0, len(clauses))
+        f1 = Formula.of(n, rng.sample(clauses, size))
+        t = truth_table(f1)
+        if not is_elementary(t):
+            continue
+        # second realization: pad with further clauses valid on the table
+        extra = [c for c in clauses
+                 if truth_table(Formula.of(n, [c])).bits & t.bits == t.bits]
+        f2 = Formula.of(n, list(f1.clauses) + rng.sample(extra, rng.randint(0, len(extra))))
+        if truth_table(f2) != t:
+            yield CheckResult("formula-independence", f"n={n}", "FAIL",
+                              "padding with valid clauses changed the table")
+            return
+        p1 = litposet.implication_poset(f1)
+        p2 = litposet.implication_poset(f2)
+        p3 = litposet.implication_poset(realize_formula(t))
+        if not (p1 == p2 == p3):
+            yield CheckResult("formula-independence", f"n={n}", "FAIL",
+                              "equal functions produced different posets",
+                              witness=litposet.format_poset(p1))
+            return
+        compared += 1
+    yield CheckResult("formula-independence", f"n={n}", "PASS",
+                      f"{compared} elementary formula pairs agreed (seed {run.seed})")
 
 
-def check_partition_law(n: int, count: Optional[Count] = None) -> CheckResult:
+def check_partition_law(n: int, run: Run) -> Iterator[CheckResult]:
     """Poset counts per graph partition the family: the sum over all
     colored graphs matches the streamed family count, and every graph
     with an odd-blue triangle contributes zero."""
-    count = count or _counter()
+    if not 1 <= n <= 4:
+        return
+    total = 0
+    for g in cgraph.enumerate_colored_graphs(n):
+        k = len(run.posets(g))
+        if k and not cgraph.is_obtf(g):
+            yield CheckResult(
+                "graph-partition-law", f"n={n}", "FAIL",
+                f"odd-blue-triangle graph carries {k} posets",
+                witness=cgraph.format_colored_graph(g))
+            return
+        total += k
+    pn = run.count("Pn", n)
+    yield CheckResult("graph-partition-law", f"n={n}", _verdict(total == pn),
+                      f"sum over graphs {total}, family count {pn}")
 
-    def run():
-        total = 0
-        for g in cgraph.enumerate_colored_graphs(n):
-            k = len(cgraph.posets_of_graph(g))
-            if k and not cgraph.is_obtf(g):
-                return CheckResult(
-                    "graph-partition-law", f"n={n}", "FAIL",
-                    f"odd-blue-triangle graph carries {k} posets",
-                    witness=cgraph.format_colored_graph(g))
-            total += k
-        pn = count("Pn", n)
-        return CheckResult("graph-partition-law", f"n={n}", _verdict(total == pn),
-                           f"sum over graphs {total}, family count {pn}")
-    return _guard("graph-partition-law", f"n={n}", run)
 
-
-def check_walks(n: int) -> CheckResult:
+def check_walks(n: int, run: Run) -> Iterator[CheckResult]:
     """Every graph without an odd-blue triangle has even blue count on all
     short non-simple closed walks."""
-    def run():
-        checked = 0
-        for g in cgraph.enumerate_colored_graphs(n):
-            if not cgraph.is_obtf(g):
-                continue
-            walk = cgraph.find_odd_nonsimple_walk(g)
-            if walk is not None:
-                return CheckResult(
-                    "short-closed-walks", f"n={n}", "FAIL",
-                    f"odd-blue non-simple walk {walk}",
-                    witness=cgraph.format_colored_graph(g))
-            checked += 1
-        return CheckResult("short-closed-walks", f"n={n}", "PASS",
-                           f"{checked} graphs free of odd short walks")
-    return _guard("short-closed-walks", f"n={n}", run)
+    if not (1 <= n <= 4 or (run.big and n == 5)):
+        return
+    checked = 0
+    for g in cgraph.enumerate_colored_graphs(n):
+        if not cgraph.is_obtf(g):
+            continue
+        walk = cgraph.find_odd_nonsimple_walk(g)
+        if walk is not None:
+            yield CheckResult(
+                "short-closed-walks", f"n={n}", "FAIL",
+                f"odd-blue non-simple walk {walk}",
+                witness=cgraph.format_colored_graph(g))
+            return
+        checked += 1
+    yield CheckResult("short-closed-walks", f"n={n}", "PASS",
+                      f"{checked} graphs free of odd short walks")
 
 
 # F and B name their engines by these short labels in the detail text,
@@ -353,99 +330,116 @@ def check_walks(n: int) -> CheckResult:
 _SHORT_LABELS = {"dfs-prune": "dfs", "component-closed-form": "closed", "flat-sweep": "sweep"}
 
 
-def check_engine_agreement(n: int, count: Optional[Count] = None) -> list[CheckResult]:
+def check_engine_agreement(n: int, run: Run) -> Iterator[CheckResult]:
     """Every method whose cap admits n returns the same value, for each
     quantity with two or more such methods."""
-    count = count or _counter()
-    out = []
     for conv in ("t1", "t0", None):
         for quantity, engines in census.ENGINES.items():
             methods = [m for m, (_, cap) in engines.items() if n <= cap]
             if conv not in census.conventions(quantity) or len(methods) < 2:
                 continue
-            vals = {m: count(quantity, n, conv, m) for m in methods}
+            vals = {m: run.count(quantity, n, conv, m) for m in methods}
             if all(m in _SHORT_LABELS for m in vals):
                 detail = " ".join(f"{_SHORT_LABELS[m]}={v}" for m, v in vals.items())
             else:
                 detail = str(vals)
-            out.append(CheckResult(
+            yield CheckResult(
                 f"engine-agreement-{quantity}", f"n={n} {conv}" if conv else f"n={n}",
-                _verdict(len(set(vals.values())) == 1), detail))
-    return out
+                _verdict(len(set(vals.values())) == 1), detail)
 
 
-def check_bb_coherence(n: int) -> CheckResult:
+def check_bb_coherence(n: int, run: Run) -> Iterator[CheckResult]:
     """A bipartition witness exists iff zero vertex deletions suffice iff
     zero edge deletions suffice; witnesses are valid; the propagation
     search matches the brute-force sweep."""
-    def run():
-        for g in cgraph.enumerate_colored_graphs(n):
-            bp = cgraph.find_blue_bipartition(g)
-            sweep = cgraph.bipartition_sweep(g)
-            if (bp is None) != (sweep is None):
-                return CheckResult("bb-coherence", f"n={n}", "FAIL",
-                                   "propagation and sweep disagree",
-                                   witness=cgraph.format_colored_graph(g))
-            if bp is not None and not cgraph.is_valid_bipartition(g, bp):
-                return CheckResult("bb-coherence", f"n={n}", "FAIL",
-                                   "invalid bipartition witness",
-                                   witness=cgraph.format_colored_graph(g))
+    if not 1 <= n <= 4:
+        return
+    for g in cgraph.enumerate_colored_graphs(n):
+        bp = cgraph.find_blue_bipartition(g)
+        if (bp is None) != (cgraph.bipartition_sweep(g) is None):
+            problem = "propagation and sweep disagree"
+        elif bp is not None and not cgraph.is_valid_bipartition(g, bp):
+            problem = "invalid bipartition witness"
+        else:
             kv, kw = cgraph.kappa(g)
             gv, gw = cgraph.gamma(g)
             if ((bp is not None) != (kv == 0)) or ((bp is not None) != (gv == 0)):
-                return CheckResult("bb-coherence", f"n={n}", "FAIL",
-                                   f"witness/kappa/gamma mismatch: kappa={kv} gamma={gv}",
-                                   witness=cgraph.format_colored_graph(g))
-            if cgraph.find_blue_bipartition(g.without_vertices(kw)) is None:
-                return CheckResult("bb-coherence", f"n={n}", "FAIL",
-                                   "kappa witness does not work",
-                                   witness=cgraph.format_colored_graph(g))
-            if cgraph.find_blue_bipartition(g.without_edges(gw)) is None:
-                return CheckResult("bb-coherence", f"n={n}", "FAIL",
-                                   "gamma witness does not work",
-                                   witness=cgraph.format_colored_graph(g))
-        return CheckResult("bb-coherence", f"n={n}", "PASS",
-                           "witness/kappa/gamma/sweep all coherent")
-    return _guard("bb-coherence", f"n={n}", run)
+                problem = f"witness/kappa/gamma mismatch: kappa={kv} gamma={gv}"
+            elif cgraph.find_blue_bipartition(g.without_vertices(kw)) is None:
+                problem = "kappa witness does not work"
+            elif cgraph.find_blue_bipartition(g.without_edges(gw)) is None:
+                problem = "gamma witness does not work"
+            else:
+                continue
+        yield CheckResult("bb-coherence", f"n={n}", "FAIL", problem,
+                          witness=cgraph.format_colored_graph(g))
+        return
+    yield CheckResult("bb-coherence", f"n={n}", "PASS",
+                      "witness/kappa/gamma/sweep all coherent")
 
 
-def check_pn_oracle(n: int) -> CheckResult:
+def check_pn_oracle(n: int, run: Run) -> Iterator[CheckResult]:
     """Graph-driven family enumeration equals the direct relation sweep,
-    as sets."""
-    def run():
-        via_graphs = {p.rows for p in litposet.enumerate_pn(n)}
-        via_sweep = {p.rows for p in litposet.enumerate_pn_oracle(n)}
-        return CheckResult("poset-enumeration-oracle", f"n={n}", _verdict(via_graphs == via_sweep),
-                           f"graph-driven {len(via_graphs)}, sweep {len(via_sweep)}")
-    return _guard("poset-enumeration-oracle", f"n={n}", run)
+    as sets; the sweep at n = 4 only under --big."""
+    if not (1 <= n <= 4 and (run.big or n <= 3)):
+        return
+    via_graphs = {p.rows for p in run.family(n)}
+    via_sweep = {p.rows for p in litposet.enumerate_pn_oracle(n)}
+    yield CheckResult("poset-enumeration-oracle", f"n={n}", _verdict(via_graphs == via_sweep),
+                      f"graph-driven {len(via_graphs)}, sweep {len(via_sweep)}")
+
+
+# (line name, check) groups.  Each group runs over every n before the next
+# group starts; the checks within a group take turns at each n.  A check
+# is named rather than held, so a wrapped or patched module function is
+# the one that runs.  The last group is the property suites.
+_CHECKS = (
+    (("counting-lower-bound", "_counting_lower_bound"),),
+    (("elementary-chain", "_elementary_chain"),),
+    (("bb-closed-form", "_bb_closed_form"),),
+    (("poset-function-bijection", "_poset_function_bijection"),),
+    (("triangle-connected-two-posets", "_triangle_connected_two_posets"),
+     ("poset-count-bounds", "_poset_count_bounds")),
+    (("ratio-table", "_ratio_table"),),
+    (("poset-graph-properties", "check_poset_graph_properties"),
+     ("bijection-roundtrip", "check_roundtrip"),
+     ("formula-independence", "check_formula_independence"),
+     ("graph-partition-law", "check_partition_law"),
+     ("short-closed-walks", "check_walks"),
+     ("engine-agreement", "check_engine_agreement"),
+     ("bb-coherence", "check_bb_coherence"),
+     ("poset-enumeration-oracle", "check_pn_oracle")),
+)
+
+
+def _run_checks(groups, ns: Iterable[int], run: Run) -> list[CheckResult]:
+    """Each check's lines at each n, or one FAIL line saying what it
+    raised."""
+    ns = sorted(set(ns))
+    out: list[CheckResult] = []
+    for group in groups:
+        for n in ns:
+            for name, check in group:
+                try:
+                    out += list(globals()[check](n, run))
+                except Exception as exc:  # noqa: BLE001 - a crash is a finding here
+                    out.append(CheckResult(name, f"n={n}", "FAIL",
+                                           f"raised {type(exc).__name__}: {exc}"))
+    return out
+
+
+def verify_identities(ns: Iterable[int], run: Optional[Run] = None) -> list[CheckResult]:
+    """The census-level identity checks, one result line per instance."""
+    return _run_checks(_CHECKS[:-1], ns, run or Run())
 
 
 def run_suites(ns: Iterable[int], seed: int = DEFAULT_SEED,
                big: bool = False, workers: int = 1) -> list[CheckResult]:
     """Every verify check over the requested sizes: the identity checks,
-    then the property suites per size, capped per suite.  All of them
-    share one count memo, so each census value is counted once.
+    then the property suites per size.  All of them share one Run, so each
+    census value, each graph's posets and each family is computed once.
 
     The heaviest sweeps (poset relation oracle at n=4, anything at n=5)
     only run when big is set.
     """
-    ns = sorted(set(ns))
-    count = _counter(workers)
-    out = verify_identities(ns, count)
-    for n in ns:
-        small = 1 <= n <= 4
-        if small:
-            out += [check_poset_graph_properties(n), check_roundtrip(n)]
-        if n in (2, 3):
-            out.append(check_formula_independence(n, seed))
-        if small:
-            out.append(check_partition_law(n, count))
-        if small or (big and n == 5):
-            out.append(check_walks(n))
-        out += _guard_all("engine-agreement", f"n={n}",
-                          lambda: check_engine_agreement(n, count))
-        if small:
-            out.append(check_bb_coherence(n))
-        if small and (big or n <= 3):
-            out.append(check_pn_oracle(n))
-    return out
+    return _run_checks(_CHECKS, ns, Run(seed, big, workers))

@@ -123,7 +123,8 @@ class TestObtfCount:
     def test_f6(self):
         assert count_obtf(6).value == F_6
 
-    def test_workers_do_not_change_anything(self):
+    def test_workers_do_not_change_anything(self, monkeypatch):
+        monkeypatch.setattr(census, "_POOL_MIN_N", 4)   # so n = 4 reaches the pool
         for workers in (1, 2, 3):
             rec = count_obtf(4, workers=workers)
             assert rec.value == F_COUNTS[4]
@@ -155,10 +156,20 @@ class TestObtfCount:
         cpus = max(2, os.cpu_count() or 1)   # two, so the pool path runs
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(census, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(census, "_POOL_MIN_N", 4)
         rec = count_obtf(4, workers=os.cpu_count() + 1)
         assert seen and all(w <= cpus for w in seen)
         assert rec.value == F_COUNTS[4]
         assert rec.checksum == record_checksum("F", 4, None, "dfs-prune", F_COUNTS[4])
+
+    def test_small_counts_start_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(census, "ProcessPoolExecutor", no_pool)
+        for n in range(6):     # F up to n = 5 takes milliseconds in-process
+            assert count_obtf(n, workers=2).value == count_obtf(n).value
 
 
 class TestBbCount:

@@ -18,7 +18,9 @@ GOLDEN = {
     ("census", "F", "1..6"): "f2a598f5b7624a59f674df9d14b8827d3727853bc230f9f2a9cc99ba7dce8772",
     ("census", "B", "1..7"): "b646dfd015298d8db1be62f432e8f17137700be6a28762aa27d3358ddd1a0605",
     ("verify", None, "1..4"): "fcf42cd84add68bc5dcfccb3cb4175e400f9f615d85935be76910094fb53fc37",
+    ("verify", None, "4..5 --big"): "6d6b1333bbf90ec636fa67cb77bbc8eae384bd942ca0e1957917eb6aa7b5b1c8",
 }
+SLOW = {("verify", None, "4..5 --big")}    # about 20 s
 
 
 def _strip_wall_time(obj):
@@ -29,14 +31,16 @@ def _strip_wall_time(obj):
     return obj
 
 
-@pytest.mark.parametrize("command,quantity,sizes", sorted(GOLDEN, key=str))
+@pytest.mark.parametrize("command,quantity,sizes", [
+    pytest.param(*key, marks=[pytest.mark.slow] if key in SLOW else [])
+    for key in sorted(GOLDEN, key=str)])
 def test_output_digest(capsys, monkeypatch, tmp_path, command, quantity, sizes):
     monkeypatch.delenv("OBTF_CACHE", raising=False)   # verify would recheck it
     if command == "census":
         argv = ["census", "--quantity", quantity, "--n", sizes,
                 "--cache", str(tmp_path / "c.jsonl")]
     else:
-        argv = ["verify", "--range", sizes]
+        argv = ["verify", "--range", *sizes.split()]
     assert main(argv + ["--format", "json"]) == 0
     masked = json.dumps(_strip_wall_time(json.loads(capsys.readouterr().out)), sort_keys=True)
     assert hashlib.sha256(masked.encode()).hexdigest() == GOLDEN[command, quantity, sizes]

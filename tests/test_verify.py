@@ -12,14 +12,14 @@ def test_default_suites_all_pass():
 
 
 def test_partition_law_detail():
-    check = verify.check_partition_law(3)
+    [check] = verify.check_partition_law(3, verify.Run())
     assert check.status == "PASS"
     assert "69" in check.detail
 
 
 def test_formula_independence_is_seeded():
-    a = verify.check_formula_independence(3, seed=7)
-    b = verify.check_formula_independence(3, seed=7)
+    [a] = verify.check_formula_independence(3, verify.Run(seed=7))
+    [b] = verify.check_formula_independence(3, verify.Run(seed=7))
     assert a.detail == b.detail
     assert a.status == "PASS"
 
@@ -34,7 +34,7 @@ class TestMutationSensitivity:
         monkeypatch.setattr(cgraph, "is_obtf", lambda g: not real(g))
 
     def test_partition_law_catches_inversion(self, inverted_obtf):
-        check = verify.check_partition_law(2)
+        [check] = verify.check_partition_law(2, verify.Run())
         assert check.status == "FAIL"
         assert check.witness is not None
 
@@ -44,12 +44,12 @@ class TestMutationSensitivity:
         assert checks and all(c.status == "FAIL" for c in checks)
 
     def test_property_suite_catches_inversion(self, inverted_obtf):
-        check = verify.check_poset_graph_properties(2)
+        [check] = verify.check_poset_graph_properties(2, verify.Run())
         assert check.status == "FAIL"
 
 
 def test_engine_agreement_structure():
-    checks = verify.check_engine_agreement(3)
+    checks = list(verify.check_engine_agreement(3, verify.Run()))
     names = {c.name for c in checks}
     assert names == {"engine-agreement-G", "engine-agreement-H",
                      "engine-agreement-F", "engine-agreement-B"}
@@ -57,7 +57,7 @@ def test_engine_agreement_structure():
 
 
 def test_engine_agreement_at_zero_runs_f_and_b():
-    checks = verify.check_engine_agreement(0)
+    checks = list(verify.check_engine_agreement(0, verify.Run()))
     assert [(c.name, c.scope, c.detail) for c in checks if c.name[-1] in "FB"] == [
         ("engine-agreement-F", "n=0", "dfs=1 sweep=1"),
         ("engine-agreement-B", "n=0", "closed=1 sweep=1"),
@@ -67,16 +67,18 @@ def test_engine_agreement_at_zero_runs_f_and_b():
 
 def test_engine_agreement_needs_two_engines():
     # at n=5 only median-dp runs G and H; F and B still have two engines
-    names = [c.name for c in verify.check_engine_agreement(5)]
+    names = [c.name for c in verify.check_engine_agreement(5, verify.Run())]
     assert names == ["engine-agreement-F", "engine-agreement-B"]
 
 
 def test_bb_coherence_small():
-    assert verify.check_bb_coherence(3).status == "PASS"
+    [check] = verify.check_bb_coherence(3, verify.Run())
+    assert check.status == "PASS"
 
 
 def test_walks_suite_small():
-    assert verify.check_walks(3).status == "PASS"
+    [check] = verify.check_walks(3, verify.Run())
+    assert check.status == "PASS"
 
 
 @pytest.mark.parametrize("module,name,failing", [
@@ -115,3 +117,47 @@ def test_each_value_counted_once(monkeypatch, capsys):
     capsys.readouterr()
     assert counted[("B", 4, None, "flat-sweep")] == 1
     assert {key: k for key, k in counted.items() if k > 1} == {}
+
+
+def test_each_graph_listed_once(monkeypatch, capsys):
+    # the Pn engine's own enumerate_pn pass, inside census.count, is
+    # counted apart from the lists verify's checks ask for
+    listed, engine_listed, in_engine = Counter(), Counter(), []
+    real_posets, real_count = cgraph.posets_of_graph, census.count
+
+    def posets_spy(g):
+        (engine_listed if in_engine else listed)[g] += 1
+        return real_posets(g)
+
+    def count_spy(*args, **kwargs):
+        in_engine.append(True)
+        try:
+            return real_count(*args, **kwargs)
+        finally:
+            in_engine.pop()
+
+    monkeypatch.setattr(cgraph, "posets_of_graph", posets_spy)
+    monkeypatch.setattr(census, "count", count_spy)
+    monkeypatch.delenv("OBTF_CACHE", raising=False)
+    assert cli.main(["verify", "--range", "1..4", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert max(listed.values()) == 1
+    assert len(listed) == 1 + 3 + 27 + 729              # every graph on 1..4 vertices
+    assert sum(engine_listed.values()) == 1 + 3 + 23 + 417   # the OBTF ones, once each
+
+
+def test_run_memo_sees_a_patch_and_keeps_no_error(monkeypatch):
+    calls = []
+
+    def flaky(g):
+        calls.append(g)
+        if len(calls) == 1:
+            raise AssertionError("first call fails")
+        return ["listed"]
+
+    monkeypatch.setattr(cgraph, "posets_of_graph", flaky)
+    run, g = verify.Run(), cgraph.ColoredGraph.of(2, blue=[(1, 2)])
+    with pytest.raises(AssertionError):
+        run.posets(g)
+    assert run.posets(g) == run.posets(g) == ["listed"]
+    assert len(calls) == 2
