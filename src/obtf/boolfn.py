@@ -18,7 +18,9 @@ __all__ = [
     "Clause",
     "Formula",
     "TruthTable",
+    "CacheError",
     "ParseError",
+    "QUANTITIES",
     "all_clauses",
     "all_ones",
     "associated_pairs",
@@ -35,6 +37,16 @@ __all__ = [
     "truth_table",
     "variable_masks",
 ]
+
+
+# The census quantities and the census cache's error live here, beside
+# ParseError, so the command line can offer and catch them without
+# importing the census engines.
+QUANTITIES = ("G", "H", "Pn", "F", "B")
+
+
+class CacheError(RuntimeError):
+    """Unreadable, malformed, or checksum-failing census cache."""
 
 
 class ParseError(ValueError):

@@ -27,7 +27,6 @@ import itertools
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -36,6 +35,8 @@ from typing import Optional
 
 from . import cgraph, litposet
 from .boolfn import (
+    QUANTITIES,
+    CacheError,
     TruthTable,
     all_clauses,
     all_ones,
@@ -69,7 +70,6 @@ __all__ = [
 ]
 
 ORDER_SEED = "pair-colex/state-lex/v1"
-QUANTITIES = ("G", "H", "Pn", "F", "B")
 
 COVER_QUESTION_GUARD = 6
 
@@ -321,6 +321,8 @@ def _obtf_dfs(n: int, workers: int) -> int:
         depth += 1
     tasks = [(n, prefix) for prefix in itertools.product((0, 1, 2), repeat=depth)]
     chunk = max(1, len(tasks) // (workers * 8))
+    # imported here, its only use: loading it pulls in multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(_obtf_prefix_count, tasks, chunksize=chunk))
 
@@ -556,10 +558,6 @@ def posets_per_cover_graph(m: int) -> tuple[int, frozenset[tuple[int, int]]]:
 
 # ---------------------------------------------------------------------------
 # Cache
-
-
-class CacheError(RuntimeError):
-    """Unreadable, malformed, or checksum-failing census cache."""
 
 
 class CensusCache:

@@ -238,16 +238,52 @@ def kappa(g: ColoredGraph) -> tuple[int, tuple[int, ...]]:
 def gamma(g: ColoredGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Minimum number of edges whose removal leaves the graph
     blue-bipartite (the frustration index of the signed graph), with one
-    minimizing edge set."""
+    minimizing edge set: of all minimum sets, the first in subset order
+    of the colex edge indices (the first an edge-subset sweep reaches).
+
+    By Harary's balance theorem, deleting D leaves the graph
+    blue-bipartite iff some 2-colouring of the vertices violates only
+    edges of D (a violated edge is a blue one inside a side or a red one
+    across), so the minimum sets are the violated sets of the optimal
+    colourings.  Edges at a degree-1 vertex are stripped first, again
+    and again: flipping that vertex's side satisfies its edge, so no
+    minimum set holds one, and the remaining core has at most |E|
+    vertices.  The first core vertex keeps its side (flipping every side
+    changes nothing) and a Gray-code sweep flips one other vertex per
+    colouring.
+    """
     m = g.edge_count()
     if m > EDGE_SWEEP_GUARD:
         raise ResourceGuardError(f"edge-deletion search capped at |E| <= {EDGE_SWEEP_GUARD}, got {m}")
-    all_edges = [(u, v) for u, v, _ in g.edges()]
-    for k in range(m + 1):
-        for drop in itertools.combinations(all_edges, k):
-            if find_blue_bipartition(g.without_edges(drop)) is not None:
-                return k, drop
-    raise AssertionError("unreachable: deleting every edge always succeeds")
+    edges = g.edges()
+    # colex edge i is bit m-1-i, so among equal-size sets the largest
+    # mask is the first in subset order
+    incident = [0] * (g.n + 1)
+    blue = 0
+    for i, (u, v, color) in enumerate(edges):
+        bit = 1 << (m - 1 - i)
+        incident[u] |= bit
+        incident[v] |= bit
+        if color == "B":
+            blue |= bit
+    live = (1 << m) - 1
+    stripped = True
+    while stripped:
+        stripped = False
+        for v in range(1, g.n + 1):
+            if (incident[v] & live).bit_count() == 1:
+                live &= ~incident[v]
+                stripped = True
+    flips = [incident[v] & live for v in range(1, g.n + 1) if incident[v] & live][1:]
+    violated = best = blue & live       # every core vertex on one side
+    size = best.bit_count()
+    for step in range(1, 1 << len(flips)):
+        violated ^= flips[(step & -step).bit_length() - 1]
+        k = violated.bit_count()
+        if k < size or (k == size and violated > best):
+            best, size = violated, k
+    drop = tuple((u, v) for i, (u, v, _) in enumerate(edges) if (best >> (m - 1 - i)) & 1)
+    return len(drop), drop
 
 
 def triangle_components(g: ColoredGraph) -> TriangleComponents:

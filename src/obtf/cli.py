@@ -14,11 +14,17 @@ import io
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import census, cgraph, litposet, verify
-from .boolfn import ParseError
-from .census import CacheError, CensusCache, CensusRecord
+from . import cgraph, litposet
+from .boolfn import QUANTITIES, CacheError, ParseError
 from .litposet import ResourceGuardError
+
+# census and verify load inside the commands that run them, so analyze
+# and posets start without them; these imports serve annotations only
+if TYPE_CHECKING:
+    from . import verify
+    from .census import CensusRecord
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -87,6 +93,7 @@ def _emit_records(records: list[CensusRecord], fmt: str) -> str:
 
 
 def cmd_census(args) -> int:
+    from . import census   # census engines load only for the commands that count
     quantity = args.quantity
     ns = _parse_range(args.n)
     cap, hint = census.max_n(quantity), ""
@@ -100,7 +107,7 @@ def cmd_census(args) -> int:
         conventions = [args.convention] if args.convention else ["t0", "t1"]
     else:
         conventions = [None]
-    cache = CensusCache(args.cache)
+    cache = census.CensusCache(args.cache)
     known = cache.load()
     records = []
     for n in ns:
@@ -124,7 +131,8 @@ def cmd_census(args) -> int:
 def _cache_consistency(path: str, workers: int) -> list[verify.CheckResult]:
     """Recompute every cached record that census computes without --big;
     each record left out gets an INFO line saying why."""
-    cache = CensusCache(path)
+    from . import census, verify   # only verify --cache rechecks census values
+    cache = census.CensusCache(path)
     if not cache.path.exists():
         return []
     out = []
@@ -168,12 +176,14 @@ def _emit_checks(checks: list[verify.CheckResult], fmt: str) -> str:
 
 
 def cmd_verify(args) -> int:
+    from . import verify   # the check suites load only for this command
     ns = _parse_range(args.range)
     if any(n >= 5 for n in ns) and not args.big:
         raise UserError("verification at n >= 5 requires --big")
     if any(n > 5 for n in ns):
         raise UserError("verification checks are capped at n <= 5")
-    checks = verify.run_suites(ns, seed=args.seed, big=args.big, workers=args.workers)
+    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
+    checks = verify.run_suites(ns, seed=seed, big=args.big, workers=args.workers)
     if args.cache:
         checks += _cache_consistency(args.cache, args.workers)
     sys.stdout.write(_emit_checks(checks, args.format))
@@ -315,6 +325,7 @@ def cmd_posets(args) -> int:
             sys.stdout.write("\n".join(out) + "\n")
         return EXIT_OK
     m = args.cover_multiplicity
+    from . import census   # the cover-multiplicity question is a census search
     mult, witness = census.posets_per_cover_graph(m)
     edges = sorted(witness)
     if args.format == "json":
@@ -349,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("census", help="compute census quantities into the cache")
-    p.add_argument("--quantity", required=True, choices=census.QUANTITIES)
+    p.add_argument("--quantity", required=True, choices=QUANTITIES)
     p.add_argument("--n", "--range", dest="n", required=True,
                    help="size or range, e.g. 3 or 2..4")
     p.add_argument("--convention", choices=("t0", "t1"),
@@ -362,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run every identity and property check")
     p.add_argument("--range", default="1..3", help="sizes to check, default 1..3")
     p.add_argument("--big", action="store_true", help="unlock the n=5 sweeps")
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p.add_argument("--seed", type=int)   # None: cmd_verify uses verify.DEFAULT_SEED
     p.add_argument("--cache", default=os.environ.get("OBTF_CACHE"),
                    help="also re-verify cached census values")
     common(p)

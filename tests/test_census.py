@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 from math import comb
@@ -155,7 +156,7 @@ class TestObtfCount:
 
         cpus = max(2, os.cpu_count() or 1)   # two, so the pool path runs
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(census, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(census, "_POOL_MIN_N", 4)
         rec = count_obtf(4, workers=os.cpu_count() + 1)
         assert seen and all(w <= cpus for w in seen)
@@ -167,7 +168,7 @@ class TestObtfCount:
             raise AssertionError("a pool was started")
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(census, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         for n in range(6):     # F up to n = 5 takes milliseconds in-process
             assert count_obtf(n, workers=2).value == count_obtf(n).value
 

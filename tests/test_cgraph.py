@@ -108,6 +108,14 @@ class TestDeletionDistances:
         assert kappa(ODD_TRIANGLE)[0] == 1
         assert gamma(ODD_TRIANGLE)[0] == 1
 
+    def test_gamma_sweeps_only_the_core(self):
+        # 20 edges on 36 vertices, but only the odd triangle survives the
+        # stripping of degree-1 vertices: 4 colourings, not 2^35
+        g = ColoredGraph.of(60, red=[(1, 2), (1, 3)] + [(2 * i, 2 * i + 1) for i in range(5, 21)],
+                            blue=[(2, 3), (3, 4)])
+        assert g.edge_count() == 20
+        assert gamma(g) == (1, ((1, 2),))
+
     def test_guards(self):
         with pytest.raises(ResourceGuardError):
             kappa(ColoredGraph.of(13))

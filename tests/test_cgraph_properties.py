@@ -1,13 +1,18 @@
 """Property-based checks of the colored-graph engines against their oracles,
 and of the colored-graph text format."""
 
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from obtf.cgraph import (
     ColoredGraph,
+    bipartition_sweep,
+    find_blue_bipartition,
     format_colored_graph,
+    gamma,
     graph_of_poset,
     pairs_colex,
     parse_colored_graph,
@@ -48,3 +53,28 @@ def test_colored_graph_text_round_trip(g):
     text = format_colored_graph(g)
     assert parse_colored_graph(text) == g
     assert format_colored_graph(parse_colored_graph(text)) == text
+
+
+def gamma_sweep(g):
+    """gamma's oracle: the edge subsets in order of size, then subset
+    order of the colex edge indices; the first whose deletion leaves the
+    graph blue-bipartite."""
+    all_edges = [(u, v) for u, v, _ in g.edges()]
+    for k in range(len(all_edges) + 1):
+        for drop in itertools.combinations(all_edges, k):
+            if find_blue_bipartition(g.without_edges(drop)) is not None:
+                return k, drop
+    raise AssertionError("unreachable: deleting every edge always succeeds")
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=colored_graphs(max_n=6))
+def test_gamma_is_the_subset_sweep(g):
+    assume(g.edge_count() <= 12)
+    assert gamma(g) == gamma_sweep(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=colored_graphs(max_n=6))
+def test_blue_bipartition_exists_iff_the_sweep_finds_one(g):
+    assert (find_blue_bipartition(g) is None) == (bipartition_sweep(g) is None)
