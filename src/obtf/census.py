@@ -17,6 +17,10 @@ ENGINES lists every engine with its size cap.  count() is the one way
 in: the default method is the first whose cap admits n, and every method
 whose cap admits n must return the same value (verify checks this and
 the identities between quantities).
+
+Pn's second route lives here too: enumerate_pn_oracle lists the family
+by strict_orders, the order search on the 2n literals under negation,
+and verify compares it with the graph-driven enumeration as sets.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import itertools
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import comb
 from pathlib import Path
@@ -64,6 +68,7 @@ __all__ = [
     "count_pn",
     "default_method",
     "definable_tables",
+    "enumerate_pn_oracle",
     "max_n",
     "posets_per_cover_graph",
     "record_checksum",
@@ -90,6 +95,18 @@ def record_checksum(quantity: str, n: int, convention: Optional[str],
     return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
 
 
+# field -> (the types a cache record may hold there, their name in errors)
+_FIELD_TYPES = {
+    "quantity": ((str,), "a string"),
+    "n": ((int,), "an integer"),
+    "convention": ((str, type(None)), "a string or null"),
+    "value": ((int,), "an integer"),
+    "method": ((str,), "a string"),
+    "wall_time": ((int, float), "a number"),
+    "checksum": ((str,), "a string"),
+}
+
+
 @dataclass(frozen=True)
 class CensusRecord:
     """One exact count.  wall_time is observability metadata; it is the
@@ -111,32 +128,17 @@ class CensusRecord:
             self.quantity, self.n, self.convention, self.method, self.value)
 
     def to_json_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "n": self.n,
-            "convention": self.convention,
-            "value": self.value,
-            "method": self.method,
-            "wall_time": self.wall_time,
-            "checksum": self.checksum,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CensusRecord":
         # the checksum hashes str(n) and str(value), so it cannot tell 23
-        # from "23"; the types are checked here instead
-        for name in ("n", "value"):
-            if type(d[name]) is not int:
-                raise TypeError(f"{name} must be an integer, got {d[name]!r}")
-        return cls(
-            quantity=d["quantity"],
-            n=d["n"],
-            convention=d["convention"],
-            value=d["value"],
-            method=d["method"],
-            wall_time=d["wall_time"],
-            checksum=d["checksum"],
-        )
+        # from "23", and wall_time is outside it; the types are checked
+        # here instead, exactly, so a bool is no integer
+        for name, (types, what) in _FIELD_TYPES.items():
+            if type(d[name]) not in types:
+                raise TypeError(f"{name} must be {what}, got {d[name]!r}")
+        return cls(**{name: d[name] for name in _FIELD_TYPES})
 
 
 # ---------------------------------------------------------------------------
@@ -479,32 +481,37 @@ def count_bb(n: int, method: Optional[str] = None) -> CensusRecord:
 
 
 # ---------------------------------------------------------------------------
-# Cover-graph multiplicity (general posets on m labelled points)
+# The order search: the cover-graph multiplicity question, and Pn's
+# second route
 
 
-def strict_orders(m: int):
+def strict_orders(m: int, negation: bool = False):
     """Yield every strict partial order on m labelled points, as closure
-    row tuples (bit v of rows[u] means u < v, 0-based).
+    row tuples (bit v of rows[u] means u < v, 0-based).  With negation
+    (m = 2n literals, u's negation u^1), yield only the orders symmetric
+    under u -> u^1 that leave each u incomparable to u^1: the poset
+    family Pn.
 
     Decides each vertex pair (colex) as <, > or incomparable while
     maintaining the transitive closure, so conflicts prune immediately;
-    pairs already forced by the closure are not branched on.
+    pairs the closure or an earlier mark already decides are not branched
+    on.  Under negation the pairs {u, u^1} start marked incomparable, the
+    image {a^1, b^1} is marked with {a, b}, and b^1 < a^1 is closed in
+    after each a < b.
     """
-    if m > COVER_QUESTION_GUARD:
-        raise ResourceGuardError(
-            f"order enumeration capped at m <= {COVER_QUESTION_GUARD}, got {m}")
-    if m < 1:
-        raise ValueError("need at least one point")
     pairs = [(i, j) for j in range(1, m) for i in range(j)]
     rows = [0] * m
-    incomp = [0] * m
+    incomp = [1 << (u ^ 1) if negation else 0 for u in range(m)]
+    # the (row, bit) flips that mark pair k incomparable, or unmark it
+    marks = [((a, 1 << b), (b, 1 << a))
+             + (((a ^ 1, 1 << (b ^ 1)), (b ^ 1, 1 << (a ^ 1))) if negation else ())
+             for a, b in pairs]
 
-    def relate(a: int, b: int):
-        """Close a<b into rows; return the added pairs, or None on
-        conflict with a decided incomparability."""
+    def relate(a: int, b: int, added: list) -> bool:
+        """Close a<b into rows, appending each new pair to added; False on
+        conflict with a decided incomparability (the caller undoes added)."""
         ups = [x for x in range(m) if (rows[x] >> a) & 1] + [a]
         downs_mask = rows[b] | (1 << b)
-        added = []
         for x in ups:     # set bits inline: bits() made strict_orders(6) 18% slower
             r = downs_mask & ~rows[x]
             while r:
@@ -512,32 +519,30 @@ def strict_orders(m: int):
                 y = low.bit_length() - 1
                 r ^= low
                 if x == y or (incomp[x] >> y) & 1:
-                    for px, py in added:
-                        rows[px] &= ~(1 << py)
-                    return None
+                    return False
                 rows[x] |= low
                 added.append((x, y))
-        return added
+        return True
 
     def rec(k: int):
         if k == len(pairs):
             yield tuple(rows)
             return
         a, b = pairs[k]
-        if ((rows[a] >> b) & 1) or ((rows[b] >> a) & 1):
+        if ((rows[a] >> b) & 1) or ((rows[b] >> a) & 1) or ((incomp[a] >> b) & 1):
             yield from rec(k + 1)
             return
-        incomp[a] |= 1 << b
-        incomp[b] |= 1 << a
+        for u, bit in marks[k]:
+            incomp[u] ^= bit
         yield from rec(k + 1)
-        incomp[a] &= ~(1 << b)
-        incomp[b] &= ~(1 << a)
+        for u, bit in marks[k]:
+            incomp[u] ^= bit
         for x, y in ((a, b), (b, a)):
-            added = relate(x, y)
-            if added is not None:
+            added: list = []
+            if relate(x, y, added) and (not negation or relate(y ^ 1, x ^ 1, added)):
                 yield from rec(k + 1)
-                for px, py in added:
-                    rows[px] &= ~(1 << py)
+            for px, py in added:
+                rows[px] ^= 1 << py
 
     yield from rec(0)
 
@@ -545,6 +550,11 @@ def strict_orders(m: int):
 def posets_per_cover_graph(m: int) -> tuple[int, frozenset[tuple[int, int]]]:
     """Over all strict orders on m labelled points, the largest number
     sharing one cover graph, with a witness graph."""
+    if m > COVER_QUESTION_GUARD:
+        raise ResourceGuardError(
+            f"order enumeration capped at m <= {COVER_QUESTION_GUARD}, got {m}")
+    if m < 1:
+        raise ValueError("need at least one point")
     groups: dict[frozenset, int] = {}
     best: tuple[int, frozenset] = (0, frozenset())
     for order in strict_orders(m):
@@ -554,6 +564,18 @@ def posets_per_cover_graph(m: int) -> tuple[int, frozenset[tuple[int, int]]]:
         if k > best[0]:
             best = (k, cg)
     return best[0], frozenset((u + 1, v + 1) for u, v in best[1])
+
+
+def enumerate_pn_oracle(n: int) -> list[litposet.LiteralPoset]:
+    """Pn by the order search on the 2n literals: Pn's second route,
+    independent of the graph-driven enumerate_pn."""
+    if n > litposet.P_N_GUARD:
+        raise ResourceGuardError(
+            f"poset order search capped at n <= {litposet.P_N_GUARD}, got {n}")
+    out = [litposet.LiteralPoset(n, rows) for rows in strict_orders(2 * n, negation=True)]
+    if not all(map(litposet.is_pn_member, out)):
+        raise AssertionError("order search produced a non-member")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +599,8 @@ class CensusCache:
         if not self.path.exists():
             return records
         try:
-            text = self.path.read_text()
-        except OSError as exc:
+            text = self.path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise CacheError(f"cannot read cache {self.path}: {exc}") from exc
         for line_no, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
@@ -590,7 +612,7 @@ class CensusCache:
                 raise CacheError(
                     f"{self.path}:{line_no}: bad record: {exc}; if an interrupted "
                     f"write left it, delete line {line_no} and rerun") from exc
-            if not isinstance(rec.checksum, str) or not rec.checksum:
+            if not rec.checksum:
                 raise CacheError(f"{self.path}:{line_no}: record without checksum refused")
             if not rec.checksum_valid():
                 raise CacheError(f"{self.path}:{line_no}: checksum mismatch")

@@ -59,6 +59,15 @@ def _parse_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def _read_input(path: str) -> str:
+    """A UTF-8 input file's text; unreadable or undecodable is a user error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UserError(f"cannot read {path}: {exc}") from exc
+
+
 def _canonical_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -264,11 +273,7 @@ def _emit_analysis(info: dict, fmt: str) -> str:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        text = open(args.path).read()
-    except OSError as exc:
-        raise UserError(f"cannot read {args.path}: {exc}") from exc
-    g = cgraph.parse_colored_graph(text)
+    g = cgraph.parse_colored_graph(_read_input(args.path))
     sys.stdout.write(_emit_analysis(_analyze(g), args.format))
     return EXIT_OK
 
@@ -287,10 +292,7 @@ def cmd_posets(args) -> int:
     if args.cover_multiplicity is not None and args.cover_multiplicity < 1:
         raise UserError("--cover-multiplicity must be >= 1")
     if args.formula is not None:
-        try:
-            text = open(args.formula).read()
-        except OSError as exc:
-            raise UserError(f"cannot read {args.formula}: {exc}") from exc
+        text = _read_input(args.formula)
         from .boolfn import parse_formula
         try:
             p = litposet.implication_poset(parse_formula(text))

@@ -10,7 +10,6 @@ index XOR 1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -35,7 +34,6 @@ __all__ = [
     "cover_pairs",
     "cover_relations",
     "enumerate_pn",
-    "enumerate_pn_oracle",
     "format_poset",
     "implication_poset",
     "is_pn_member",
@@ -46,7 +44,6 @@ __all__ = [
 ]
 
 P_N_GUARD = 5
-_ORACLE_GUARD = 4
 
 
 class ResourceGuardError(RuntimeError):
@@ -260,41 +257,6 @@ def enumerate_pn(n: int) -> Iterator[LiteralPoset]:
         if not cgraph.is_obtf(g):
             continue
         yield from cgraph.posets_of_graph(g)
-
-
-def enumerate_pn_oracle(n: int) -> list[LiteralPoset]:
-    """Independent enumeration by direct relation sweep.
-
-    For each unordered variable pair there are two negation-symmetry
-    orbits of literal pairs (same-polarity and mixed); a family member is
-    determined by choosing <, > or incomparable per orbit, subject to the
-    result being transitively closed.  Exhaustive over 3^(2*C(n,2))
-    candidates, so capped lower than the graph-driven enumeration.
-    """
-    if n > _ORACLE_GUARD:
-        raise ResourceGuardError(f"relation sweep capped at n <= {_ORACLE_GUARD}, got {n}")
-    orbits = []
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            xi, xj = lit_index(i, True), lit_index(j, True)
-            orbits.append((xi, xj))          # same polarity: x_i vs x_j
-            orbits.append((xi, xj ^ 1))      # mixed: x_i vs not-x_j
-    out = []
-    for states in itertools.product((0, 1, 2), repeat=len(orbits)):
-        rows = [0] * (2 * n)
-        for (u, v), s in zip(orbits, states):
-            if s == 1:
-                rows[u] |= 1 << v
-                rows[v ^ 1] |= 1 << (u ^ 1)
-            elif s == 2:
-                rows[v] |= 1 << u
-                rows[u ^ 1] |= 1 << (v ^ 1)
-        candidate = tuple(rows)
-        if transitive_closure(candidate) == candidate:
-            p = LiteralPoset(n, candidate)
-            if is_pn_member(p):
-                out.append(p)
-    return out
 
 
 def parse_poset(text: str) -> LiteralPoset:

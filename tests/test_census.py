@@ -293,6 +293,27 @@ class TestCache:
         with pytest.raises(CacheError, match=rf":2: bad record: {field} must be an integer"):
             CensusCache(path).load()
 
+    @pytest.mark.parametrize("field,bad,what", [
+        ("quantity", ["F"], "a string"), ("quantity", 7, "a string"),
+        ("method", None, "a string"), ("checksum", 5, "a string"),
+        ("convention", 0, "a string or null"), ("wall_time", "soon", "a number"),
+        ("wall_time", True, "a number")])
+    def test_mistyped_text_or_time_field_refused(self, tmp_path, field, bad, what):
+        rec = count_obtf(3).to_json_dict()
+        rec[field] = bad    # wall_time is outside the checksum
+        path = tmp_path / "c.jsonl"
+        good = json.dumps(count_obtf(2).to_json_dict())
+        path.write_text(good + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(CacheError, match=rf":2: bad record: {field} must be {what}, got"):
+            CensusCache(path).load()
+
+    def test_integer_wall_time_loads(self, tmp_path):
+        rec = count_obtf(3).to_json_dict()
+        rec["wall_time"] = 0
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
+        assert [r.value for r in CensusCache(path).load().values()] == [23]
+
     def test_conflicting_duplicate_refused(self, tmp_path):
         rec = count_obtf(4).to_json_dict()
         forged = dict(rec, value=418,

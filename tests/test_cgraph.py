@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from obtf.boolfn import ParseError
+from obtf.census import enumerate_pn_oracle
 from obtf.cgraph import (
     ColoredGraph,
     bipartition_sweep,
@@ -25,12 +26,7 @@ from obtf.cgraph import (
     triangle_components,
     triangles,
 )
-from obtf.litposet import (
-    LiteralPoset,
-    ResourceGuardError,
-    cover_relations,
-    enumerate_pn_oracle,
-)
+from obtf.litposet import LiteralPoset, ResourceGuardError, cover_relations
 
 G_BLUE = ColoredGraph.of(2, blue=[(1, 2)])
 G_RED = ColoredGraph.of(2, red=[(1, 2)])
@@ -216,7 +212,7 @@ class TestPosetsOfGraph:
         assert len(posets_of_graph(FOUR_CYCLE)) == 8
 
     def test_exactly_the_fiber_of_graph_of_poset(self):
-        # group the family, found by the independent relation sweep, by its
+        # group the family, found by the independent order search, by its
         # graph and compare per graph
         by_graph = {}
         for p in enumerate_pn_oracle(3):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from obtf.census import enumerate_pn_oracle
 from obtf.cgraph import (
     ColoredGraph,
     bipartition_sweep,
@@ -18,12 +19,11 @@ from obtf.cgraph import (
     parse_colored_graph,
     posets_of_graph,
 )
-from obtf.litposet import enumerate_pn_oracle
 
 
 @pytest.fixture(scope="module")
 def oracle_fibers():
-    """Sorted poset rows per colored graph, n <= 4, from the relation sweep."""
+    """Sorted poset rows per colored graph, n <= 4, from the order search."""
     fibers = {}
     for n in range(5):
         for p in enumerate_pn_oracle(n):

@@ -79,6 +79,28 @@ class TestCensusCommand:
         assert code == 3 and out == ""
         assert ":2: conflicts with line 1" in err
 
+    @pytest.mark.parametrize("field,bad", [("quantity", ["F"]), ("wall_time", "soon")])
+    def test_mistyped_cache_field_exits_3(self, capsys, tmp_path, field, bad):
+        path = tmp_path / "c.jsonl"
+        code, _, _ = run(capsys, "census", "--quantity", "F", "--n", "4",
+                         "--cache", str(path))
+        assert code == 0
+        rec = json.loads(path.read_text())
+        rec[field] = bad    # wall_time "soon" keeps a valid checksum
+        path.write_text(json.dumps(rec) + "\n")
+        code, out, err = run(capsys, "census", "--quantity", "F", "--n", "4",
+                             "--cache", str(path))
+        assert code == 3 and out == ""
+        assert f":1: bad record: {field} must be" in err
+
+    def test_non_utf8_cache_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"\xff\n")
+        code, out, err = run(capsys, "census", "--quantity", "F", "--n", "2",
+                             "--cache", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("cache error: cannot read cache") and "utf-8" in err
+
     def test_worker_counts_give_identical_records(self, capsys, tmp_path):
         outs = []
         for workers, name in ((1, "w1.jsonl"), (2, "w2.jsonl")):
@@ -191,6 +213,13 @@ class TestAnalyzeCommand:
         code, _, _ = run(capsys, "analyze", str(tmp_path / "none.txt"))
         assert code == 2
 
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"n 2\n1 2 \xff\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
+
 
 class TestPosetsCommand:
     def test_enumerate(self, capsys):
@@ -229,6 +258,13 @@ class TestPosetsCommand:
         code, out, _ = run(capsys, "posets", "--formula", str(path))
         assert code == 0
         assert out == "n 2\n-1 2\n-2 1\n"
+
+    def test_non_utf8_formula_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"\xffn 2\n1 2\n")
+        code, out, err = run(capsys, "posets", "--formula", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
 
     def test_formula_file_non_elementary(self, capsys, tmp_path):
         path = tmp_path / "f.txt"

@@ -3,13 +3,13 @@ import itertools
 import pytest
 
 from obtf.boolfn import Formula, ParseError, TruthTable, all_ones, truth_table
+from obtf.census import enumerate_pn_oracle
 from obtf.litposet import (
     CoverGraph,
     LiteralPoset,
     ResourceGuardError,
     cover_relations,
     enumerate_pn,
-    enumerate_pn_oracle,
     format_poset,
     implication_poset,
     is_pn_member,
@@ -154,16 +154,47 @@ class TestEnumeration:
         ps = list(enumerate_pn(3))
         assert len({p.rows for p in ps}) == len(ps)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [
+        1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])    # 5: 138,057, about 12 s
     def test_matches_relation_sweep_oracle(self, n):
         assert ({p.rows for p in enumerate_pn(n)}
                 == {p.rows for p in enumerate_pn_oracle(n)})
+
+    @pytest.mark.parametrize("n", [
+        0, 1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])    # 4: about 6 s
+    def test_order_search_is_the_relation_sweep(self, n):
+        assert {p.rows for p in enumerate_pn_oracle(n)} == relation_sweep(n)
 
     def test_guard(self):
         with pytest.raises(ResourceGuardError):
             list(enumerate_pn(6))
         with pytest.raises(ResourceGuardError):
-            enumerate_pn_oracle(5)
+            enumerate_pn_oracle(6)
+
+
+def relation_sweep(n):
+    """The order search's oracle: per unordered variable pair there are
+    two negation-symmetry orbits of literal pairs (same polarity and
+    mixed); choose <, > or incomparable per orbit, 3^(2*C(n,2)) candidates
+    in all, and keep the members of the family."""
+    orbits = []
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            xi, xj = lit_index(i, True), lit_index(j, True)
+            orbits += [(xi, xj), (xi, xj ^ 1)]
+    out = set()
+    for states in itertools.product((0, 1, 2), repeat=len(orbits)):
+        rows = [0] * (2 * n)
+        for (u, v), s in zip(orbits, states):
+            if s == 1:
+                rows[u] |= 1 << v
+                rows[v ^ 1] |= 1 << (u ^ 1)
+            elif s == 2:
+                rows[v] |= 1 << u
+                rows[u ^ 1] |= 1 << (v ^ 1)
+        if is_pn_member(LiteralPoset(n, tuple(rows))):
+            out.add(tuple(rows))
+    return out
 
 
 class TestPosetText:
