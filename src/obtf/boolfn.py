@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "all_ones",
     "associated_pairs",
     "bits",
+    "clause_masks",
     "is_2sat_definable",
     "is_elementary",
     "is_median_closed",
@@ -294,6 +296,12 @@ def all_clauses(n: int) -> tuple[Clause, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def clause_masks(n: int) -> tuple[int, ...]:
+    """The satisfying-assignment bitset of every clause, in all_clauses order."""
+    return tuple(literal_mask(n, c.first) | literal_mask(n, c.second) for c in all_clauses(n))
+
+
 def realize_formula(t: TruthTable) -> Formula:
     """A canonical formula for a definable table: the conjunction of every
     clause valid on it.
@@ -301,12 +309,10 @@ def realize_formula(t: TruthTable) -> Formula:
     Raises ValueError if no formula matches (the table is not definable
     with the empty formula admitted).
     """
-    valid = [c for c in all_clauses(t.n)
-             if t.bits & ~(literal_mask(t.n, c.first) | literal_mask(t.n, c.second)) == 0]
-    f = Formula.of(t.n, valid)
-    if truth_table(f) != t:
+    valid = [(c, m) for c, m in zip(all_clauses(t.n), clause_masks(t.n)) if t.bits & ~m == 0]
+    if reduce(and_, (m for _, m in valid), all_ones(t.n)) != t.bits:
         raise ValueError("table is not definable by a two-clause conjunction")
-    return f
+    return Formula.of(t.n, (c for c, _ in valid))
 
 
 def parse_lines(text: str, noun: str) -> tuple[int, list[tuple[int, list[str]]]]:

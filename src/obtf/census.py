@@ -18,9 +18,10 @@ in: the default method is the first whose cap admits n, and every method
 whose cap admits n must return the same value (verify checks this and
 the identities between quantities).
 
-Pn's second route lives here too: enumerate_pn_oracle lists the family
-by strict_orders, the order search on the 2n literals under negation,
-and verify compares it with the graph-driven enumeration as sets.
+strict_orders adds one point at a time and yields the orders sorted by
+pair-state vector.  It answers the cover-graph multiplicity question and
+is Pn's second route: enumerate_pn_oracle runs it on the 2n literals under
+negation, and verify compares that with the graph-driven family as sets.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import comb
+from operator import getitem, or_
 from pathlib import Path
 from typing import Optional
 
@@ -42,10 +44,10 @@ from .boolfn import (
     QUANTITIES,
     CacheError,
     TruthTable,
-    all_clauses,
     all_ones,
+    bits,
+    clause_masks,
     is_2sat_definable,
-    literal_mask,
     variable_masks,
 )
 from .litposet import ResourceGuardError
@@ -145,13 +147,6 @@ class CensusRecord:
 # G and H: function counting
 
 
-def _clause_masks(n: int) -> list[int]:
-    """Violation bitset per clause, in the fixed clause order."""
-    full = all_ones(n)
-    return [full & ~(literal_mask(n, c.first) | literal_mask(n, c.second))
-            for c in all_clauses(n)]
-
-
 def _nonempty_or_closure(masks: list[int]) -> set[int]:
     """All ORs of nonempty subsets, deduplicated incrementally.
 
@@ -172,7 +167,8 @@ def definable_tables(n: int, allow_empty: bool) -> frozenset[int]:
     if n > cap:
         raise ResourceGuardError(f"clause sweep capped at n <= {cap}, got {n}")
     full = all_ones(n)
-    tables = {full & ~viol for viol in _nonempty_or_closure(_clause_masks(n))}
+    tables = {full & ~viol
+              for viol in _nonempty_or_closure([full & ~m for m in clause_masks(n)])}
     if allow_empty:
         tables.add(full)
     return frozenset(tables)
@@ -189,9 +185,7 @@ def _median_closed_family_dp(n: int) -> frozenset[int]:
     wherever both run.
     """
     full = all_ones(n)
-    masks = [variable_masks(n)[i] for i in range(n)]
-    masks += [full ^ m for m in masks[:n]]
-    masks += [literal_mask(n, c.first) | literal_mask(n, c.second) for c in all_clauses(n)]
+    masks = [*variable_masks(n), *(full ^ m for m in variable_masks(n)), *clause_masks(n)]
     acc: set[int] = {full}
     for m in masks:
         acc |= {v & m for v in acc}
@@ -485,85 +479,96 @@ def count_bb(n: int, method: Optional[str] = None) -> CensusRecord:
 # second route
 
 
+def _extensions(rows: tuple, negation: bool) -> list[tuple[int, int]]:
+    """Every (D, U) that point j = len(rows) can have below and above it,
+    in lexicographic order of the states of points 0..j-1 (0 neither, 1 in
+    D, 2 in U).  D is down-closed, U up-closed, all of D below all of U,
+    and under negation neither holds a literal with its negation: each a
+    condition on a pair of points, checked when the later one is decided."""
+    j = len(rows)
+    below = [0] * j
+    for u, r in enumerate(rows):
+        for v in bits(r):
+            below[v] |= 1 << u
+    parts = [(0, 0)]
+    for i in range(j):
+        bit = 1 << i
+        up, down = rows[i], below[i]
+        done_up, done_down = up & (bit - 1), down & (bit - 1)
+        pair = (1 << (i ^ 1)) & (bit - 1) if negation else 0
+        grown = []
+        add = grown.append
+        for d, u in parts:
+            if not (up & d or down & u):
+                add((d, u))
+            if not (done_down & ~d or u & ~up or d & pair):
+                add((d | bit, u))
+            if not (done_up & ~u or d & ~down or u & pair):
+                add((d, u | bit))
+        parts = grown
+    return parts
+
+
 def strict_orders(m: int, negation: bool = False):
     """Yield every strict partial order on m labelled points, as closure
-    row tuples (bit v of rows[u] means u < v, 0-based).  With negation
-    (m = 2n literals, u's negation u^1), yield only the orders symmetric
-    under u -> u^1 that leave each u incomparable to u^1: the poset
-    family Pn.
+    row tuples (bit v of rows[u] means u < v, 0-based), sorted by their
+    pair-state vector: pairs (i, j) in colex order, state 0 incomparable,
+    1 for i < j, 2 for j < i.  With negation (m = 2n literals, u's
+    negation u^1) only the orders symmetric under u -> u^1 that leave u
+    and u^1 incomparable: the family Pn.  ValueError for m < 0, or odd m
+    under negation.
 
-    Decides each vertex pair (colex) as <, > or incomparable while
-    maintaining the transitive closure, so conflicts prune immediately;
-    pairs the closure or an earlier mark already decides are not branched
-    on.  Under negation the pairs {u, u^1} start marked incomparable, the
-    image {a^1, b^1} is marked with {a, b}, and b^1 < a^1 is closed in
-    after each a < b.
-    """
-    pairs = [(i, j) for j in range(1, m) for i in range(j)]
-    rows = [0] * m
-    incomp = [1 << (u ^ 1) if negation else 0 for u in range(m)]
-    # the (row, bit) flips that mark pair k incomparable, or unmark it
-    marks = [((a, 1 << b), (b, 1 << a))
-             + (((a ^ 1, 1 << (b ^ 1)), (b ^ 1, 1 << (a ^ 1))) if negation else ())
-             for a, b in pairs]
+    Each order on points 0..j-1 grows by point j with a down-set D below
+    and an up-set U above (Brinkmann and McKay, "Posets on up to 16
+    points", Order 19, 2002); under negation j^1 comes with j."""
+    if m < 0:
+        raise ValueError(f"need m >= 0 points, got {m}")
+    if negation and m % 2:
+        raise ValueError(f"negation needs an even number of literals, got {m}")
+    level = [()]
+    for j in range(0, m, 2 if negation else 1):
+        level = _grow(level, j, negation)
+    yield from level
 
-    def relate(a: int, b: int, added: list) -> bool:
-        """Close a<b into rows, appending each new pair to added; False on
-        conflict with a decided incomparability (the caller undoes added)."""
-        ups = [x for x in range(m) if (rows[x] >> a) & 1] + [a]
-        downs_mask = rows[b] | (1 << b)
-        for x in ups:     # set bits inline: bits() made strict_orders(6) 18% slower
-            r = downs_mask & ~rows[x]
-            while r:
-                low = r & -r
-                y = low.bit_length() - 1
-                r ^= low
-                if x == y or (incomp[x] >> y) & 1:
-                    return False
-                rows[x] |= low
-                added.append((x, y))
-        return True
 
-    def rec(k: int):
-        if k == len(pairs):
-            yield tuple(rows)
-            return
-        a, b = pairs[k]
-        if ((rows[a] >> b) & 1) or ((rows[b] >> a) & 1) or ((incomp[a] >> b) & 1):
-            yield from rec(k + 1)
-            return
-        for u, bit in marks[k]:
-            incomp[u] ^= bit
-        yield from rec(k + 1)
-        for u, bit in marks[k]:
-            incomp[u] ^= bit
-        for x, y in ((a, b), (b, a)):
-            added: list = []
-            if relate(x, y, added) and (not negation or relate(y ^ 1, x ^ 1, added)):
-                yield from rec(k + 1)
-            for px, py in added:
-                rows[px] ^= 1 << py
-
-    yield from rec(0)
+def _grow(level, j: int, negation: bool):
+    """Grow each order of level by point j, and by j^1 under negation,
+    with flip(U) below it and flip(D) above."""
+    # under[s][x] is bit j if x is in s: OR'd into the rows, it puts s under j
+    under = [tuple(((s >> x) & 1) << j for x in range(j)) for s in range(1 << j)]
+    if not negation:
+        for rows in level:
+            yield from [tuple(map(or_, rows, under[d])) + (u,)
+                        for d, u in _extensions(rows, False)]
+        return
+    flip = [sum(((s >> x) & 1) << (x ^ 1) for x in range(j)) for s in range(1 << j)]
+    under1 = [tuple(b << 1 for b in row) for row in under]
+    for rows in level:
+        yield from [tuple(map(or_, map(or_, rows, under[d]), under1[flip[u]])) + (u, flip[d])
+                    for d, u in _extensions(rows, True)]
 
 
 def posets_per_cover_graph(m: int) -> tuple[int, frozenset[tuple[int, int]]]:
     """Over all strict orders on m labelled points, the largest number
-    sharing one cover graph, with a witness graph."""
+    sharing one cover graph, with a witness graph: the first, in
+    strict_orders' order, to reach that number."""
     if m > COVER_QUESTION_GUARD:
         raise ResourceGuardError(
             f"order enumeration capped at m <= {COVER_QUESTION_GUARD}, got {m}")
     if m < 1:
         raise ValueError("need at least one point")
-    groups: dict[frozenset, int] = {}
-    best: tuple[int, frozenset] = (0, frozenset())
+    # edge {u, v} is bit u*m + v of a graph's key, u < v; key[u][c] holds
+    # the edges from u to the points of c
+    key = [[sum(1 << (min(u, v) * m + max(u, v)) for v in bits(c)) for c in range(1 << m)]
+           for u in range(m)]
+    groups: dict[int, int] = {}
+    best = (0, 0)
     for order in strict_orders(m):
-        cg = litposet.cover_pairs(order)
-        k = groups.get(cg, 0) + 1
-        groups[cg] = k
+        graph = sum(map(getitem, key, litposet.cover_rows(order)))
+        k = groups[graph] = groups.get(graph, 0) + 1
         if k > best[0]:
-            best = (k, cg)
-    return best[0], frozenset((u + 1, v + 1) for u, v in best[1])
+            best = (k, graph)
+    return best[0], frozenset((e // m + 1, e % m + 1) for e in bits(best[1]))
 
 
 def enumerate_pn_oracle(n: int) -> list[litposet.LiteralPoset]:

@@ -32,6 +32,7 @@ __all__ = [
     "P_N_GUARD",
     "ResourceGuardError",
     "cover_pairs",
+    "cover_rows",
     "cover_relations",
     "enumerate_pn",
     "format_poset",
@@ -57,12 +58,6 @@ def lit_index(var: int, positive: bool) -> int:
 def index_to_signed(idx: int) -> int:
     var = idx // 2 + 1
     return var if idx % 2 == 0 else -var
-
-
-def signed_to_index(a: int) -> int:
-    if a == 0:
-        raise ValueError("0 is not a valid signed literal")
-    return lit_index(abs(a), a > 0)
 
 
 @dataclass(frozen=True)
@@ -189,30 +184,28 @@ def implication_poset(f: Formula) -> LiteralPoset:
     return p
 
 
+def cover_rows(rows: tuple[int, ...]) -> list[int]:
+    """The cover relation of a strict order given as closed bitmask rows
+    (bit v of rows[u] means u < v): row u less everything above a point of
+    row u, so bit v stays iff nothing lies strictly between u and v."""
+    out = []
+    for r in rows:
+        far, rest = 0, r
+        # set bits inline: bits() took 0.49 s against 0.30 s over the
+        # 130,023 orders of posets --cover-multiplicity 6
+        while rest:
+            low = rest & -rest
+            far |= rows[low.bit_length() - 1]
+            rest ^= low
+        out.append(r & ~far)
+    return out
+
+
 def cover_pairs(rows: tuple[int, ...]) -> frozenset[tuple[int, int]]:
-    """Covering pairs of a strict order given as closed bitmask rows (bit v
-    of rows[u] means u < v): u < v with nothing strictly between, each
+    """Covering pairs of a strict order given as closed bitmask rows, each
     written (min, max) in index order."""
-    size = len(rows)
-    preds = [0] * size
-    # set bits inline: bits() made a call 60% slower, 0.35 s over the 130,023
-    # calls of posets --cover-multiplicity 6
-    for u in range(size):
-        row = rows[u]
-        while row:
-            low = row & -row
-            preds[low.bit_length() - 1] |= 1 << u
-            row ^= low
-    edges = set()
-    for u in range(size):
-        row = rows[u]
-        while row:
-            low = row & -row
-            v = low.bit_length() - 1
-            row ^= low
-            if rows[u] & preds[v] == 0:
-                edges.add((u, v) if u < v else (v, u))
-    return frozenset(edges)
+    return frozenset((min(u, v), max(u, v))
+                     for u, row in enumerate(cover_rows(rows)) for v in bits(row))
 
 
 def cover_relations(p: LiteralPoset) -> CoverGraph:
@@ -270,7 +263,7 @@ def parse_poset(text: str) -> LiteralPoset:
         for x in (a, b):
             if x == 0 or abs(x) > n:
                 raise ParseError(line_no, f"literal {x} out of range for n={n}")
-        relations.append((signed_to_index(a), signed_to_index(b)))
+        relations.append((Literal.from_signed(a).index, Literal.from_signed(b).index))
     p = LiteralPoset.from_relations(n, relations)
     if not is_pn_member(p):
         raise ParseError(1, "relations do not close to a member of the poset family")
@@ -278,12 +271,9 @@ def parse_poset(text: str) -> LiteralPoset:
 
 
 def format_poset(p: LiteralPoset) -> str:
-    """Covers only; the full order is their closure."""
-    lines = [f"n {p.n}"]
-    covers = cover_relations(p)
-    directed = []
-    for u, v in covers.edges:
-        directed.append((u, v) if p.less(u, v) else (v, u))
-    for u, v in sorted(directed):
-        lines.append(f"{index_to_signed(u)} {index_to_signed(v)}")
+    """Covers only, each u < v, sorted by index; their closure is the order."""
+    if not is_pn_member(p):
+        raise ValueError("not a member of the literal-poset family")
+    lines = [f"n {p.n}"] + [f"{index_to_signed(u)} {index_to_signed(v)}"
+                            for u, row in enumerate(cover_rows(p.rows)) for v in bits(row)]
     return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ from math import comb, factorial
 from typing import Iterable, Iterator, Optional
 
 from . import census, cgraph, litposet
-from .boolfn import Formula, all_clauses, realize_formula, truth_table, is_elementary
+from .boolfn import Formula, all_clauses, clause_masks, is_elementary, realize_formula, truth_table
 
 __all__ = ["CheckResult", "Run", "run_suites", "verify_identities", "DEFAULT_SEED"]
 
@@ -263,8 +263,7 @@ def check_formula_independence(n: int, run: Run) -> Iterator[CheckResult]:
         if not is_elementary(t):
             continue
         # second realization: pad with further clauses valid on the table
-        extra = [c for c in clauses
-                 if truth_table(Formula.of(n, [c])).bits & t.bits == t.bits]
+        extra = [c for c, m in zip(clauses, clause_masks(n)) if t.bits & ~m == 0]
         f2 = Formula.of(n, list(f1.clauses) + rng.sample(extra, rng.randint(0, len(extra))))
         if truth_table(f2) != t:
             yield CheckResult("formula-independence", f"n={n}", "FAIL",

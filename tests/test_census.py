@@ -22,6 +22,7 @@ from obtf.census import (
     max_n,
     posets_per_cover_graph,
     record_checksum,
+    strict_orders,
 )
 from obtf.litposet import ResourceGuardError
 from obtf.verify import verify_identities
@@ -383,14 +384,35 @@ class TestIdentities:
         assert all("> 4" in c.detail for c in checks)
 
 
+def pair_states(rows):
+    """The colex pair-state vector of an order: per pair (i, j), i < j in
+    colex order, 0 if incomparable, 1 if i < j, 2 if j < i."""
+    return tuple(1 if (rows[i] >> j) & 1 else 2 if (rows[j] >> i) & 1 else 0
+                 for j in range(1, len(rows)) for i in range(j))
+
+
+def cover_grouping_oracle(m):
+    """posets_per_cover_graph by grouping on frozensets of cover pairs."""
+    from obtf.litposet import cover_pairs
+
+    groups = {}
+    best = (0, frozenset())
+    for order in strict_orders(m):
+        cg = cover_pairs(order)
+        k = groups.get(cg, 0) + 1
+        groups[cg] = k
+        if k > best[0]:
+            best = (k, cg)
+    return best[0], frozenset((u + 1, v + 1) for u, v in best[1])
+
+
 class TestCoverGraphQuestion:
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [
+        0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])    # 5: 3^10 candidates
     def test_order_enumeration_matches_flat_sweep(self, m):
         # independent oracle: assign each pair one of {none, <, >} and keep
         # the transitively closed assignments
         import itertools
-
-        from obtf.census import strict_orders
 
         pairs = [(i, j) for j in range(1, m) for i in range(j)]
         oracle = set()
@@ -416,6 +438,27 @@ class TestCoverGraphQuestion:
                 oracle.add(tuple(rows))
         enumerated = set(strict_orders(m))
         assert enumerated == oracle
+
+    @pytest.mark.parametrize("m,negation", [
+        (0, False), (1, False), (2, False), (3, False), (4, False),
+        pytest.param(5, False, marks=pytest.mark.slow),
+        (0, True), (2, True), (4, True), (6, True),
+        pytest.param(8, True, marks=pytest.mark.slow)])
+    def test_stream_sorted_by_pair_states(self, m, negation):
+        # the yield order the pinned cover-multiplicity witness rests on
+        vectors = [pair_states(rows) for rows in strict_orders(m, negation)]
+        assert vectors
+        assert all(a < b for a, b in zip(vectors, vectors[1:]))
+
+    @pytest.mark.parametrize("m,negation", [(-1, False), (-2, False), (-2, True),
+                                            (1, True), (3, True)])
+    def test_bad_sizes_refused(self, m, negation):
+        with pytest.raises(ValueError):
+            list(strict_orders(m, negation))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_cover_keys_group_as_cover_pair_sets(self, m):
+        assert posets_per_cover_graph(m) == cover_grouping_oracle(m)
 
     def test_single_point(self):
         assert posets_per_cover_graph(1) == (1, frozenset())
