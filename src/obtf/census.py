@@ -43,11 +43,9 @@ from . import cgraph, litposet
 from .boolfn import (
     QUANTITIES,
     CacheError,
-    TruthTable,
     all_ones,
     bits,
     clause_masks,
-    is_2sat_definable,
     variable_masks,
 )
 from .litposet import ResourceGuardError
@@ -201,10 +199,40 @@ def _definable_tables_fast(n: int, allow_empty: bool) -> frozenset[int]:
     return family - {all_ones(n)}
 
 
+@lru_cache(maxsize=None)
+def _median_closed_tables(n: int) -> frozenset[int]:
+    """Every median-closed table on n variables, built from half-tables.
+
+    A table splits by x_n into lo, its lower 2^(n-1) bits, and hi, the
+    upper ones, both tables on n-1 variables.  It is median-closed iff lo
+    and hi are and every triple across the halves has its median inside:
+    a, b in lo and c in hi have median (a&b)|(c&(a|b)) in lo, and the
+    same with the halves swapped.  keeps[t] holds the points c whose
+    median with any two points of t stays in t, so the cross triples of
+    (lo, hi) are two mask tests.  Only the median-majority definition is
+    used: no clause masks, no conjunction closure.
+    """
+    if n == 0:
+        return frozenset({0, 1})
+    half = _median_closed_tables(n - 1)
+    points = 1 << (n - 1)
+    keeps = {t: sum(1 << c for c in range(points)
+                    if all((t >> ((a & b) | (c & (a | b)))) & 1
+                           for a, b in itertools.combinations(bits(t), 2)))
+             for t in half}
+    return frozenset(lo | hi << points for lo in half for hi in half
+                     if not hi & ~keeps[lo] and not lo & ~keeps[hi])
+
+
 def _median_filter_count(n: int, allow_empty: bool) -> int:
-    """Test every truth table for median closure."""
-    return sum(1 for bits in range(1 << (1 << n))
-               if is_2sat_definable(TruthTable(n, bits), allow_empty))
+    """G by median closure: the median-closed tables, built once per n
+    and shared by both conventions.  Below n = 2 no clause exists, so
+    only the empty formula's constant True counts; from n = 2 on every
+    median-closed table is definable, the all-ones one only by the empty
+    formula."""
+    if n < 2:
+        return int(allow_empty)
+    return len(_median_closed_tables(n)) - (not allow_empty)
 
 
 @lru_cache(maxsize=None)

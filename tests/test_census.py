@@ -4,8 +4,11 @@ import os
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obtf import census
+from obtf.boolfn import TruthTable, is_2sat_definable, is_median_closed
 from obtf.census import (
     CacheError,
     CensusCache,
@@ -101,6 +104,32 @@ class TestFunctionCounts:
                       for m in range(n - k + 1))
                 for k in range(n + 1))
             assert total == count_functions(n, True).value
+
+
+def median_closed_sweep(n):
+    """The median-filter engine's oracle: every table on n variables tested
+    for median closure, one at a time."""
+    return {b for b in range(1 << (1 << n)) if is_median_closed(TruthTable(n, b))}
+
+
+class TestMedianFilter:
+    @pytest.mark.parametrize("n", range(5))
+    def test_half_tables_equal_flat_sweep(self, n):
+        assert census._median_closed_tables(n) == median_closed_sweep(n)
+
+    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("convention", ["t1", "t0"])
+    def test_count_is_the_definable_sum(self, n, convention):
+        definable = sum(1 for b in range(1 << (1 << n))
+                        if is_2sat_definable(TruthTable(n, b), convention == "t0"))
+        assert count("G", n, convention, "median-filter").value == definable
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=st.integers(0, 4).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))))
+    def test_member_iff_median_closed(self, table):
+        n, b = table
+        assert (b in census._median_closed_tables(n)) == is_median_closed(TruthTable(n, b))
 
 
 class TestPosetCount:

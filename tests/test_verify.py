@@ -1,8 +1,9 @@
+import json
 from collections import Counter
 
 import pytest
 
-from obtf import cgraph, census, cli, verify
+from obtf import boolfn, cgraph, census, cli, verify
 
 
 def test_default_suites_all_pass():
@@ -144,6 +145,29 @@ def test_each_graph_listed_once(monkeypatch, capsys):
     assert max(listed.values()) == 1
     assert len(listed) == 1 + 3 + 27 + 729              # every graph on 1..4 vertices
     assert sum(engine_listed.values()) == 1 + 3 + 23 + 417   # the OBTF ones, once each
+
+
+def test_median_filter_built_once_per_n(monkeypatch, capsys):
+    # a per-table filter would call is_median_closed 131,616 times here:
+    # every table of n = 2..4, once per convention
+    tested = []
+    real = boolfn.is_median_closed
+
+    def spy(t):
+        tested.append(t)
+        return real(t)
+
+    monkeypatch.setattr(boolfn, "is_median_closed", spy)
+    monkeypatch.delenv("OBTF_CACHE", raising=False)
+    census._median_closed_tables.cache_clear()
+    assert cli.main(["verify", "--range", "1..4", "--workers", "1", "--format", "json"]) == 0
+    lines = json.loads(capsys.readouterr().out)
+    assert {c["scope"] for c in lines
+            if c["name"] == "engine-agreement-G" and "median-filter" in c["detail"]} == {
+        f"n={n} {conv}" for n in range(1, 5) for conv in ("t1", "t0")}
+    built = census._median_closed_tables.cache_info()
+    assert built.misses == built.currsize == 5      # n = 0..4, shared by t1 and t0
+    assert not tested
 
 
 def test_run_memo_sees_a_patch_and_keeps_no_error(monkeypatch):
