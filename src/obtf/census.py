@@ -13,7 +13,8 @@ Every engine walks its search space in a fixed order (vertex pairs in
 colex, states in lexicographic order), so values and checksums are
 bit-identical across runs and worker counts.
 
-ENGINES lists every engine with its size cap.  count() is the one way
+ENGINES lists every engine with its size cap; CAP_WITHOUT_BIG lowers a
+quantity's cap for census runs without --big.  count() is the one way
 in: the default method is the first whose cap admits n, and every method
 whose cap admits n must return the same value (verify checks this and
 the identities between quantities).
@@ -51,6 +52,7 @@ from .boolfn import (
 from .litposet import ResourceGuardError
 
 __all__ = [
+    "CAP_WITHOUT_BIG",
     "CacheError",
     "CensusCache",
     "CensusRecord",
@@ -58,18 +60,13 @@ __all__ = [
     "ORDER_SEED",
     "QUANTITIES",
     "b_benchmark",
-    "convention_label",
     "conventions",
     "count",
-    "count_bb",
-    "count_elementary",
-    "count_functions",
-    "count_obtf",
-    "count_pn",
     "default_method",
     "definable_tables",
     "enumerate_pn_oracle",
     "max_n",
+    "methods",
     "posets_per_cover_graph",
     "record_checksum",
 ]
@@ -79,14 +76,10 @@ ORDER_SEED = "pair-colex/state-lex/v1"
 COVER_QUESTION_GUARD = 6
 
 
-def convention_label(allow_empty: bool) -> str:
-    return "t0" if allow_empty else "t1"
-
-
 def conventions(quantity: str) -> tuple:
-    """The conventions a quantity is counted under: t1 and t0 for G and H,
-    none for the rest."""
-    return ("t1", "t0") if quantity in ("G", "H") else (None,)
+    """The conventions a quantity is counted under, in census's order: t0
+    and t1 for G and H, none for the rest."""
+    return ("t0", "t1") if quantity in ("G", "H") else (None,)
 
 
 def record_checksum(quantity: str, n: int, convention: Optional[str],
@@ -424,6 +417,10 @@ ENGINES = {
     },
 }
 
+# The census command stops below max_n where the top size takes minutes,
+# unless --big is given: F(7) is about 100 s of search.
+CAP_WITHOUT_BIG = {"F": 6}
+
 
 def _engines(quantity: str) -> dict:
     try:
@@ -437,13 +434,18 @@ def max_n(quantity: str) -> int:
     return max(cap for _, cap in _engines(quantity).values())
 
 
+def methods(quantity: str, n: int) -> list[str]:
+    """The methods whose cap admits n, in preference order."""
+    return [method for method, (_, cap) in _engines(quantity).items() if n <= cap]
+
+
 def default_method(quantity: str, n: int) -> str:
     """The first method, in preference order, whose cap admits n."""
-    for method, (_, cap) in _engines(quantity).items():
-        if n <= cap:
-            return method
-    raise ResourceGuardError(f"{quantity}(n={n}) exceeds every engine cap, "
-                             f"the largest is {max_n(quantity)}")
+    admitted = methods(quantity, n)
+    if not admitted:
+        raise ResourceGuardError(f"{quantity}(n={n}) exceeds every engine cap, "
+                                 f"the largest is {max_n(quantity)}")
+    return admitted[0]
 
 
 def count(quantity: str, n: int, convention: Optional[str] = None,
@@ -473,33 +475,6 @@ def count(quantity: str, n: int, convention: Optional[str] = None,
         wall_time=round(time.perf_counter() - started, 6),
         checksum=record_checksum(quantity, n, convention, method, value),
     )
-
-
-def count_functions(n: int, allow_empty: bool = True,
-                    method: Optional[str] = None) -> CensusRecord:
-    """G: distinct truth tables over all formulas (per convention)."""
-    return count("G", n, convention_label(allow_empty), method)
-
-
-def count_elementary(n: int, allow_empty: bool = True,
-                     method: Optional[str] = None) -> CensusRecord:
-    """H: elementary tables among the definable ones."""
-    return count("H", n, convention_label(allow_empty), method)
-
-
-def count_pn(n: int, method: Optional[str] = None) -> CensusRecord:
-    """Pn: the poset family, streamed over colored graphs."""
-    return count("Pn", n, method=method)
-
-
-def count_obtf(n: int, method: Optional[str] = None, workers: int = 1) -> CensusRecord:
-    """F: odd-blue-triangle-free graphs."""
-    return count("F", n, method=method, workers=workers)
-
-
-def count_bb(n: int, method: Optional[str] = None) -> CensusRecord:
-    """B: blue-bipartite graphs."""
-    return count("B", n, method=method)
 
 
 # ---------------------------------------------------------------------------

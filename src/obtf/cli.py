@@ -33,17 +33,14 @@ EXIT_ENV = 3
 
 DEFAULT_CACHE = "obtf-cache.jsonl"
 
-# census caps each quantity at its largest engine cap, except that F(7),
-# minutes of search, needs --big
-_F_CAP_WITHOUT_BIG = 6
-
 
 class UserError(Exception):
     pass
 
 
-def _parse_range(text: str) -> list[int]:
-    """Accepts '3' or '2..4'."""
+def _parse_range(text: str) -> range:
+    """Accepts '3' or '2..4'; a range, so a huge one costs nothing until
+    the caller checks its ends."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
@@ -56,7 +53,7 @@ def _parse_range(text: str) -> list[int]:
         raise UserError(f"empty range {text!r}")
     if lo < 0:
         raise UserError("sizes must be >= 0")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _read_input(path: str) -> str:
@@ -106,16 +103,16 @@ def cmd_census(args) -> int:
     quantity = args.quantity
     ns = _parse_range(args.n)
     cap, hint = census.max_n(quantity), ""
-    if quantity == "F" and not args.big:
-        hint = f" (use --big for F up to {cap})"
-        cap = _F_CAP_WITHOUT_BIG
-    over = [n for n in ns if n > cap]
-    if over:
-        raise UserError(f"{quantity}(n={over[0]}) exceeds the census cap {cap}{hint}")
-    if quantity in ("G", "H"):
-        conventions = [args.convention] if args.convention else ["t0", "t1"]
-    else:
-        conventions = [None]
+    if quantity in census.CAP_WITHOUT_BIG and not args.big:
+        hint = f" (use --big for {quantity} up to {cap})"
+        cap = census.CAP_WITHOUT_BIG[quantity]
+    if ns[-1] > cap:
+        raise UserError(f"{quantity}(n={max(ns[0], cap + 1)}) exceeds the census cap {cap}{hint}")
+    conventions = census.conventions(quantity)
+    if args.convention:
+        if args.convention not in conventions:
+            raise UserError(f"convention {args.convention!r} does not apply to {quantity}")
+        conventions = (args.convention,)
     cache = census.CensusCache(args.cache)
     known = cache.load()
     records = []
@@ -148,8 +145,8 @@ def _cache_consistency(path: str, workers: int) -> list[verify.CheckResult]:
     for rec in cache.load().values():
         scope = f"{rec.quantity} n={rec.n} {rec.convention or '-'} {rec.method}"
         try:
-            if rec.quantity == "F" and rec.n > _F_CAP_WITHOUT_BIG:
-                raise ResourceGuardError(f"F(n={rec.n}) needs --big in census")
+            if rec.n > census.CAP_WITHOUT_BIG.get(rec.quantity, rec.n):
+                raise ResourceGuardError(f"{rec.quantity}(n={rec.n}) needs --big in census")
             fresh = census.count(rec.quantity, rec.n, rec.convention, rec.method, workers)
         except (ResourceGuardError, ValueError) as exc:
             out.append(verify.CheckResult("cache-consistency", scope, "INFO",
@@ -187,10 +184,11 @@ def _emit_checks(checks: list[verify.CheckResult], fmt: str) -> str:
 def cmd_verify(args) -> int:
     from . import verify   # the check suites load only for this command
     ns = _parse_range(args.range)
-    if any(n >= 5 for n in ns) and not args.big:
-        raise UserError("verification at n >= 5 requires --big")
-    if any(n > 5 for n in ns):
-        raise UserError("verification checks are capped at n <= 5")
+    plain, big = verify.RUN_LIMITS
+    if ns[-1] > plain and not args.big:
+        raise UserError(f"verification at n >= {plain + 1} requires --big")
+    if ns[-1] > big:
+        raise UserError(f"verification checks are capped at n <= {big}")
     seed = verify.DEFAULT_SEED if args.seed is None else args.seed
     checks = verify.run_suites(ns, seed=seed, big=args.big, workers=args.workers)
     if args.cache:
@@ -211,23 +209,25 @@ def _analyze(g: cgraph.ColoredGraph) -> dict:
         "U": sorted(v for v in range(1, g.n + 1) if bp.side(v) == "U"),
         "W": sorted(bp.w_side),
     }
-    if g.n <= cgraph.KAPPA_GUARD:
+    # kappa, gamma and the poset listing enforce their own size guards;
+    # past one, the field is left out and named in skipped
+    try:
         kv, kw = cgraph.kappa(g)
         info["kappa"] = {"value": kv, "witness": list(kw)}
-    else:
+    except ResourceGuardError:
         info["skipped"].append("kappa")
-    if g.edge_count() <= cgraph.EDGE_SWEEP_GUARD:
+    try:
         gv, gw = cgraph.gamma(g)
         info["gamma"] = {"value": gv, "witness": [list(e) for e in gw]}
-    else:
+    except ResourceGuardError:
         info["skipped"].append("gamma")
     info["eta"] = cgraph.eta(g)
     info["triangle_connected"] = cgraph.is_triangle_connected(g)
-    if g.edge_count() <= cgraph.EDGE_SWEEP_GUARD:
+    try:
         posets = cgraph.posets_of_graph(g)
         info["poset_count"] = len(posets)
         info["posets"] = [litposet.format_poset(p) for p in posets]
-    else:
+    except ResourceGuardError:
         info["skipped"].append("posets")
     return info
 
@@ -368,13 +368,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--convention", choices=("t0", "t1"),
                    help="for G/H; default reports both")
     p.add_argument("--cache", default=os.environ.get("OBTF_CACHE", DEFAULT_CACHE))
-    p.add_argument("--big", action="store_true", help="allow F at n=7")
+    p.add_argument("--big", action="store_true", help="allow F at its top size, minutes of search")
     common(p)
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("verify", help="run every identity and property check")
     p.add_argument("--range", default="1..3", help="sizes to check, default 1..3")
-    p.add_argument("--big", action="store_true", help="unlock the n=5 sweeps")
+    p.add_argument("--big", action="store_true", help="unlock the sweeps at the largest size")
     p.add_argument("--seed", type=int)   # None: cmd_verify uses verify.DEFAULT_SEED
     p.add_argument("--cache", default=os.environ.get("OBTF_CACHE"),
                    help="also re-verify cached census values")

@@ -2,11 +2,13 @@
 
 The identity checks compare census values along the paper's counting
 identities, and the property suites walk toy-sized spaces completely.
-Each check(n, run) yields its CheckResult lines at n, none outside its
-sizes, sharing one Run per verify pass.  Failures carry the witness in
-the text formats, so a counterexample can be re-analyzed directly.  A
-raise while checking becomes a failure rather than a crash: a broken
-internal invariant is exactly what these checks exist to catch.
+Each check(n, run) yields its CheckResult lines at n, sharing one Run
+per verify pass; its row in _CHECKS owns the sizes it runs at, without
+--big and with it, and RUN_LIMITS owns the sizes a run may ask for.
+Failures carry the witness in the text formats, so a counterexample can
+be re-analyzed directly.  A raise while checking becomes a failure
+rather than a crash: a broken internal invariant is exactly what these
+checks exist to catch.
 """
 
 from __future__ import annotations
@@ -19,9 +21,12 @@ from typing import Iterable, Iterator, Optional
 from . import census, cgraph, litposet
 from .boolfn import Formula, all_clauses, clause_masks, is_elementary, realize_formula, truth_table
 
-__all__ = ["CheckResult", "Run", "run_suites", "verify_identities", "DEFAULT_SEED"]
+__all__ = ["CheckResult", "Run", "run_suites", "verify_identities", "DEFAULT_SEED", "RUN_LIMITS"]
 
 DEFAULT_SEED = 20260809
+
+# The largest n a verify run takes without --big, and with it.
+RUN_LIMITS = (4, 5)
 
 @dataclass
 class CheckResult:
@@ -69,7 +74,7 @@ class Run:
 
 
 # ---------------------------------------------------------------------------
-# Identity checks: each yields its lines at one n, nothing outside its range
+# Identity checks: each yields its lines at one n
 
 
 def _verdict(ok: bool) -> str:
@@ -78,8 +83,6 @@ def _verdict(ok: bool) -> str:
 
 def _counting_lower_bound(n: int, run: Run) -> Iterator[CheckResult]:
     """G(n) > 2^n (2^C(n,2) - 1), both conventions."""
-    if not 2 <= n <= census.max_n("G"):
-        return
     bound = (1 << n) * ((1 << comb(n, 2)) - 1)
     for conv in ("t1", "t0"):
         g = run.count("G", n, conv)
@@ -90,8 +93,6 @@ def _counting_lower_bound(n: int, run: Run) -> Iterator[CheckResult]:
 def _elementary_chain(n: int, run: Run) -> Iterator[CheckResult]:
     """H(n) <= G(n) <= 1 + sum H(n-k) C(n,k) (2n-2k+2)^k; checked under
     t0, reported under t1."""
-    if n > census.ENGINES["H"]["clause-sweep"][1]:
-        return
     for conv in ("t0", "t1"):
         h = [run.count("H", m, conv) for m in range(n + 1)]
         g = run.count("G", n, conv)
@@ -107,26 +108,22 @@ def _elementary_chain(n: int, run: Run) -> Iterator[CheckResult]:
 
 def _bb_closed_form(n: int, run: Run) -> Iterator[CheckResult]:
     """B's closed form equals its flat sweep."""
-    if n <= census.ENGINES["B"]["flat-sweep"][1]:
-        closed = run.count("B", n, method="component-closed-form")
-        sweep = run.count("B", n, method="flat-sweep")
-        yield CheckResult("bb-closed-form", f"n={n}", _verdict(closed == sweep),
-                          f"closed={closed} sweep={sweep}")
+    closed = run.count("B", n, method="component-closed-form")
+    sweep = run.count("B", n, method="flat-sweep")
+    yield CheckResult("bb-closed-form", f"n={n}", _verdict(closed == sweep),
+                      f"closed={closed} sweep={sweep}")
 
 
 def _poset_function_bijection(n: int, run: Run) -> Iterator[CheckResult]:
     """|Pn| = H(n, t0)."""
-    if n <= litposet.P_N_GUARD:
-        pn, h = run.count("Pn", n), run.count("H", n, "t0")
-        yield CheckResult("poset-function-bijection", f"n={n}", _verdict(pn == h),
-                          f"|Pn|={pn} H_t0={h}")
+    pn, h = run.count("Pn", n), run.count("H", n, "t0")
+    yield CheckResult("poset-function-bijection", f"n={n}", _verdict(pn == h),
+                      f"|Pn|={pn} H_t0={h}")
 
 
 def _triangle_connected_two_posets(n: int, run: Run) -> Iterator[CheckResult]:
     """A triangle-connected blue-bipartite graph carries at most 2 posets,
     with a tally of where equality holds."""
-    if n > 5:
-        return
     bad = None
     two = edgeless = 0
     short = []
@@ -160,8 +157,6 @@ def _triangle_connected_two_posets(n: int, run: Run) -> Iterator[CheckResult]:
 
 def _poset_count_bounds(n: int, run: Run) -> Iterator[CheckResult]:
     """|posets| <= 2^eta <= (2n)! over all graphs."""
-    if n > 4:
-        return
     bound_fact = factorial(2 * n)
     for g in cgraph.enumerate_colored_graphs(n):
         k = len(run.posets(g))
@@ -176,23 +171,16 @@ def _poset_count_bounds(n: int, run: Run) -> Iterator[CheckResult]:
 
 
 def _ratio_table(n: int, run: Run) -> Iterator[CheckResult]:
-    """Descriptive ratios; no pass/fail, the limits are out of reach here."""
-    if n < 1:
-        return
-    parts = []
+    """Descriptive ratios; no pass/fail, the limits are out of reach here.
+    G's ratio is given at the sizes of its counting lower bound."""
     bn = census.b_benchmark(n)
-    if n <= census.max_n("F"):
-        f = run.count("F", n)
-        parts.append(f"F/b = {f}/{bn} = {f / bn:.6f}")
-    if n <= census.max_n("B"):
-        b = run.count("B", n)
-        parts.append(f"B/b = {b}/{bn} = {b / bn:.6f}")
-    if 2 <= n <= census.max_n("G"):
+    f, b = run.count("F", n), run.count("B", n)
+    parts = [f"F/b = {f}/{bn} = {f / bn:.6f}", f"B/b = {b}/{bn} = {b / bn:.6f}"]
+    if n in _G_SIZES:
         g = run.count("G", n, "t0")
         denom = 1 << comb(n + 1, 2)
         parts.append(f"G/2^C(n+1,2) = {g}/{denom} = {g / denom:.6f}")
-    if parts:
-        yield CheckResult("ratio-table", f"n={n}", "INFO", "; ".join(parts))
+    yield CheckResult("ratio-table", f"n={n}", "INFO", "; ".join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +190,6 @@ def _ratio_table(n: int, run: Run) -> Iterator[CheckResult]:
 def check_poset_graph_properties(n: int, run: Run) -> Iterator[CheckResult]:
     """Single color per vertex pair, double cover equal to the cover
     relations, and no odd-blue triangle, for every family poset."""
-    if not 1 <= n <= 4:
-        return
     posets = run.family(n)
     if not posets:
         # the family always contains the antichain; an empty
@@ -226,8 +212,6 @@ def check_poset_graph_properties(n: int, run: Run) -> Iterator[CheckResult]:
 def check_roundtrip(n: int, run: Run) -> Iterator[CheckResult]:
     """poset -> function -> canonical realizing formula -> implication
     poset returns the original, for every family poset."""
-    if not 1 <= n <= 4:
-        return
     posets = run.family(n)
     if not posets:
         yield CheckResult("bijection-roundtrip", f"n={n}", "FAIL",
@@ -251,8 +235,6 @@ def check_roundtrip(n: int, run: Run) -> Iterator[CheckResult]:
 def check_formula_independence(n: int, run: Run) -> Iterator[CheckResult]:
     """The implication poset depends only on the function: random formula
     pairs with equal elementary tables give equal posets."""
-    if n not in (2, 3):
-        return
     rng = random.Random(run.seed + n)
     clauses = all_clauses(n)
     compared = 0
@@ -286,8 +268,6 @@ def check_partition_law(n: int, run: Run) -> Iterator[CheckResult]:
     """Poset counts per graph partition the family: the sum over all
     colored graphs matches the streamed family count, and every graph
     with an odd-blue triangle contributes zero."""
-    if not 1 <= n <= 4:
-        return
     total = 0
     for g in cgraph.enumerate_colored_graphs(n):
         k = len(run.posets(g))
@@ -306,8 +286,6 @@ def check_partition_law(n: int, run: Run) -> Iterator[CheckResult]:
 def check_walks(n: int, run: Run) -> Iterator[CheckResult]:
     """Every graph without an odd-blue triangle has even blue count on all
     short non-simple closed walks."""
-    if not (1 <= n <= 4 or (run.big and n == 5)):
-        return
     checked = 0
     for g in cgraph.enumerate_colored_graphs(n):
         if not cgraph.is_obtf(g):
@@ -333,8 +311,8 @@ def check_engine_agreement(n: int, run: Run) -> Iterator[CheckResult]:
     """Every method whose cap admits n returns the same value, for each
     quantity with two or more such methods."""
     for conv in ("t1", "t0", None):
-        for quantity, engines in census.ENGINES.items():
-            methods = [m for m, (_, cap) in engines.items() if n <= cap]
+        for quantity in census.ENGINES:
+            methods = census.methods(quantity, n)
             if conv not in census.conventions(quantity) or len(methods) < 2:
                 continue
             vals = {m: run.count(quantity, n, conv, m) for m in methods}
@@ -351,8 +329,6 @@ def check_bb_coherence(n: int, run: Run) -> Iterator[CheckResult]:
     """A bipartition witness exists iff zero vertex deletions suffice iff
     zero edge deletions suffice; witnesses are valid; the propagation
     search matches the brute-force sweep."""
-    if not 1 <= n <= 4:
-        return
     for g in cgraph.enumerate_colored_graphs(n):
         bp = cgraph.find_blue_bipartition(g)
         if (bp is None) != (cgraph.bipartition_sweep(g) is None):
@@ -379,10 +355,8 @@ def check_bb_coherence(n: int, run: Run) -> Iterator[CheckResult]:
 
 def check_pn_oracle(n: int, run: Run) -> Iterator[CheckResult]:
     """Graph-driven family enumeration equals census.enumerate_pn_oracle,
-    the order search on the 2n literals, as sets; n = 4 and 5 only under
-    --big, where n = 5 holds both families of 138,057 posets at once."""
-    if not (1 <= n <= 5 and (run.big or n <= 3)):
-        return
+    the order search on the 2n literals, as sets; n = 5 holds both
+    families of 138,057 posets at once."""
     via_graphs = {p.rows for p in run.family(n)}
     via_orders = {p.rows for p in census.enumerate_pn_oracle(n)}
     # the label says "sweep" because the pinned output digests include it
@@ -390,37 +364,53 @@ def check_pn_oracle(n: int, run: Run) -> Iterator[CheckResult]:
                       f"graph-driven {len(via_graphs)}, sweep {len(via_orders)}")
 
 
-# (line name, check) groups.  Each group runs over every n before the next
+def _sizes(lo: int, hi: int, big_hi: Optional[int] = None) -> tuple[range, range]:
+    """lo..hi without --big, and lo..big_hi (else lo..hi) with it."""
+    return range(lo, hi + 1), range(lo, (hi if big_hi is None else big_hi) + 1)
+
+
+_PLAIN, _BIG = RUN_LIMITS
+# the paper states G's counting lower bound from n = 2 on
+_G_SIZES = range(2, census.max_n("G") + 1)
+
+# (line name, check, sizes) groups, sizes being the n the check runs at
+# without --big and with it.  A check that counts takes its top size from
+# the engine caps in census; one that walks every graph or poset of a size
+# takes it from RUN_LIMITS.  Each group runs over every n before the next
 # group starts; the checks within a group take turns at each n.  A check
 # is named rather than held, so a wrapped or patched module function is
 # the one that runs.  The last group is the property suites.
 _CHECKS = (
-    (("counting-lower-bound", "_counting_lower_bound"),),
-    (("elementary-chain", "_elementary_chain"),),
-    (("bb-closed-form", "_bb_closed_form"),),
-    (("poset-function-bijection", "_poset_function_bijection"),),
-    (("triangle-connected-two-posets", "_triangle_connected_two_posets"),
-     ("poset-count-bounds", "_poset_count_bounds")),
-    (("ratio-table", "_ratio_table"),),
-    (("poset-graph-properties", "check_poset_graph_properties"),
-     ("bijection-roundtrip", "check_roundtrip"),
-     ("formula-independence", "check_formula_independence"),
-     ("graph-partition-law", "check_partition_law"),
-     ("short-closed-walks", "check_walks"),
-     ("engine-agreement", "check_engine_agreement"),
-     ("bb-coherence", "check_bb_coherence"),
-     ("poset-enumeration-oracle", "check_pn_oracle")),
+    (("counting-lower-bound", "_counting_lower_bound", (_G_SIZES, _G_SIZES)),),
+    (("elementary-chain", "_elementary_chain",
+      _sizes(0, census.ENGINES["H"]["clause-sweep"][1])),),
+    (("bb-closed-form", "_bb_closed_form", _sizes(0, census.ENGINES["B"]["flat-sweep"][1])),),
+    (("poset-function-bijection", "_poset_function_bijection", _sizes(0, census.max_n("Pn"))),),
+    (("triangle-connected-two-posets", "_triangle_connected_two_posets", _sizes(0, _BIG)),
+     ("poset-count-bounds", "_poset_count_bounds", _sizes(0, _PLAIN))),
+    (("ratio-table", "_ratio_table", _sizes(1, min(census.max_n("F"), census.max_n("B")))),),
+    (("poset-graph-properties", "check_poset_graph_properties", _sizes(1, _PLAIN)),
+     ("bijection-roundtrip", "check_roundtrip", _sizes(1, _PLAIN)),
+     ("formula-independence", "check_formula_independence", _sizes(2, 3)),
+     ("graph-partition-law", "check_partition_law", _sizes(1, _PLAIN)),
+     ("short-closed-walks", "check_walks", _sizes(1, _PLAIN, _BIG)),
+     ("engine-agreement", "check_engine_agreement",
+      _sizes(0, max(map(census.max_n, census.ENGINES)))),
+     ("bb-coherence", "check_bb_coherence", _sizes(1, _PLAIN)),
+     ("poset-enumeration-oracle", "check_pn_oracle", _sizes(1, 3, _BIG))),
 )
 
 
 def _run_checks(groups, ns: Iterable[int], run: Run) -> list[CheckResult]:
-    """Each check's lines at each n, or one FAIL line saying what it
-    raised."""
+    """Each check's lines at each n its sizes hold under run.big, or one
+    FAIL line saying what it raised."""
     ns = sorted(set(ns))
     out: list[CheckResult] = []
     for group in groups:
         for n in ns:
-            for name, check in group:
+            for name, check, sizes in group:
+                if n not in sizes[run.big]:    # False picks sizes[0], True sizes[1]
+                    continue
                 try:
                     out += list(globals()[check](n, run))
                 except Exception as exc:  # noqa: BLE001 - a crash is a finding here
@@ -439,8 +429,6 @@ def run_suites(ns: Iterable[int], seed: int = DEFAULT_SEED,
     """Every verify check over the requested sizes: the identity checks,
     then the property suites per size.  All of them share one Run, so each
     census value, each graph's posets and each family is computed once.
-
-    The poset oracle lines at n=4 and 5 and everything else at n=5 only
-    run when big is set.
+    Each check runs at the sizes its _CHECKS row gives under big.
     """
     return _run_checks(_CHECKS, ns, Run(seed, big, workers))

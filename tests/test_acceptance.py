@@ -62,23 +62,23 @@ def test_criterion_1_exact_baselines():
     swept_t0 = literal_clause_subset_sweep(2, allow_empty=True)
     assert len(swept_t1) == 15
     assert len(swept_t0) == 16
-    assert census.count_functions(2, False).value == 15
-    assert census.count_functions(2, True).value == 16
+    assert census.count("G", 2, "t1").value == 15
+    assert census.count("G", 2, "t0").value == 16
 
     h2_oracle = sum(1 for bits in swept_t1 if is_elementary(TruthTable(2, bits)))
     assert h2_oracle == 4
-    assert census.count_elementary(2, False).value == 4
+    assert census.count("H", 2, "t1").value == 4
 
     pn2_oracle = relation_matrix_sweep_n2()
     assert len(pn2_oracle) == 5
-    assert census.count_pn(2).value == 5
+    assert census.count("Pn", 2).value == 5
     assert {p.rows for p in litposet.enumerate_pn(2)} == pn2_oracle
 
     for n, expect in ((2, 3), (3, 23)):
-        assert census.count_obtf(n, "flat-sweep").value == expect
-        assert census.count_obtf(n, "dfs-prune").value == expect
-        assert census.count_bb(n, "flat-sweep").value == expect
-        assert census.count_bb(n, "component-closed-form").value == expect
+        assert census.count("F", n, method="flat-sweep").value == expect
+        assert census.count("F", n, method="dfs-prune").value == expect
+        assert census.count("B", n, method="flat-sweep").value == expect
+        assert census.count("B", n, method="component-closed-form").value == expect
 
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"baseline censuses took {elapsed:.3f}s, budget 1s"
@@ -90,18 +90,18 @@ def test_criterion_1_exact_baselines():
 def test_criterion_2_oracle_equivalence():
     started = time.perf_counter()
     for n in range(1, 5):
-        for allow_empty in (False, True):
-            vals = {m: census.count_functions(n, allow_empty, m).value
+        for conv in ("t1", "t0"):
+            vals = {m: census.count("G", n, conv, m).value
                     for m in ("clause-sweep", "median-filter", "median-dp")}
-            assert len(set(vals.values())) == 1, (n, allow_empty, vals)
-            hv = {m: census.count_elementary(n, allow_empty, m).value
+            assert len(set(vals.values())) == 1, (n, conv, vals)
+            hv = {m: census.count("H", n, conv, m).value
                   for m in ("clause-sweep", "median-dp")}
-            assert len(set(hv.values())) == 1, (n, allow_empty, hv)
+            assert len(set(hv.values())) == 1, (n, conv, hv)
     for n in range(1, 6):
-        assert (census.count_obtf(n, "dfs-prune").value
-                == census.count_obtf(n, "flat-sweep").value)
-        assert (census.count_bb(n, "component-closed-form").value
-                == census.count_bb(n, "flat-sweep").value)
+        assert (census.count("F", n, method="dfs-prune").value
+                == census.count("F", n, method="flat-sweep").value)
+        assert (census.count("B", n, method="component-closed-form").value
+                == census.count("B", n, method="flat-sweep").value)
     elapsed = time.perf_counter() - started
     assert elapsed < 600.0
     report(2, "oracle equivalence",
@@ -112,18 +112,18 @@ def test_criterion_3_counting_lower_bound():
     rows = []
     for n in (2, 3, 4):
         bound = (1 << n) * ((1 << comb(n, 2)) - 1)
-        for allow_empty in (False, True):
-            g = census.count_functions(n, allow_empty).value
-            assert g > bound, (n, allow_empty, g, bound)
-            rows.append(f"n={n} {census.convention_label(allow_empty)}: {g}>{bound}")
+        for conv in ("t1", "t0"):
+            g = census.count("G", n, conv).value
+            assert g > bound, (n, conv, g, bound)
+            rows.append(f"n={n} {conv}: {g}>{bound}")
     report(3, "counting lower bound", "; ".join(rows))
 
 
 def test_criterion_4_chain_inequality():
     rows = []
     for n in range(1, 5):
-        h = {m: census.count_elementary(m, True).value for m in range(n + 1)}
-        g = census.count_functions(n, True).value
+        h = {m: census.count("H", m, "t0").value for m in range(n + 1)}
+        g = census.count("G", n, "t0").value
         upper = 1 + sum(h[n - k] * comb(n, k) * (2 * n - 2 * k + 2) ** k
                         for k in range(n + 1))
         assert h[n] <= g <= upper, (n, h[n], g, upper)
@@ -133,8 +133,8 @@ def test_criterion_4_chain_inequality():
 
 def test_criterion_5_bijection_and_roundtrip():
     for n in (1, 2, 3):
-        pn = census.count_pn(n).value
-        h = census.count_elementary(n, True).value
+        pn = census.count("Pn", n).value
+        h = census.count("H", n, "t0").value
         assert pn == h, (n, pn, h)
     count = 0
     for p in litposet.enumerate_pn(3):
@@ -210,12 +210,12 @@ def test_criterion_9_closed_walks():
 
 def test_criterion_10_bb_closed_form_and_ratios():
     for n in range(1, 6):
-        assert (census.count_bb(n, "component-closed-form").value
-                == census.count_bb(n, "flat-sweep").value)
+        assert (census.count("B", n, method="component-closed-form").value
+                == census.count("B", n, method="flat-sweep").value)
     lines = []
     for n in range(1, 7):
-        f_val = census.count_obtf(n).value
-        b_val = census.count_bb(n).value
+        f_val = census.count("F", n).value
+        b_val = census.count("B", n).value
         assert f_val >= b_val, (n, f_val, b_val)
         bn = census.b_benchmark(n)
         lines.append(f"n={n}: F/b={f_val}/{bn}={f_val / bn:.4f} "

@@ -16,11 +16,6 @@ from obtf.census import (
     ENGINES,
     b_benchmark,
     count,
-    count_bb,
-    count_elementary,
-    count_functions,
-    count_obtf,
-    count_pn,
     default_method,
     max_n,
     posets_per_cover_graph,
@@ -50,39 +45,39 @@ F_6 = 1474419
 class TestFunctionCounts:
     @pytest.mark.parametrize("n", sorted(G_T1))
     def test_g_values(self, n):
-        assert count_functions(n, False).value == G_T1[n]
-        assert count_functions(n, True).value == G_T0[n]
+        assert count("G", n, "t1").value == G_T1[n]
+        assert count("G", n, "t0").value == G_T0[n]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_engines_agree(self, n):
-        for allow_empty in (False, True):
-            vals = {count_functions(n, allow_empty, m).value
+        for conv in ("t1", "t0"):
+            vals = {count("G", n, conv, m).value
                     for m in ("clause-sweep", "median-filter", "median-dp")}
             assert len(vals) == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_convention_adds_constant_true(self, n):
-        assert (count_functions(n, True).value
-                == count_functions(n, False).value + 1)
-        assert (count_elementary(n, True).value
-                == count_elementary(n, False).value + 1)
+        assert (count("G", n, "t0").value
+                == count("G", n, "t1").value + 1)
+        assert (count("H", n, "t0").value
+                == count("H", n, "t1").value + 1)
 
     @pytest.mark.parametrize("n", sorted(H_T0))
     def test_h_values(self, n):
-        assert count_elementary(n, True).value == H_T0[n]
-        assert count_elementary(n, False).value == H_T1[n]
+        assert count("H", n, "t0").value == H_T0[n]
+        assert count("H", n, "t1").value == H_T1[n]
 
     def test_guards(self):
         with pytest.raises(ResourceGuardError):
-            count_functions(5, True, "clause-sweep")
+            count("G", 5, "t0", "clause-sweep")
         with pytest.raises(ResourceGuardError):
-            count_functions(5, True, "median-filter")
+            count("G", 5, "t0", "median-filter")
         with pytest.raises(ResourceGuardError):
-            count_functions(6, True, "median-dp")
+            count("G", 6, "t0", "median-dp")
 
     def test_n5_via_dp(self):
-        assert count_functions(5, True).value == G_T0_5
-        assert count_elementary(5, True).value == H_T0_5
+        assert count("G", 5, "t0").value == G_T0_5
+        assert count("H", 5, "t0").value == H_T0_5
 
     def test_decomposition_identity(self):
         # independent structural route: a satisfiable function is a spine
@@ -97,13 +92,13 @@ class TestFunctionCounts:
             return tab[r][m]
 
         for n in (2, 3, 4):
-            h = {m: count_elementary(m, True).value for m in range(n + 1)}
+            h = {m: count("H", m, "t0").value for m in range(n + 1)}
             total = 1 + sum(
                 comb(n, k) * (1 << k)
                 * sum((1 << (n - k - m)) * stirling2(n - k, m) * h[m]
                       for m in range(n - k + 1))
                 for k in range(n + 1))
-            assert total == count_functions(n, True).value
+            assert total == count("G", n, "t0").value
 
 
 def median_closed_sweep(n):
@@ -135,37 +130,37 @@ class TestMedianFilter:
 class TestPosetCount:
     @pytest.mark.parametrize("n", sorted(PN))
     def test_values(self, n):
-        assert count_pn(n).value == PN[n]
+        assert count("Pn", n).value == PN[n]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_bijection_with_elementary(self, n):
-        assert count_pn(n).value == count_elementary(n, True).value
+        assert count("Pn", n).value == count("H", n, "t0").value
 
     def test_n5(self):
-        assert count_pn(5).value == PN_5
+        assert count("Pn", 5).value == PN_5
 
 
 class TestObtfCount:
     @pytest.mark.parametrize("n", sorted(F_COUNTS))
     def test_engine_and_sweep(self, n):
-        assert count_obtf(n, "dfs-prune").value == F_COUNTS[n]
-        assert count_obtf(n, "flat-sweep").value == F_COUNTS[n]
+        assert count("F", n, method="dfs-prune").value == F_COUNTS[n]
+        assert count("F", n, method="flat-sweep").value == F_COUNTS[n]
 
     def test_f6(self):
-        assert count_obtf(6).value == F_6
+        assert count("F", 6).value == F_6
 
     def test_workers_do_not_change_anything(self, monkeypatch):
         monkeypatch.setattr(census, "_POOL_MIN_N", 4)   # so n = 4 reaches the pool
         for workers in (1, 2, 3):
-            rec = count_obtf(4, workers=workers)
+            rec = count("F", 4, workers=workers)
             assert rec.value == F_COUNTS[4]
             assert rec.checksum == record_checksum("F", 4, None, "dfs-prune", F_COUNTS[4])
 
     def test_guards(self):
         with pytest.raises(ResourceGuardError):
-            count_obtf(8)
+            count("F", 8)
         with pytest.raises(ResourceGuardError):
-            count_obtf(6, "flat-sweep")
+            count("F", 6, method="flat-sweep")
 
     def test_workers_clamped_to_cpu_count(self, monkeypatch):
         # an in-process stand-in for the pool: no process is started
@@ -188,7 +183,7 @@ class TestObtfCount:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(census, "_POOL_MIN_N", 4)
-        rec = count_obtf(4, workers=os.cpu_count() + 1)
+        rec = count("F", 4, workers=os.cpu_count() + 1)
         assert seen and all(w <= cpus for w in seen)
         assert rec.value == F_COUNTS[4]
         assert rec.checksum == record_checksum("F", 4, None, "dfs-prune", F_COUNTS[4])
@@ -200,17 +195,17 @@ class TestObtfCount:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         for n in range(6):     # F up to n = 5 takes milliseconds in-process
-            assert count_obtf(n, workers=2).value == count_obtf(n).value
+            assert count("F", n, workers=2).value == count("F", n).value
 
 
 class TestBbCount:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_closed_form_equals_sweep(self, n):
-        assert count_bb(n, "component-closed-form").value == B_COUNTS[n]
-        assert count_bb(n, "flat-sweep").value == B_COUNTS[n]
+        assert count("B", n, method="component-closed-form").value == B_COUNTS[n]
+        assert count("B", n, method="flat-sweep").value == B_COUNTS[n]
 
     def test_b6(self):
-        assert count_bb(6).value == B_COUNTS[6]
+        assert count("B", 6).value == B_COUNTS[6]
 
     def test_f_dominates_b(self):
         for n in (1, 2, 3, 4, 5):
@@ -259,38 +254,35 @@ class TestEngineTable:
         with pytest.raises(ValueError, match="convention 't0' does not apply to F"):
             count("F", 2, "t0")
 
-    def test_count_names_are_entry_point_records(self):
-        pairs = [(count_functions(3, False), count("G", 3, "t1")),
-                 (count_elementary(3, True), count("H", 3, "t0")),
-                 (count_pn(3), count("Pn", 3)),
-                 (count_obtf(3, "flat-sweep"), count("F", 3, method="flat-sweep")),
-                 (count_bb(3), count("B", 3))]
-        for a, b in pairs:
-            assert a.key() == b.key() and (a.value, a.checksum) == (b.value, b.checksum)
+    def test_methods_are_the_admitting_ones_in_order(self):
+        assert census.methods("G", 4) == ["clause-sweep", "median-filter", "median-dp"]
+        assert census.methods("G", 5) == ["median-dp"]
+        assert census.methods("F", 6) == ["dfs-prune"]
+        assert census.methods("B", 8) == []
 
 
 class TestRecords:
     def test_rerun_reproduces_exactly(self):
-        a = count_obtf(3)
-        b = count_obtf(3)
+        a = count("F", 3)
+        b = count("F", 3)
         assert (a.value, a.checksum) == (b.value, b.checksum)
         assert a.key() == b.key()
 
     def test_checksum_detects_value_change(self):
-        rec = count_obtf(3)
+        rec = count("F", 3)
         forged = CensusRecord(rec.quantity, rec.n, rec.convention, rec.value + 1,
                               rec.method, rec.wall_time, rec.checksum)
         assert not forged.checksum_valid()
 
     def test_json_roundtrip(self):
-        rec = count_bb(3)
+        rec = count("B", 3)
         assert CensusRecord.from_json_dict(rec.to_json_dict()) == rec
 
 
 class TestCache:
     def test_append_then_load(self, tmp_path):
         cache = CensusCache(tmp_path / "c.jsonl")
-        rec = count_obtf(3)
+        rec = count("F", 3)
         cache.append(rec)
         loaded = cache.load()
         assert loaded[rec.key()] == rec
@@ -305,7 +297,7 @@ class TestCache:
             CensusCache(path).load()
 
     def test_checksum_missing_refused(self, tmp_path):
-        rec = count_obtf(3).to_json_dict()
+        rec = count("F", 3).to_json_dict()
         rec["checksum"] = ""
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps(rec) + "\n")
@@ -315,10 +307,10 @@ class TestCache:
     @pytest.mark.parametrize("field,bad", [("value", "23"), ("value", True),
                                            ("value", 23.0), ("n", "3"), ("n", True)])
     def test_mistyped_field_refused(self, tmp_path, field, bad):
-        rec = count_obtf(3).to_json_dict()
+        rec = count("F", 3).to_json_dict()
         rec[field] = bad    # "23" and "3" keep a valid checksum
         path = tmp_path / "c.jsonl"
-        good = json.dumps(count_obtf(2).to_json_dict())
+        good = json.dumps(count("F", 2).to_json_dict())
         path.write_text(good + "\n" + json.dumps(rec) + "\n")
         with pytest.raises(CacheError, match=rf":2: bad record: {field} must be an integer"):
             CensusCache(path).load()
@@ -329,23 +321,23 @@ class TestCache:
         ("convention", 0, "a string or null"), ("wall_time", "soon", "a number"),
         ("wall_time", True, "a number")])
     def test_mistyped_text_or_time_field_refused(self, tmp_path, field, bad, what):
-        rec = count_obtf(3).to_json_dict()
+        rec = count("F", 3).to_json_dict()
         rec[field] = bad    # wall_time is outside the checksum
         path = tmp_path / "c.jsonl"
-        good = json.dumps(count_obtf(2).to_json_dict())
+        good = json.dumps(count("F", 2).to_json_dict())
         path.write_text(good + "\n" + json.dumps(rec) + "\n")
         with pytest.raises(CacheError, match=rf":2: bad record: {field} must be {what}, got"):
             CensusCache(path).load()
 
     def test_integer_wall_time_loads(self, tmp_path):
-        rec = count_obtf(3).to_json_dict()
+        rec = count("F", 3).to_json_dict()
         rec["wall_time"] = 0
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps(rec) + "\n")
         assert [r.value for r in CensusCache(path).load().values()] == [23]
 
     def test_conflicting_duplicate_refused(self, tmp_path):
-        rec = count_obtf(4).to_json_dict()
+        rec = count("F", 4).to_json_dict()
         forged = dict(rec, value=418,
                       checksum=record_checksum("F", 4, None, "dfs-prune", 418))
         path = tmp_path / "c.jsonl"
@@ -355,7 +347,7 @@ class TestCache:
             CensusCache(path).load()
 
     def test_identical_duplicates_load(self, tmp_path):
-        first, second = count_obtf(4), count_obtf(4)
+        first, second = count("F", 4), count("F", 4)
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps(first.to_json_dict()) + "\n"
                         + json.dumps(second.to_json_dict()) + "\n")
@@ -372,7 +364,7 @@ class TestCache:
 
         monkeypatch.setattr(os, "write", counting_write)
         cache = CensusCache(tmp_path / "c.jsonl")
-        records = [count_obtf(3), count_bb(4)]
+        records = [count("F", 3), count("B", 4)]
         for rec in records:
             cache.append(rec)
         monkeypatch.undo()
@@ -383,16 +375,16 @@ class TestCache:
     def test_torn_last_line_is_named(self, tmp_path):
         path = tmp_path / "c.jsonl"
         cache = CensusCache(path)
-        cache.append(count_obtf(2))
-        cache.append(count_obtf(3))
-        torn = json.dumps(count_obtf(4).to_json_dict(), sort_keys=True)
+        cache.append(count("F", 2))
+        cache.append(count("F", 3))
+        torn = json.dumps(count("F", 4).to_json_dict(), sort_keys=True)
         with path.open("a") as fh:
             fh.write(torn[:len(torn) // 2])    # a write cut off mid-record
         with pytest.raises(CacheError, match=r":3: bad record: .*delete line 3"):
             cache.load()
 
     def test_tampered_value_refused(self, tmp_path):
-        rec = count_obtf(3).to_json_dict()
+        rec = count("F", 3).to_json_dict()
         rec["value"] += 1
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps(rec) + "\n")

@@ -62,4 +62,4 @@ def test_obtf_prefix_count_matches_the_sweep(n):
 @pytest.mark.slow
 def test_f7():
     # about 100 s on one worker; deselected unless run with `pytest -m slow`
-    assert census.count_obtf(7).value == 266_919_023
+    assert census.count("F", 7).value == 266_919_023

@@ -57,6 +57,19 @@ class TestCensusCommand:
         assert code == 2
         assert "--big" in err
 
+    def test_huge_range_exits_2_on_its_ends(self, capsys, tmp_path):
+        code, out, err = run(capsys, "census", "--quantity", "B", "--n", "0..1000000000000",
+                             "--cache", str(tmp_path / "c.jsonl"))
+        assert code == 2 and out == ""
+        assert err == "error: B(n=8) exceeds the census cap 7\n"
+
+    def test_convention_of_another_quantity_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "census", "--quantity", "F", "--n", "3",
+                             "--convention", "t1", "--cache", str(tmp_path / "c.jsonl"))
+        assert code == 2 and out == ""
+        assert err == "error: convention 't1' does not apply to F\n"
+        assert not (tmp_path / "c.jsonl").exists()     # refused before counting
+
     def test_corrupt_cache_exits_3(self, capsys, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("{broken\n")
@@ -133,6 +146,16 @@ class TestVerifyCommand:
         assert code == 2
         assert "--big" in err
 
+    @pytest.mark.parametrize("sizes,big,message", [
+        ("0..1000000000000", (), "verification at n >= 5 requires --big"),
+        ("0..1000000000000", ("--big",), "verification checks are capped at n <= 5"),
+        ("6", ("--big",), "verification checks are capped at n <= 5"),
+    ])
+    def test_sizes_past_the_run_limits_exit_2(self, capsys, sizes, big, message):
+        code, out, err = run(capsys, "verify", "--range", sizes, *big)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_cache_cross_check(self, capsys, tmp_path):
         path = tmp_path / "c.jsonl"
         code, _, _ = run(capsys, "census", "--quantity", "F", "--n", "2..3",
@@ -201,6 +224,22 @@ class TestAnalyzeCommand:
         assert info["poset_count"] == 8
         assert info["blue_bipartition"] is None
         assert json.dumps(info, indent=2, sort_keys=True) + "\n" == out
+
+    def test_searches_past_their_guards_are_skipped(self, capsys, tmp_path):
+        # 13 vertices is past kappa's guard, 21 edges past gamma's and the
+        # poset listing's
+        edges = [(v, v + 1) for v in range(1, 13)] + [(v, v + 2) for v in range(1, 10)]
+        path = tmp_path / "g.txt"
+        path.write_text("n 13\n" + "".join(f"{u} {v} B\n" for u, v in edges))
+        code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
+        assert code == 0
+        info = json.loads(out)
+        assert info["edges"] == 21
+        assert info["skipped"] == ["kappa", "gamma", "posets"]
+        assert not {"kappa", "gamma", "poset_count", "posets"} & set(info)
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == 0
+        assert out.endswith("\nskipped (size guards): kappa, gamma, posets\n")
 
     def test_parse_error_exits_2(self, capsys, tmp_path):
         path = tmp_path / "g.txt"

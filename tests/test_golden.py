@@ -7,7 +7,9 @@ cover-multiplicity digest pins the order search's yield order, which
 picks the witness graph; it was taken before the search gained its
 negation mode.  The `verify --range 4..5 --big` digest was re-pinned
 when the poset-enumeration-oracle line for n = 5 joined that run; the
-rest of its output is unchanged.
+rest of its output is unchanged.  The `verify --range 0..4 --big` digest
+pins the n = 0 lines and the n = 4 oracle line; it was taken before each
+check's sizes moved into its `verify._CHECKS` row.
 """
 
 import hashlib
@@ -24,6 +26,7 @@ GOLDEN = {
     ("census", "B", "1..7"): "b646dfd015298d8db1be62f432e8f17137700be6a28762aa27d3358ddd1a0605",
     ("verify", None, "1..4"): "fcf42cd84add68bc5dcfccb3cb4175e400f9f615d85935be76910094fb53fc37",
     ("verify", None, "4..5 --big"): "9332f49c924455c0c0e381f34cbcd376635cbc385b9d5c2be5bcb34cfb795501",
+    ("verify", None, "0..4 --big"): "db60b5796c3c1c1b4f3f9f3abe050a7c653bff0de57e48e359bf8b55f218b40b",
     ("posets", "cover-multiplicity", "6"):
         "63e9da4f0cd76d03643c2f45cc73fba7ff059685e2476b1e54993c3102791910",
 }
