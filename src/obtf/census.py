@@ -10,11 +10,10 @@ Five quantities are counted, each by at least two independent routes:
   B   blue-bipartite colored graphs
 
 Every engine walks its search space in a fixed order (vertex pairs in
-colex, states in lexicographic order), so values and checksums are
-bit-identical across runs and worker counts.
+colex, states in lexicographic order) in one process, so values and
+checksums are bit-identical across runs.
 
-ENGINES lists every engine with its size cap; CAP_WITHOUT_BIG lowers a
-quantity's cap for census runs without --big.  count() is the one way
+ENGINES lists every engine with its size cap.  count() is the one way
 in: the default method is the first whose cap admits n, and every method
 whose cap admits n must return the same value (verify checks this and
 the identities between quantities).
@@ -52,7 +51,6 @@ from .boolfn import (
 from .litposet import ResourceGuardError
 
 __all__ = [
-    "CAP_WITHOUT_BIG",
     "CacheError",
     "CensusCache",
     "CensusRecord",
@@ -270,39 +268,74 @@ def _elementary_count(n: int, tables: frozenset[int]) -> int:
 # common neighbours of a and b.  d marks those whose two other edges have
 # one blue edge between them: (a, b) may be red iff d is empty (every
 # triangle keeps an even blue count) and blue iff d is all of them.
+#
+# Switching at a set T of decided vertices flips every edge with one end
+# in T, later ones too, and keeps every triangle's blue parity (Harary
+# 1953; Zaslavsky, "Signed graphs", 1982): it maps a graph's completions
+# one-to-one onto the switched graph's.  So once the pairs among 0..b-1
+# are decided, their count depends only on the class _switch_key names.
 
 
-def _obtf_count_rec(nbr: list[int], blue: list[int], k: int, pairs) -> int:
-    """Completions of the pairs from k on."""
+def _switch_key(b: int, nbr: list[int], blue: list[int]) -> tuple:
+    """The switching class of the colored graph on vertices 0..b-1: each
+    component is searched breadth-first from its lowest vertex and T
+    chosen so that the search forest turns red.  The forest fixes T up to
+    whole components, which flip nothing, so the result is canonical."""
+    flip = seen = 0     # T, and the vertices reached
+    for root in range(b):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        queue = [root]
+        for u in queue:
+            for w in bits(nbr[u] & ~seen):
+                seen |= 1 << w
+                flip |= ((blue[u] >> w ^ flip >> u) & 1) << w
+                queue.append(w)
+    return (b, *nbr[:b], *(blue[v] ^ nbr[v] & (~flip if flip >> v & 1 else flip)
+                           for v in range(b)))
+
+
+def _obtf_count_rec(nbr: list[int], blue: list[int], k: int, pairs, memo: dict) -> int:
+    """Completions of the pairs from k on, memoised by switching class
+    where pair (0, b) opens vertex b."""
     if k == len(pairs):
         return 1
     a, b = pairs[k]
+    key = None
+    if a == 0:
+        key = _switch_key(b, nbr, blue)
+        if key in memo:
+            return memo[key]
     common = nbr[a] & nbr[b]
     d = (blue[a] ^ blue[b]) & common
     if k + 1 == len(pairs):
         return 1 + (d == 0) + (d == common)
-    total = _obtf_count_rec(nbr, blue, k + 1, pairs)
+    total = _obtf_count_rec(nbr, blue, k + 1, pairs, memo)
     ba, bb = 1 << a, 1 << b
     nbr[a] |= bb
     nbr[b] |= ba
     if d == 0:
-        total += _obtf_count_rec(nbr, blue, k + 1, pairs)
+        total += _obtf_count_rec(nbr, blue, k + 1, pairs, memo)
     if d == common:
         blue[a] |= bb
         blue[b] |= ba
-        total += _obtf_count_rec(nbr, blue, k + 1, pairs)
+        total += _obtf_count_rec(nbr, blue, k + 1, pairs, memo)
         blue[a] ^= bb
         blue[b] ^= ba
     nbr[a] ^= bb
     nbr[b] ^= ba
+    if key is not None:
+        memo[key] = total
     return total
 
 
-def _obtf_prefix_count(args) -> int:
-    """Worker task: count completions of one state prefix (0 absent, 1
-    red, 2 blue; 0 if the prefix itself already contains an odd-blue
-    triangle)."""
-    n, prefix = args
+def _obtf_prefix_count(n: int, prefix: tuple = ()) -> int:
+    """Completions of one state prefix (0 absent, 1 red, 2 blue; 0 if the
+    prefix itself already contains an odd-blue triangle); the engine
+    counts the empty prefix.  Branch over pairs in colex order and cut a
+    branch the moment a completed triangle is odd-blue (deleting edges
+    preserves the property, so pruning is sound), with one memo per call."""
     pairs = [(a - 1, b - 1) for a, b in cgraph.pairs_colex(n)]
     nbr, blue = [0] * n, [0] * n
     for (a, b), s in zip(pairs, prefix):
@@ -316,32 +349,7 @@ def _obtf_prefix_count(args) -> int:
         if s == 2:
             blue[a] |= 1 << b
             blue[b] |= 1 << a
-    return _obtf_count_rec(nbr, blue, len(prefix), pairs)
-
-
-# F below this n takes under 10 ms on one worker, less than a pool start
-# (10-20 ms, 2-core Linux); at n = 6 two workers took 0.50-0.62 s, one 0.64-0.66 s
-_POOL_MIN_N = 6
-
-
-def _obtf_dfs(n: int, workers: int) -> int:
-    """Branch over pairs in colex order and cut a branch the moment a
-    completed triangle is odd-blue (deleting edges preserves the property,
-    so pruning is sound).  With several workers (at most one per CPU) the
-    state prefixes of n >= _POOL_MIN_N are counted in a process pool."""
-    m = comb(n, 2)
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or n < _POOL_MIN_N:
-        return _obtf_prefix_count((n, ()))
-    depth = 1
-    while 3 ** depth < 8 * workers and depth < m:
-        depth += 1
-    tasks = [(n, prefix) for prefix in itertools.product((0, 1, 2), repeat=depth)]
-    chunk = max(1, len(tasks) // (workers * 8))
-    # imported here, its only use: loading it pulls in multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_obtf_prefix_count, tasks, chunksize=chunk))
+    return _obtf_count_rec(nbr, blue, len(prefix), pairs, {})
 
 
 def _sweep_count(n: int, keep) -> int:
@@ -391,35 +399,31 @@ def b_benchmark(n: int) -> int:
 
 
 # quantity -> {method: (run, cap)}, methods in preference order.  run(n,
-# allow_empty, workers) returns the value; cap is the largest n it admits.
+# allow_empty) returns the value; cap is the largest n it admits.
 ENGINES = {
     "G": {
-        "clause-sweep": (lambda n, t0, _w: len(definable_tables(n, t0)), 4),
-        "median-filter": (lambda n, t0, _w: _median_filter_count(n, t0), 4),
-        "median-dp": (lambda n, t0, _w: len(_definable_tables_fast(n, t0)), 5),
+        "clause-sweep": (lambda n, t0: len(definable_tables(n, t0)), 4),
+        "median-filter": (lambda n, t0: _median_filter_count(n, t0), 4),
+        "median-dp": (lambda n, t0: len(_definable_tables_fast(n, t0)), 5),
     },
     "H": {
-        "clause-sweep": (lambda n, t0, _w: _elementary_count(n, definable_tables(n, t0)), 4),
-        "median-dp": (lambda n, t0, _w: _elementary_count(n, _definable_tables_fast(n, t0)), 5),
+        "clause-sweep": (lambda n, t0: _elementary_count(n, definable_tables(n, t0)), 4),
+        "median-dp": (lambda n, t0: _elementary_count(n, _definable_tables_fast(n, t0)), 5),
     },
     "Pn": {
-        "orientation-sweep": (lambda n, _t0, _w: sum(1 for _ in litposet.enumerate_pn(n)),
+        "orientation-sweep": (lambda n, _t0: sum(1 for _ in litposet.enumerate_pn(n)),
                               litposet.P_N_GUARD),
     },
     "F": {
-        "dfs-prune": (lambda n, _t0, w: _obtf_dfs(n, w), 7),
-        "flat-sweep": (lambda n, _t0, _w: _sweep_count(n, cgraph.is_obtf), 5),
+        "dfs-prune": (lambda n, _t0: _obtf_prefix_count(n), 7),
+        "flat-sweep": (lambda n, _t0: _sweep_count(n, cgraph.is_obtf), 5),
     },
     "B": {
-        "component-closed-form": (lambda n, _t0, _w: _bb_closed_form(n), 7),
-        "flat-sweep": (lambda n, _t0, _w: _sweep_count(
+        "component-closed-form": (lambda n, _t0: _bb_closed_form(n), 7),
+        "flat-sweep": (lambda n, _t0: _sweep_count(
             n, lambda g: cgraph.find_blue_bipartition(g) is not None), 5),
     },
 }
-
-# The census command stops below max_n where the top size takes minutes,
-# unless --big is given: F(7) is about 100 s of search.
-CAP_WITHOUT_BIG = {"F": 6}
 
 
 def _engines(quantity: str) -> dict:
@@ -449,7 +453,7 @@ def default_method(quantity: str, n: int) -> str:
 
 
 def count(quantity: str, n: int, convention: Optional[str] = None,
-          method: Optional[str] = None, workers: int = 1) -> CensusRecord:
+          method: Optional[str] = None) -> CensusRecord:
     """quantity(n) by the given method, else the default one, as a record.
 
     Raises ResourceGuardError above the engine's cap, and ValueError for an
@@ -465,7 +469,7 @@ def count(quantity: str, n: int, convention: Optional[str] = None,
     if n > cap:
         raise ResourceGuardError(f"{quantity} {method} capped at n <= {cap}, got {n}")
     started = time.perf_counter()
-    value = run(n, convention == "t0", workers)
+    value = run(n, convention == "t0")
     return CensusRecord(
         quantity=quantity,
         n=n,

@@ -102,12 +102,9 @@ def cmd_census(args) -> int:
     from . import census   # census engines load only for the commands that count
     quantity = args.quantity
     ns = _parse_range(args.n)
-    cap, hint = census.max_n(quantity), ""
-    if quantity in census.CAP_WITHOUT_BIG and not args.big:
-        hint = f" (use --big for {quantity} up to {cap})"
-        cap = census.CAP_WITHOUT_BIG[quantity]
+    cap = census.max_n(quantity)
     if ns[-1] > cap:
-        raise UserError(f"{quantity}(n={max(ns[0], cap + 1)}) exceeds the census cap {cap}{hint}")
+        raise UserError(f"{quantity}(n={max(ns[0], cap + 1)}) exceeds the census cap {cap}")
     conventions = census.conventions(quantity)
     if args.convention:
         if args.convention not in conventions:
@@ -122,7 +119,7 @@ def cmd_census(args) -> int:
             key = (quantity, n, conv, method)
             rec = known.get(key)
             if rec is None:
-                rec = census.count(quantity, n, conv, method, args.workers)
+                rec = census.count(quantity, n, conv, method)
                 cache.append(rec)
                 known[key] = rec
             records.append(rec)
@@ -134,9 +131,9 @@ def cmd_census(args) -> int:
 # verify
 
 
-def _cache_consistency(path: str, workers: int) -> list[verify.CheckResult]:
-    """Recompute every cached record that census computes without --big;
-    each record left out gets an INFO line saying why."""
+def _cache_consistency(path: str) -> list[verify.CheckResult]:
+    """Recompute every cached record that its engine admits; each record
+    left out gets an INFO line with the engine's refusal."""
     from . import census, verify   # only verify --cache rechecks census values
     cache = census.CensusCache(path)
     if not cache.path.exists():
@@ -145,9 +142,7 @@ def _cache_consistency(path: str, workers: int) -> list[verify.CheckResult]:
     for rec in cache.load().values():
         scope = f"{rec.quantity} n={rec.n} {rec.convention or '-'} {rec.method}"
         try:
-            if rec.n > census.CAP_WITHOUT_BIG.get(rec.quantity, rec.n):
-                raise ResourceGuardError(f"{rec.quantity}(n={rec.n}) needs --big in census")
-            fresh = census.count(rec.quantity, rec.n, rec.convention, rec.method, workers)
+            fresh = census.count(rec.quantity, rec.n, rec.convention, rec.method)
         except (ResourceGuardError, ValueError) as exc:
             out.append(verify.CheckResult("cache-consistency", scope, "INFO",
                                           f"not rechecked: {exc}"))
@@ -190,9 +185,9 @@ def cmd_verify(args) -> int:
     if ns[-1] > big:
         raise UserError(f"verification checks are capped at n <= {big}")
     seed = verify.DEFAULT_SEED if args.seed is None else args.seed
-    checks = verify.run_suites(ns, seed=seed, big=args.big, workers=args.workers)
+    checks = verify.run_suites(ns, seed=seed, big=args.big)
     if args.cache:
-        checks += _cache_consistency(args.cache, args.workers)
+        checks += _cache_consistency(args.cache)
     sys.stdout.write(_emit_checks(checks, args.format))
     return EXIT_VERIFY if any(c.failed for c in checks) else EXIT_OK
 
@@ -359,7 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, with_workers=True):
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
         if with_workers:
-            p.add_argument("--workers", type=int, default=1)
+            p.add_argument("--workers", type=int, default=1,
+                           help="no effect: every engine runs in one process")
 
     p = sub.add_parser("census", help="compute census quantities into the cache")
     p.add_argument("--quantity", required=True, choices=QUANTITIES)
@@ -368,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--convention", choices=("t0", "t1"),
                    help="for G/H; default reports both")
     p.add_argument("--cache", default=os.environ.get("OBTF_CACHE", DEFAULT_CACHE))
-    p.add_argument("--big", action="store_true", help="allow F at its top size, minutes of search")
     common(p)
     p.set_defaults(func=cmd_census)
 

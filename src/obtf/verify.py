@@ -48,8 +48,8 @@ class Run:
     module-wide, and census.count and cgraph.posets_of_graph are looked
     up at each call, so a patched one is seen; a raise is never stored."""
 
-    def __init__(self, seed: int = DEFAULT_SEED, big: bool = False, workers: int = 1):
-        self.seed, self.big, self.workers = seed, big, workers
+    def __init__(self, seed: int = DEFAULT_SEED, big: bool = False):
+        self.seed, self.big = seed, big
         self._memo: dict[tuple, object] = {}
 
     def _once(self, key: tuple, compute):
@@ -60,7 +60,7 @@ class Run:
     def count(self, quantity: str, n: int, convention: Optional[str] = None,
               method: Optional[str] = None) -> int:
         key = (quantity, n, convention, method or census.default_method(quantity, n))
-        return self._once(key, lambda: census.count(*key, self.workers).value)
+        return self._once(key, lambda: census.count(*key).value)
 
     def posets(self, g: cgraph.ColoredGraph) -> list[litposet.LiteralPoset]:
         return self._once(("posets", g), lambda: cgraph.posets_of_graph(g))
@@ -425,10 +425,10 @@ def verify_identities(ns: Iterable[int], run: Optional[Run] = None) -> list[Chec
 
 
 def run_suites(ns: Iterable[int], seed: int = DEFAULT_SEED,
-               big: bool = False, workers: int = 1) -> list[CheckResult]:
+               big: bool = False) -> list[CheckResult]:
     """Every verify check over the requested sizes: the identity checks,
     then the property suites per size.  All of them share one Run, so each
     census value, each graph's posets and each family is computed once.
     Each check runs at the sizes its _CHECKS row gives under big.
     """
-    return _run_checks(_CHECKS, ns, Run(seed, big, workers))
+    return _run_checks(_CHECKS, ns, Run(seed, big))

@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import os
 from math import comb
@@ -149,53 +148,11 @@ class TestObtfCount:
     def test_f6(self):
         assert count("F", 6).value == F_6
 
-    def test_workers_do_not_change_anything(self, monkeypatch):
-        monkeypatch.setattr(census, "_POOL_MIN_N", 4)   # so n = 4 reaches the pool
-        for workers in (1, 2, 3):
-            rec = count("F", 4, workers=workers)
-            assert rec.value == F_COUNTS[4]
-            assert rec.checksum == record_checksum("F", 4, None, "dfs-prune", F_COUNTS[4])
-
     def test_guards(self):
         with pytest.raises(ResourceGuardError):
             count("F", 8)
         with pytest.raises(ResourceGuardError):
             count("F", 6, method="flat-sweep")
-
-    def test_workers_clamped_to_cpu_count(self, monkeypatch):
-        # an in-process stand-in for the pool: no process is started
-        seen = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        cpus = max(2, os.cpu_count() or 1)   # two, so the pool path runs
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(census, "_POOL_MIN_N", 4)
-        rec = count("F", 4, workers=os.cpu_count() + 1)
-        assert seen and all(w <= cpus for w in seen)
-        assert rec.value == F_COUNTS[4]
-        assert rec.checksum == record_checksum("F", 4, None, "dfs-prune", F_COUNTS[4])
-
-    def test_small_counts_start_no_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        for n in range(6):     # F up to n = 5 takes milliseconds in-process
-            assert count("F", n, workers=2).value == count("F", n).value
 
 
 class TestBbCount:

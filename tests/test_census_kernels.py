@@ -2,7 +2,8 @@
 
 Both H engines share the elementary filter, and F's DFS has no second
 engine above n = 5, so engine agreement alone cannot see a bug in either
-kernel; these tests compare each one with the reference definitions.
+kernel; these tests compare each one with the reference definitions, and
+the switching-class key of F's memo with brute-force switching.
 """
 
 import itertools
@@ -56,10 +57,54 @@ def test_obtf_prefix_count_matches_the_sweep(n):
     for d in range(depth + 1):
         for prefix in itertools.product((0, 1, 2), repeat=d):
             expected = sum(1 for s in states if s[:d] == prefix)
-            assert census._obtf_prefix_count((n, prefix)) == expected, prefix
+            assert census._obtf_prefix_count(n, prefix) == expected, prefix
 
 
-@pytest.mark.slow
 def test_f7():
-    # about 100 s on one worker; deselected unless run with `pytest -m slow`
-    assert census.count("F", 7).value == 266_919_023
+    # about 6 s: the switching-class memo holds 51,309 classes
+    assert census.count("F", 7, method="dfs-prune").value == 266_919_023
+
+
+def _rows(b: int, states: tuple) -> tuple[list[int], list[int]]:
+    """nbr and blue rows of the graph with the given pair states, in
+    itertools.combinations order."""
+    nbr, blue = [0] * b, [0] * b
+    for (a, c), s in zip(itertools.combinations(range(b), 2), states):
+        if s:
+            nbr[a] |= 1 << c
+            nbr[c] |= 1 << a
+        if s == 2:
+            blue[a] |= 1 << c
+            blue[c] |= 1 << a
+    return nbr, blue
+
+
+def _switched(b: int, states: tuple, t: int) -> tuple:
+    """The states after switching at vertex set t: an edge with exactly
+    one end in t swaps red (1) and blue (2)."""
+    return tuple(s ^ 3 if s and (t >> a ^ t >> c) & 1 else s
+                 for (a, c), s in zip(itertools.combinations(range(b), 2), states))
+
+
+@pytest.mark.parametrize("b", range(5))
+def test_switch_key_names_exactly_the_switching_classes(b):
+    graphs = list(itertools.product((0, 1, 2), repeat=b * (b - 1) // 2))
+    key = {g: census._switch_key(b, *_rows(b, g)) for g in graphs}
+    cls = {g: frozenset(_switched(b, g, t) for t in range(1 << b)) for g in graphs}
+    assert len(set(key.values())) == len(set(cls.values()))
+    assert len({(key[g], cls[g]) for g in graphs}) == len(set(cls.values()))
+
+
+@st.composite
+def switched_pairs(draw):
+    b = draw(st.sampled_from((5, 6)))
+    states = tuple(draw(st.lists(st.sampled_from((0, 1, 2)),
+                                 min_size=b * (b - 1) // 2, max_size=b * (b - 1) // 2)))
+    return b, states, _switched(b, states, draw(st.integers(0, (1 << b) - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=switched_pairs())
+def test_switch_key_is_switching_invariant(case):
+    b, states, other = case
+    assert census._switch_key(b, *_rows(b, states)) == census._switch_key(b, *_rows(b, other))

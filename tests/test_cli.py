@@ -52,10 +52,10 @@ class TestCensusCommand:
         assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
 
     def test_guard_violation_exits_2(self, capsys, tmp_path):
-        code, _, err = run(capsys, "census", "--quantity", "F", "--n", "7",
-                           "--cache", str(tmp_path / "c.jsonl"))
-        assert code == 2
-        assert "--big" in err
+        code, out, err = run(capsys, "census", "--quantity", "F", "--n", "8",
+                             "--cache", str(tmp_path / "c.jsonl"))
+        assert code == 2 and out == ""
+        assert err == "error: F(n=8) exceeds the census cap 7\n"
 
     def test_huge_range_exits_2_on_its_ends(self, capsys, tmp_path):
         code, out, err = run(capsys, "census", "--quantity", "B", "--n", "0..1000000000000",
@@ -128,6 +128,15 @@ class TestCensusCommand:
             outs.append(json.dumps(rows, sort_keys=True))
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("command", [("census", "--quantity", "F", "--n", "2"),
+                                         ("verify", "--range", "1")])
+    def test_workers_below_one_exit_2(self, capsys, tmp_path, command):
+        # --workers has no effect, but old command lines must still be checked
+        code, out, err = run(capsys, *command, "--workers", "0",
+                             "--cache", str(tmp_path / "c.jsonl"))
+        assert code == 2 and out == ""
+        assert err == "error: --workers must be >= 1\n"
+
 
 class TestVerifyCommand:
     def test_default_passes(self, capsys):
@@ -166,12 +175,8 @@ class TestVerifyCommand:
         assert "cache-consistency" in out
 
 
-    @pytest.mark.parametrize("quantity,n,method,detail", [
-        ("F", 7, "dfs-prune", "not rechecked: F(n=7) needs --big in census"),
-        ("F", 3, "magic", "not rechecked: unknown method 'magic' for F"),
-    ])
-    def test_cache_skips_are_reported(self, capsys, tmp_path, quantity, n, method, detail):
-        value = 266919023 if n == 7 else 23
+    @staticmethod
+    def _verify_one_record(capsys, tmp_path, quantity, n, method, value):
         rec = {"quantity": quantity, "n": n, "convention": None, "value": value,
                "method": method, "wall_time": 0.0,
                "checksum": record_checksum(quantity, n, None, method, value)}
@@ -179,7 +184,21 @@ class TestVerifyCommand:
         path.write_text(json.dumps(rec) + "\n")
         code, out, _ = run(capsys, "verify", "--range", "1", "--cache", str(path))
         assert code == 0
+        return out
+
+    @pytest.mark.parametrize("quantity,n,method,detail", [
+        ("F", 3, "magic", "not rechecked: unknown method 'magic' for F"),
+    ])
+    def test_cache_skips_are_reported(self, capsys, tmp_path, quantity, n, method, detail):
+        out = self._verify_one_record(capsys, tmp_path, quantity, n, method, 23)
         assert f"[info] cache-consistency {quantity} n={n} - {method}: {detail}\n" in out
+
+    def test_cached_record_above_the_cap_gives_the_engine_refusal(self, capsys, tmp_path):
+        out = self._verify_one_record(capsys, tmp_path, "F", 8, "dfs-prune", 97_703_043_489)
+        lines = [line for line in out.splitlines() if "cache-consistency" in line]
+        assert lines == ["[info] cache-consistency F n=8 - dfs-prune: "
+                        "not rechecked: F dfs-prune capped at n <= 7, got 8"]
+        assert "--big" not in out
 
 
 class TestAnalyzeCommand:
