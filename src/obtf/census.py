@@ -555,26 +555,66 @@ def _grow(level, j: int, negation: bool):
                     for d, u in _extensions(rows, True)]
 
 
+def _cover_key_tables(m: int) -> tuple[list, list, list]:
+    """The tables that key a cover graph on m points by one integer, edge
+    {u, v} being bit u*m + v for u < v: key[u][c] holds the edges from u
+    to the points of c; for disjoint s and c among points 0..m-2,
+    cross[s][c] holds the edges between them, and jedge[s] the edges from
+    point m - 1 to s."""
+    key = [[sum(1 << (min(u, v) * m + max(u, v)) for v in bits(c)) for c in range(1 << m)]
+           for u in range(m)]
+    j = m - 1
+    cross = [[sum(key[a][c] for a in bits(s)) for c in range(1 << j)] for s in range(1 << j)]
+    return key, cross, key[j][:1 << j]
+
+
+def _child_cover_keys(rows: tuple, extensions, tables: tuple) -> list[int]:
+    """The cover key of each order that grows from rows by point j =
+    len(rows), one per (D, U) of extensions, from the key of rows itself.
+
+    All of D lies below all of U, so a cover a < b of rows with a in D
+    and b in U has a maximal in D and b minimal in U: j splits exactly
+    those covers, and j's own lower and upper covers are the maximal
+    points of D and the minimal points of U."""
+    key, cross, jedge = tables
+    j = len(rows)
+    below = [0] * j
+    for u, r in enumerate(rows):
+        for v in bits(r):
+            below[v] |= 1 << u
+    # top[s] and bot[s], the maximal and minimal points of s, from those of
+    # s less its lowest point x
+    top, bot = [0] * (1 << j), [0] * (1 << j)
+    for s in range(1, 1 << j):
+        x = s & -s
+        i = x.bit_length() - 1
+        rest = s ^ x
+        top[s] = top[rest] & ~below[i] | (0 if rows[i] & rest else x)
+        bot[s] = bot[rest] & ~rows[i] | (0 if below[i] & rest else x)
+    parent = sum(map(getitem, key, litposet.cover_rows(rows)))
+    return [(parent & ~cross[top[d]][bot[u]]) | jedge[top[d]] | jedge[bot[u]]
+            for d, u in extensions]
+
+
 def posets_per_cover_graph(m: int) -> tuple[int, frozenset[tuple[int, int]]]:
     """Over all strict orders on m labelled points, the largest number
     sharing one cover graph, with a witness graph: the first, in
-    strict_orders' order, to reach that number."""
+    strict_orders' order, to reach that number.  The orders on m points
+    are walked as _grow makes them, each order on m - 1 points followed
+    by its extensions, and only the cover keys are built."""
     if m > COVER_QUESTION_GUARD:
         raise ResourceGuardError(
             f"order enumeration capped at m <= {COVER_QUESTION_GUARD}, got {m}")
     if m < 1:
         raise ValueError("need at least one point")
-    # edge {u, v} is bit u*m + v of a graph's key, u < v; key[u][c] holds
-    # the edges from u to the points of c
-    key = [[sum(1 << (min(u, v) * m + max(u, v)) for v in bits(c)) for c in range(1 << m)]
-           for u in range(m)]
+    tables = _cover_key_tables(m)
     groups: dict[int, int] = {}
     best = (0, 0)
-    for order in strict_orders(m):
-        graph = sum(map(getitem, key, litposet.cover_rows(order)))
-        k = groups[graph] = groups.get(graph, 0) + 1
-        if k > best[0]:
-            best = (k, graph)
+    for rows in strict_orders(m - 1):
+        for graph in _child_cover_keys(rows, _extensions(rows, False), tables):
+            k = groups[graph] = groups.get(graph, 0) + 1
+            if k > best[0]:
+                best = (k, graph)
     return best[0], frozenset((e // m + 1, e % m + 1) for e in bits(best[1]))
 
 

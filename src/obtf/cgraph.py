@@ -26,6 +26,7 @@ __all__ = [
     "TriangleComponents",
     "KAPPA_GUARD",
     "EDGE_SWEEP_GUARD",
+    "VERTEX_GUARD",
     "bipartition_sweep",
     "check_closed_walks",
     "double_cover",
@@ -48,6 +49,7 @@ __all__ = [
 
 KAPPA_GUARD = 12
 EDGE_SWEEP_GUARD = 20
+VERTEX_GUARD = 1000
 _BIPARTITION_SWEEP_GUARD = 6
 
 
@@ -135,12 +137,22 @@ def enumerate_colored_graphs(n: int) -> Iterator[ColoredGraph]:
 
 
 def triangles(g: ColoredGraph) -> list[tuple[int, int, int]]:
-    """Vertex triples a < b < c whose three edges are all present."""
-    present = g.red | g.blue
+    """Vertex triples a < b < c whose three edges are all present, in
+    lexicographic order: each edge (a, b), in sorted order, with the
+    common neighbours c > b of a and b from their neighbour bitmasks, so
+    the walk follows the edges, not the vertex triples."""
+    present = sorted(g.red | g.blue)
+    nbr = [0] * (g.n + 1)
+    for u, v in present:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
     out = []
-    for a, b, c in itertools.combinations(range(1, g.n + 1), 3):
-        if (a, b) in present and (a, c) in present and (b, c) in present:
-            out.append((a, b, c))
+    for a, b in present:
+        common = nbr[a] & nbr[b] >> (b + 1) << (b + 1)
+        while common:
+            c = common & -common
+            out.append((a, b, c.bit_length() - 1))
+            common ^= c
     return out
 
 
@@ -511,8 +523,11 @@ def check_closed_walks(g: ColoredGraph, max_len: int = 5) -> bool:
 
 def parse_colored_graph(text: str) -> ColoredGraph:
     """Colored-graph text format: `n <int>`, then `u v R|B` per edge with
-    1-based vertex ids; `#` starts a comment."""
+    1-based vertex ids; `#` starts a comment.  n is capped at
+    VERTEX_GUARD, since analyze spends O(n) on even an edgeless graph."""
     n, lines = parse_lines(text, "vertex")
+    if n > VERTEX_GUARD:
+        raise ResourceGuardError(f"colored graph capped at n <= {VERTEX_GUARD} vertices, got {n}")
     red, blue = set(), set()
     for line_no, fields in lines:
         if len(fields) != 3:

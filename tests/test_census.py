@@ -435,6 +435,19 @@ class TestCoverGraphQuestion:
             list(strict_orders(m, negation))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_child_cover_keys_are_every_orders_cover_key(self, m):
+        # the keys grown from the orders on m - 1 points, in strict_orders'
+        # order, against each order's cover pairs, edge {u, v} as bit u*m + v
+        from obtf.litposet import cover_pairs
+
+        tables = census._cover_key_tables(m)
+        grown = [key for rows in strict_orders(m - 1)
+                 for key in census._child_cover_keys(rows, census._extensions(rows, False),
+                                                      tables)]
+        assert grown == [sum(1 << (u * m + v) for u, v in cover_pairs(rows))
+                         for rows in strict_orders(m)]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_cover_keys_group_as_cover_pair_sets(self, m):
         assert posets_per_cover_graph(m) == cover_grouping_oracle(m)
 

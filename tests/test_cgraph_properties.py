@@ -11,6 +11,7 @@ from obtf.census import enumerate_pn_oracle
 from obtf.cgraph import (
     ColoredGraph,
     bipartition_sweep,
+    enumerate_colored_graphs,
     find_blue_bipartition,
     format_colored_graph,
     gamma,
@@ -18,6 +19,7 @@ from obtf.cgraph import (
     pairs_colex,
     parse_colored_graph,
     posets_of_graph,
+    triangles,
 )
 
 
@@ -78,3 +80,23 @@ def test_gamma_is_the_subset_sweep(g):
 @given(g=colored_graphs(max_n=6))
 def test_blue_bipartition_exists_iff_the_sweep_finds_one(g):
     assert (find_blue_bipartition(g) is None) == (bipartition_sweep(g) is None)
+
+
+def triangle_sweep(g):
+    """triangles' oracle: every vertex triple a < b < c, in combinations
+    order, whose three edges are present."""
+    present = g.red | g.blue
+    return [(a, b, c) for a, b, c in itertools.combinations(range(1, g.n + 1), 3)
+            if {(a, b), (a, c), (b, c)} <= present]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_triangles_is_the_triple_sweep_on_every_graph(n):
+    for g in enumerate_colored_graphs(n):
+        assert triangles(g) == triangle_sweep(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=colored_graphs(max_n=9))
+def test_triangles_is_the_triple_sweep(g):
+    assert triangles(g) == triangle_sweep(g)

@@ -278,6 +278,23 @@ class TestAnalyzeCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: cannot read") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("n", [1001, 999999999999])
+    def test_vertex_count_past_the_guard_exits_2(self, capsys, tmp_path, n):
+        path = tmp_path / "g.txt"
+        path.write_text(f"n {n}\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: colored graph capped at n <= 1000 vertices, got {n}\n"
+
+    def test_vertex_count_at_the_guard_is_analyzed(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("n 1000\n1 1000 B\n")
+        code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
+        assert code == 0
+        info = json.loads(out)
+        assert info["blue_bipartition"]["W"] == [1000]
+        assert info["poset_count"] == 2
+
 
 class TestPosetsCommand:
     def test_enumerate(self, capsys):
@@ -323,6 +340,21 @@ class TestPosetsCommand:
         code, out, err = run(capsys, "posets", "--formula", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", [15, 40])
+    def test_formula_past_the_guard_exits_2(self, capsys, tmp_path, n):
+        path = tmp_path / "f.txt"
+        path.write_text(f"n {n}\n1 2\n")
+        code, out, err = run(capsys, "posets", "--formula", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: implication poset capped at n <= 14 variables, got {n}\n"
+
+    def test_formula_at_the_guard_is_ordered(self, capsys, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("n 14\n1 2\n")
+        code, out, _ = run(capsys, "posets", "--formula", str(path))
+        assert code == 0
+        assert out == "n 14\n-1 2\n-2 1\n"
 
     def test_formula_file_non_elementary(self, capsys, tmp_path):
         path = tmp_path / "f.txt"

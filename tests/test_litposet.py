@@ -1,9 +1,11 @@
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obtf import census
 from obtf.boolfn import Formula, ParseError, TruthTable, all_ones, truth_table
 from obtf.census import enumerate_pn_oracle
 from obtf.litposet import (
@@ -152,6 +154,25 @@ def test_cover_routine_finds_exactly_the_covers(rows):
     assert {(u, v) for u, row in enumerate(cover_rows(rows))
             for v in range(m) if (row >> v) & 1} == covers
     assert cover_pairs(rows) == {(min(u, v), max(u, v)) for u, v in covers}
+
+
+@functools.lru_cache(maxsize=None)
+def cover_key_tables(m):
+    return census._cover_key_tables(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(child=closed_dags().filter(len))
+def test_child_cover_key_is_the_childs_cover_key(child):
+    # the order grows from its restriction to points 0..j-1 by point j,
+    # with D the points below j and U those above it
+    j = len(child) - 1
+    rows = tuple(r & ~(1 << j) for r in child[:j])
+    d = sum((r >> j & 1) << x for x, r in enumerate(child[:j]))
+    u = child[j]
+    assert (d, u) in census._extensions(rows, False)
+    assert (census._child_cover_keys(rows, [(d, u)], cover_key_tables(j + 1))
+            == [sum(1 << (a * (j + 1) + b) for a, b in cover_pairs(child))])
 
 
 class TestPosetToFunction:
