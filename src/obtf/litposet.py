@@ -53,10 +53,6 @@ class ResourceGuardError(RuntimeError):
     """An operation was asked to exceed its exact-search size cap."""
 
 
-def lit_index(var: int, positive: bool) -> int:
-    return 2 * (var - 1) + (0 if positive else 1)
-
-
 def index_to_signed(idx: int) -> int:
     var = idx // 2 + 1
     return var if idx % 2 == 0 else -var
@@ -64,11 +60,13 @@ def index_to_signed(idx: int) -> int:
 
 @dataclass(frozen=True)
 class LiteralPoset:
-    """Relation matrix over the 2n literals; bit v of rows[u] means u < v.
+    """A member of the negation-symmetric poset family: relation matrix
+    over the 2n literals, bit v of rows[u] meaning u < v.
 
-    The container only checks shape.  Semantic membership in the
-    negation-symmetric poset family is decided by is_pn_member, which
-    accepts arbitrary relation matrices.
+    Making one checks its shape and then its membership (is_pn_member),
+    raising ValueError on either, so every LiteralPoset is checked
+    exactly once, when it is made, and nothing that takes one checks it
+    again.
     """
 
     n: int
@@ -83,6 +81,8 @@ class LiteralPoset:
         for r in self.rows:
             if not 0 <= r <= full:
                 raise ValueError("row bits out of range")
+        if not is_pn_member(self.rows):
+            raise ValueError("not a member of the literal-poset family")
 
     @classmethod
     def antichain(cls, n: int) -> "LiteralPoset":
@@ -137,23 +137,17 @@ def transitive_closure(rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def is_pn_member(p: LiteralPoset) -> bool:
-    """Strict-order axioms plus the two literal-specific requirements:
-    each literal incomparable to its negation, and u < v iff not-v < not-u."""
-    rows = p.rows
-    size = len(rows)
-    for u in range(size):
-        if (rows[u] >> u) & 1:
+def is_pn_member(rows: tuple[int, ...]) -> bool:
+    """Whether bitmask rows over the 2n literals form a member of the
+    family: a strict order, each literal incomparable to its negation,
+    and u < v iff not-v < not-u.  Irreflexive and transitive makes it
+    antisymmetric; transitivity is checked per relation u < v as
+    "everything above v is above u"."""
+    for u, row in enumerate(rows):
+        if (row >> u) & 1 or (row >> (u ^ 1)) & 1:
             return False
-        if (rows[u] >> (u ^ 1)) & 1:
-            return False
-    if transitive_closure(rows) != rows:
-        return False
-    for u in range(size):
-        for v in bits(rows[u]):
-            if not (rows[v ^ 1] >> (u ^ 1)) & 1:
-                return False
-            if (rows[v] >> u) & 1:
+        for v in bits(row):
+            if rows[v] & ~row or not (rows[v ^ 1] >> (u ^ 1)) & 1:
                 return False
     return True
 
@@ -172,10 +166,10 @@ def implication_poset(f: Formula) -> LiteralPoset:
 
     Seeds u < v for each clause read as implications both ways, adds the
     negation duals and closes transitively.  Defined only when the
-    formula's function is elementary; for such input the closure is
-    guaranteed to stay a member of the poset family (asserted).  The
-    elementary test builds a 2^n-bit truth table, so n is capped at
-    IMPLICATION_GUARD first.
+    formula's function is elementary (ValueError otherwise); for such
+    input the closure is a member of the poset family, which making the
+    LiteralPoset checks.  The elementary test builds a 2^n-bit truth
+    table, so n is capped at IMPLICATION_GUARD first.
     """
     if f.n > IMPLICATION_GUARD:
         raise ResourceGuardError(
@@ -185,10 +179,7 @@ def implication_poset(f: Formula) -> LiteralPoset:
     seeds = []
     for c in f.clauses:
         seeds.extend(_clause_seed_relations(c))
-    p = LiteralPoset.from_relations(f.n, seeds)
-    if not is_pn_member(p):
-        raise AssertionError("closure left the poset family on elementary input")
-    return p
+    return LiteralPoset.from_relations(f.n, seeds)
 
 
 def cover_rows(rows: tuple[int, ...]) -> list[int]:
@@ -218,8 +209,6 @@ def cover_pairs(rows: tuple[int, ...]) -> frozenset[tuple[int, int]]:
 
 def cover_relations(p: LiteralPoset) -> CoverGraph:
     """Covering pairs: u < v with nothing strictly between."""
-    if not is_pn_member(p):
-        raise ValueError("not a member of the literal-poset family")
     return CoverGraph(p.n, cover_pairs(p.rows))
 
 
@@ -227,8 +216,6 @@ def poset_to_formula(p: LiteralPoset) -> Formula:
     """One clause (not-u or v) per relation u < v; the empty poset gives
     the empty conjunction.  All relations are used, not just covers, so
     the result does not depend on a choice of generating set."""
-    if not is_pn_member(p):
-        raise ValueError("not a member of the literal-poset family")
     clauses = []
     for u, v in p.relation_pairs():
         lu = Literal.from_index(u).negate()
@@ -272,16 +259,14 @@ def parse_poset(text: str) -> LiteralPoset:
             if x == 0 or abs(x) > n:
                 raise ParseError(line_no, f"literal {x} out of range for n={n}")
         relations.append((Literal.from_signed(a).index, Literal.from_signed(b).index))
-    p = LiteralPoset.from_relations(n, relations)
-    if not is_pn_member(p):
-        raise ParseError(1, "relations do not close to a member of the poset family")
-    return p
+    try:
+        return LiteralPoset.from_relations(n, relations)
+    except ValueError:
+        raise ParseError(1, "relations do not close to a member of the poset family") from None
 
 
 def format_poset(p: LiteralPoset) -> str:
     """Covers only, each u < v, sorted by index; their closure is the order."""
-    if not is_pn_member(p):
-        raise ValueError("not a member of the literal-poset family")
     lines = [f"n {p.n}"] + [f"{index_to_signed(u)} {index_to_signed(v)}"
                             for u, row in enumerate(cover_rows(p.rows)) for v in bits(row)]
     return "\n".join(lines) + "\n"

@@ -49,9 +49,8 @@ def relation_matrix_sweep_n2():
         for (u, v), bit in zip(cells, picks):
             if bit:
                 rows[u] |= 1 << v
-        p = litposet.LiteralPoset(2, tuple(rows))
-        if litposet.is_pn_member(p):
-            members.add(p.rows)
+        if litposet.is_pn_member(tuple(rows)):
+            members.add(tuple(rows))
     return members
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from obtf import litposet
 from obtf.census import record_checksum
 from obtf.cli import main
 
@@ -326,6 +327,16 @@ class TestPosetsCommand:
         code, out, _ = run(capsys, "posets", "--n", "2", "--format", "json")
         assert code == 0
         assert json.loads(out)["count"] == 5
+
+    def test_each_listed_poset_checked_once(self, capsys, monkeypatch):
+        calls = []
+        member = litposet.is_pn_member
+        monkeypatch.setattr(litposet, "is_pn_member",
+                            lambda rows: calls.append(rows) or member(rows))
+        code, out, _ = run(capsys, "posets", "--n", "3", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["count"] == 69
+        assert len(calls) == len(set(calls)) == 69
 
     def test_formula_file(self, capsys, tmp_path):
         path = tmp_path / "f.txt"

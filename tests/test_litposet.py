@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obtf import census
-from obtf.boolfn import Formula, ParseError, TruthTable, all_ones, truth_table
+from obtf.boolfn import Formula, Literal, ParseError, TruthTable, all_ones, truth_table
 from obtf.census import enumerate_pn_oracle
 from obtf.litposet import (
     CoverGraph,
@@ -19,7 +19,6 @@ from obtf.litposet import (
     format_poset,
     implication_poset,
     is_pn_member,
-    lit_index,
     parse_poset,
     poset_to_formula,
     poset_to_function,
@@ -33,18 +32,29 @@ def poset_of(n, *relations):
     return LiteralPoset.from_relations(n, relations)
 
 
+def refused(n, rows):
+    """Whether making a LiteralPoset of these rows raises ValueError."""
+    try:
+        LiteralPoset(n, tuple(rows))
+    except ValueError:
+        return True
+    return False
+
+
 class TestMembership:
     def test_antichain(self):
-        assert is_pn_member(LiteralPoset.antichain(2))
+        assert is_pn_member(LiteralPoset.antichain(2).rows)
 
     def test_own_negation_comparable_rejected(self):
-        p = LiteralPoset(1, (0b10, 0))  # x1 < !x1
-        assert not is_pn_member(p)
+        rows = (0b10, 0)  # x1 < !x1
+        assert not is_pn_member(rows)
+        assert refused(1, rows)
 
     def test_negation_symmetry_required(self):
         # x1 < x2 without !x2 < !x1
-        p = LiteralPoset(2, (1 << X2, 0, 0, 0))
-        assert not is_pn_member(p)
+        rows = (1 << X2, 0, 0, 0)
+        assert not is_pn_member(rows)
+        assert refused(2, rows)
 
     def test_transitivity_required(self):
         # x1 < x2 < x3 with duals but without the closing relations
@@ -53,9 +63,11 @@ class TestMembership:
         rows[X2] |= 1 << X3
         rows[NX2] |= 1 << NX1
         rows[NX3] |= 1 << NX2
-        assert not is_pn_member(LiteralPoset(3, tuple(rows)))
-        closed = LiteralPoset(3, transitive_closure(tuple(rows)))
+        assert not is_pn_member(tuple(rows))
+        assert refused(3, rows)
+        closed = transitive_closure(tuple(rows))
         assert is_pn_member(closed)
+        assert LiteralPoset(3, closed).rows == closed
 
     def test_raw_matrix_sweep_n2_finds_exactly_five(self):
         # every irreflexive relation matrix on the 4 literals of n=2
@@ -66,10 +78,71 @@ class TestMembership:
             for (u, v), bit in zip(cells, picks):
                 if bit:
                     rows[u] |= 1 << v
-            p = LiteralPoset(2, tuple(rows))
-            if is_pn_member(p):
-                members.add(p.rows)
+            if is_pn_member(tuple(rows)):
+                members.add(tuple(rows))
         assert len(members) == 5
+
+
+def closure_membership(rows):
+    """The membership test's oracle: irreflexive, no literal comparable
+    to its negation, equal to its own Warshall closure, negation
+    symmetric and antisymmetric."""
+    size = len(rows)
+    for u in range(size):
+        if (rows[u] >> u) & 1:
+            return False
+        if (rows[u] >> (u ^ 1)) & 1:
+            return False
+    if transitive_closure(rows) != rows:
+        return False
+    for u in range(size):
+        for v in range(size):
+            if (rows[u] >> v) & 1:
+                if not (rows[v ^ 1] >> (u ^ 1)) & 1:
+                    return False
+                if (rows[v] >> u) & 1:
+                    return False
+    return True
+
+
+def test_membership_is_the_closure_oracle_on_every_n2_matrix():
+    members = 0
+    for cells in range(1 << 16):
+        rows = tuple((cells >> (4 * u)) & 0b1111 for u in range(4))
+        member = closure_membership(rows)
+        assert is_pn_member(rows) == member
+        assert refused(2, rows) == (not member)
+        members += member
+    assert members == 5
+
+
+@st.composite
+def relation_matrices(draw, max_n=4):
+    """A random relation matrix over the 2n literals, n <= max_n: a few
+    random relations u < v, each with or without its negation dual, the
+    whole either as drawn or transitively closed, so that members and
+    near-members both turn up."""
+    n = draw(st.integers(0, max_n))
+    rows = [0] * (2 * n)
+    if n:
+        literal = st.integers(0, 2 * n - 1)
+        for u, v in draw(st.lists(st.tuples(literal, literal), max_size=6)):
+            rows[u] |= 1 << v
+            if draw(st.booleans()):
+                rows[v ^ 1] |= 1 << (u ^ 1)
+    rows = tuple(rows)
+    if draw(st.booleans()):
+        rows = transitive_closure(rows)
+    return n, rows
+
+
+@settings(max_examples=500, deadline=None)
+@given(matrix=relation_matrices())
+def test_membership_is_the_closure_oracle(matrix):
+    n, rows = matrix
+    member = closure_membership(rows)
+    assert is_pn_member(rows) == member
+    assert refused(n, rows) == (not member)
 
 
 class TestImplicationPoset:
@@ -202,7 +275,7 @@ class TestEnumeration:
     def test_counts(self, n, count):
         ps = list(enumerate_pn(n))
         assert len(ps) == count
-        assert all(is_pn_member(p) for p in ps)
+        assert all(is_pn_member(p.rows) for p in ps)
 
     def test_no_duplicates(self):
         ps = list(enumerate_pn(3))
@@ -234,7 +307,7 @@ def relation_sweep(n):
     orbits = []
     for j in range(2, n + 1):
         for i in range(1, j):
-            xi, xj = lit_index(i, True), lit_index(j, True)
+            xi, xj = Literal(i).index, Literal(j).index
             orbits += [(xi, xj), (xi, xj ^ 1)]
     out = set()
     for states in itertools.product((0, 1, 2), repeat=len(orbits)):
@@ -246,7 +319,7 @@ def relation_sweep(n):
             elif s == 2:
                 rows[v] |= 1 << u
                 rows[u ^ 1] |= 1 << (v ^ 1)
-        if is_pn_member(LiteralPoset(n, tuple(rows))):
+        if is_pn_member(tuple(rows)):
             out.add(tuple(rows))
     return out
 
@@ -275,5 +348,5 @@ class TestPosetText:
 
 
 def test_lit_index_layout():
-    assert [lit_index(1, True), lit_index(1, False)] == [0, 1]
-    assert [lit_index(3, True), lit_index(3, False)] == [4, 5]
+    assert [Literal(1, True).index, Literal(1, False).index] == [0, 1]
+    assert [Literal(3, True).index, Literal(3, False).index] == [4, 5]
