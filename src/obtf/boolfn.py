@@ -30,6 +30,7 @@ __all__ = [
     "is_2sat_definable",
     "is_elementary",
     "is_median_closed",
+    "literal_masks",
     "parse_formula",
     "parse_lines",
     "format_formula",
@@ -79,10 +80,6 @@ class Literal:
         return 2 * (self.var - 1) + (0 if self.positive else 1)
 
     @classmethod
-    def from_index(cls, idx: int) -> "Literal":
-        return cls(idx // 2 + 1, idx % 2 == 0)
-
-    @classmethod
     def from_signed(cls, a: int) -> "Literal":
         if a == 0:
             raise ValueError("0 is not a valid signed literal")
@@ -106,9 +103,6 @@ class Clause:
             a, b = self.second, self.first
             object.__setattr__(self, "first", a)
             object.__setattr__(self, "second", b)
-
-    def literals(self) -> tuple[Literal, Literal]:
-        return (self.first, self.second)
 
     def signed(self) -> tuple[int, int]:
         return (self.first.signed(), self.second.signed())
@@ -187,16 +181,20 @@ def variable_masks(n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def literal_mask(n: int, lit: Literal) -> int:
-    m = variable_masks(n)[lit.var - 1]
-    return m if lit.positive else all_ones(n) ^ m
+@lru_cache(maxsize=None)
+def literal_masks(n: int) -> tuple[int, ...]:
+    """masks[lit.index] has bit a set iff assignment a makes lit true, so
+    masks[u ^ 1] is the complement of masks[u]."""
+    full = all_ones(n)
+    return tuple(m for x in variable_masks(n) for m in (x, full ^ x))
 
 
 def truth_table(f: Formula) -> TruthTable:
     """Evaluate a formula; the empty conjunction is constant True."""
+    masks = literal_masks(f.n)
     bits = all_ones(f.n)
     for c in f.clauses:
-        bits &= literal_mask(f.n, c.first) | literal_mask(f.n, c.second)
+        bits &= masks[c.first.index] | masks[c.second.index]
         if not bits:
             break
     return TruthTable(f.n, bits)
@@ -299,7 +297,8 @@ def all_clauses(n: int) -> tuple[Clause, ...]:
 @lru_cache(maxsize=None)
 def clause_masks(n: int) -> tuple[int, ...]:
     """The satisfying-assignment bitset of every clause, in all_clauses order."""
-    return tuple(literal_mask(n, c.first) | literal_mask(n, c.second) for c in all_clauses(n))
+    masks = literal_masks(n)
+    return tuple(masks[c.first.index] | masks[c.second.index] for c in all_clauses(n))
 
 
 def realize_formula(t: TruthTable) -> Formula:

@@ -46,7 +46,7 @@ from .boolfn import (
     all_ones,
     bits,
     clause_masks,
-    variable_masks,
+    literal_masks,
 )
 from .litposet import ResourceGuardError
 
@@ -173,10 +173,8 @@ def _median_closed_family_dp(n: int) -> frozenset[int]:
     the t0-definable tables there.  Validated against the direct filter
     wherever both run.
     """
-    full = all_ones(n)
-    masks = [*variable_masks(n), *(full ^ m for m in variable_masks(n)), *clause_masks(n)]
-    acc: set[int] = {full}
-    for m in masks:
+    acc: set[int] = {all_ones(n)}
+    for m in (*literal_masks(n), *clause_masks(n)):
         acc |= {v & m for v in acc}
     return frozenset(acc)
 
@@ -237,12 +235,9 @@ def _elementary_lookups(n: int) -> tuple[tuple[int, ...], ...]:
     iff the OR of its byte lookups sets every test bit.  Four bytes hold
     the truth table of every n <= 5.
     """
-    masks = variable_masks(n)
-    full = all_ones(n)
-    tests = [full, *masks, *(full ^ m for m in masks)]
-    for i, j in itertools.combinations(range(n), 2):
-        diff = masks[i] ^ masks[j]
-        tests += [diff, full ^ diff]
+    masks = literal_masks(n)
+    tests = [all_ones(n), *masks]
+    tests += [masks[u] ^ masks[v] for u in range(0, 2 * n, 2) for v in range(u + 2, 2 * n)]
     return tuple(
         tuple(sum(1 << t for t, test in enumerate(tests) if (h << (8 * k)) & test)
               for h in range(256))
@@ -486,6 +481,15 @@ def count(quantity: str, n: int, convention: Optional[str] = None,
 # second route
 
 
+def _transpose(rows: tuple) -> list[int]:
+    """below[v]: the points u with v in rows[u], i.e. the points below v."""
+    below = [0] * len(rows)
+    for u, r in enumerate(rows):
+        for v in bits(r):
+            below[v] |= 1 << u
+    return below
+
+
 def _extensions(rows: tuple, negation: bool) -> list[tuple[int, int]]:
     """Every (D, U) that point j = len(rows) can have below and above it,
     in lexicographic order of the states of points 0..j-1 (0 neither, 1 in
@@ -493,10 +497,7 @@ def _extensions(rows: tuple, negation: bool) -> list[tuple[int, int]]:
     and under negation neither holds a literal with its negation: each a
     condition on a pair of points, checked when the later one is decided."""
     j = len(rows)
-    below = [0] * j
-    for u, r in enumerate(rows):
-        for v in bits(r):
-            below[v] |= 1 << u
+    below = _transpose(rows)
     parts = [(0, 0)]
     for i in range(j):
         bit = 1 << i
@@ -578,10 +579,7 @@ def _child_cover_keys(rows: tuple, extensions, tables: tuple) -> list[int]:
     points of D and the minimal points of U."""
     key, cross, jedge = tables
     j = len(rows)
-    below = [0] * j
-    for u, r in enumerate(rows):
-        for v in bits(r):
-            below[v] |= 1 << u
+    below = _transpose(rows)
     # top[s] and bot[s], the maximal and minimal points of s, from those of
     # s less its lowest point x
     top, bot = [0] * (1 << j), [0] * (1 << j)

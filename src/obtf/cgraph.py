@@ -365,50 +365,28 @@ def graph_of_poset(p: LiteralPoset) -> ColoredGraph:
     return g
 
 
+def _lifted_edges(g: ColoredGraph) -> list[tuple[int, int]]:
+    """Each edge's literal pair (a, b), in g.edges() order: a blue edge
+    {u, v} lifts to x_u -- x_v, a red one to x_u -- not-x_v.  Its
+    negation-symmetric partner is (a ^ 1, b ^ 1), and a < b in both."""
+    return [(2 * (u - 1), 2 * (v - 1) + (color == "R")) for u, v, color in g.edges()]
+
+
 def double_cover(g: ColoredGraph) -> CoverGraph:
     """Lift to the 2n literals: a blue edge joins same-polarity pairs, a
     red edge mixed-polarity pairs; edge count doubles."""
-    edges = set()
-    for u, v in g.blue:
-        pu, pv = 2 * (u - 1), 2 * (v - 1)
-        edges.add((pu, pv))
-        edges.add((pu + 1, pv + 1))
-    for u, v in g.red:
-        pu, pv = 2 * (u - 1), 2 * (v - 1)
-        edges.add((min(pu, pv + 1), max(pu, pv + 1)))
-        edges.add((min(pu + 1, pv), max(pu + 1, pv)))
-    return CoverGraph(g.n, frozenset(edges))
-
-
-def _orientation_seeds(g: ColoredGraph) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
-    """Per edge, the two directed seed-pair options.
-
-    Orienting one lifted edge forces its negation-symmetric partner, so
-    each option carries both directed relations.
-    """
-    seeds = []
-    for u, v, color in g.edges():
-        pu, pv = 2 * (u - 1), 2 * (v - 1)
-        if color == "B":
-            a, b = pu, pv            # x_u -- x_v  and  !x_u -- !x_v
-            a2, b2 = pu + 1, pv + 1
-        else:
-            a, b = pu, pv + 1        # x_u -- !x_v  and  !x_u -- x_v
-            a2, b2 = pu + 1, pv
-        forward = ((a, b), (b2, a2))   # a < b forces not-b < not-a
-        backward = ((b, a), (a2, b2))
-        seeds.append((forward, backward))
-    return seeds
+    return CoverGraph(g.n, frozenset(e for a, b in _lifted_edges(g)
+                                     for e in ((a, b), (a ^ 1, b ^ 1))))
 
 
 def posets_of_graph(g: ColoredGraph) -> list[LiteralPoset]:
     """Exactly the family posets whose colored graph is g.
 
-    Depth-first search over the lifted edges in `_orientation_seeds`
-    order: each level orients one edge (forward first, then backward),
-    adding its two negation-dual relations to a transitively closed
-    relation kept up to date together with its predecessor rows.  A
-    branch is pruned as soon as
+    Depth-first search over the edges in `_lifted_edges` order: each
+    level orients one edge's literal pair (a, b), first as a < b and then
+    as b < a, adding that relation and its negation dual (not-b < not-a,
+    or not-a < not-b) to a transitively closed relation kept up to date
+    together with its predecessor rows.  A branch is pruned as soon as
       - the new relation a < b, or its reverse, is already in the
         closure: either a cycle forms, or a < b is implied and cannot be
         a cover;
@@ -425,7 +403,7 @@ def posets_of_graph(g: ColoredGraph) -> list[LiteralPoset]:
         raise ResourceGuardError(f"orientation sweep capped at |E| <= {EDGE_SWEEP_GUARD}, got {m}")
     size = 2 * g.n
     pos = sum(1 << u for u in range(0, size, 2))   # the positive literals
-    seeds = _orientation_seeds(g)
+    seeds = [(((a, b), (b ^ 1, a ^ 1)), ((b, a), (a ^ 1, b ^ 1))) for a, b in _lifted_edges(g)]
     rows = [0] * size      # rows[u]: literals above u
     preds = [0] * size     # preds[v]: literals below v
     chosen: list[tuple[int, int]] = []

@@ -310,9 +310,9 @@ def cmd_posets(args) -> int:
         elif args.format == "csv":
             rows = []
             for i, b in enumerate(blocks, start=1):
-                for line in b.rstrip("\n").splitlines()[1:]:
-                    a, bb = line.split()
-                    rows.append([i, a, bb])
+                relations = [line.split() for line in b.rstrip("\n").splitlines()[1:]]
+                # the antichain has no relations and still gets a row
+                rows += [[i, a, bb] for a, bb in relations] or [[i, "", ""]]
             sys.stdout.write(_csv_text(["poset", "below", "above"], rows))
         else:
             out = [f"count: {len(blocks)}"]

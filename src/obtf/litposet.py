@@ -14,16 +14,15 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .boolfn import (
-    Clause,
     Formula,
     Literal,
     ParseError,
     TruthTable,
+    all_ones,
     bits,
-    is_elementary,
+    literal_masks,
     parse_lines,
     signed_pair,
-    truth_table,
 )
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "implication_poset",
     "is_pn_member",
     "parse_poset",
-    "poset_to_formula",
     "poset_to_function",
     "transitive_closure",
 ]
@@ -152,34 +150,27 @@ def is_pn_member(rows: tuple[int, ...]) -> bool:
     return True
 
 
-def _clause_seed_relations(c: Clause) -> tuple[tuple[int, int], tuple[int, int]]:
-    """A clause (a or b) asserts not-a < b and not-b < a."""
-    a, b = c.literals()
-    return (
-        (a.negate().index, b.index),
-        (b.negate().index, a.index),
-    )
-
-
 def implication_poset(f: Formula) -> LiteralPoset:
     """The implication order of a formula with an elementary function.
 
-    Seeds u < v for each clause read as implications both ways, adds the
-    negation duals and closes transitively.  Defined only when the
-    formula's function is elementary (ValueError otherwise); for such
-    input the closure is a member of the poset family, which making the
-    LiteralPoset checks.  The elementary test builds a 2^n-bit truth
-    table, so n is capped at IMPLICATION_GUARD first.
+    Seeds not-a < b for each clause (a or b), adds the negation duals and
+    closes transitively.  For a satisfiable formula, x < not-x in the
+    closure exactly when every model sets x false, and u < v < u exactly
+    when u and v agree on every model (Aspvall, Plass and Tarjan, 1979);
+    an unsatisfiable one has some x < not-x < x.  So the closure is a
+    member of the poset family exactly when the function is elementary:
+    making the LiteralPoset decides that, and its refusal becomes the
+    ValueError for non-elementary input.  No truth table is built; n is
+    capped at IMPLICATION_GUARD only as a bound on outside input.
     """
     if f.n > IMPLICATION_GUARD:
         raise ResourceGuardError(
             f"implication poset capped at n <= {IMPLICATION_GUARD} variables, got {f.n}")
-    if not is_elementary(truth_table(f)):
-        raise ValueError("implication poset is defined only for elementary functions")
-    seeds = []
-    for c in f.clauses:
-        seeds.extend(_clause_seed_relations(c))
-    return LiteralPoset.from_relations(f.n, seeds)
+    try:
+        return LiteralPoset.from_relations(
+            f.n, ((c.first.index ^ 1, c.second.index) for c in f.clauses))
+    except ValueError:
+        raise ValueError("implication poset is defined only for elementary functions") from None
 
 
 def cover_rows(rows: tuple[int, ...]) -> list[int]:
@@ -212,20 +203,16 @@ def cover_relations(p: LiteralPoset) -> CoverGraph:
     return CoverGraph(p.n, cover_pairs(p.rows))
 
 
-def poset_to_formula(p: LiteralPoset) -> Formula:
-    """One clause (not-u or v) per relation u < v; the empty poset gives
-    the empty conjunction.  All relations are used, not just covers, so
-    the result does not depend on a choice of generating set."""
-    clauses = []
-    for u, v in p.relation_pairs():
-        lu = Literal.from_index(u).negate()
-        lv = Literal.from_index(v)
-        clauses.append(Clause(lu, lv))
-    return Formula.of(p.n, clauses)
-
-
 def poset_to_function(p: LiteralPoset) -> TruthTable:
-    return truth_table(poset_to_formula(p))
+    """The function of the clauses (not-u or v), one per relation u < v:
+    the AND of masks[u ^ 1] | masks[v] over every relation, not just the
+    covers, so the result does not depend on a choice of generating set.
+    The antichain gives constant True."""
+    masks = literal_masks(p.n)
+    t = all_ones(p.n)
+    for u, v in p.relation_pairs():
+        t &= masks[u ^ 1] | masks[v]
+    return TruthTable(p.n, t)
 
 
 def enumerate_pn(n: int) -> Iterator[LiteralPoset]:

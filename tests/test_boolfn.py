@@ -15,6 +15,7 @@ from obtf.boolfn import (
     is_2sat_definable,
     is_elementary,
     is_median_closed,
+    literal_masks,
     parse_formula,
     realize_formula,
     spine,
@@ -45,10 +46,6 @@ class TestLiteral:
                 assert lit.negate().negate() == lit
                 assert lit.negate().var == var
 
-    def test_index_roundtrip(self):
-        for idx in range(10):
-            assert Literal.from_index(idx).index == idx
-
     def test_signed_roundtrip(self):
         for a in (1, -1, 3, -5):
             assert Literal.from_signed(a).signed() == a
@@ -56,6 +53,18 @@ class TestLiteral:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             Literal.from_signed(0)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_literal_masks_by_definition(n):
+    # the mask of x_v (of not-x_v) holds the assignments a giving x_v the
+    # value True (False), read as bit v-1 of a
+    masks = literal_masks(n)
+    assert len(masks) == 2 * n
+    for v in range(1, n + 1):
+        for positive in (True, False):
+            want = sum(1 << a for a in range(1 << n) if (a >> (v - 1)) & 1 == positive)
+            assert masks[Literal(v, positive).index] == want
 
 
 class TestClause:

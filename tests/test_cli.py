@@ -328,6 +328,22 @@ class TestPosetsCommand:
         assert code == 0
         assert json.loads(out)["count"] == 5
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_csv_lists_every_poset(self, capsys, n):
+        _, out, _ = run(capsys, "posets", "--n", str(n), "--format", "json")
+        posets = json.loads(out)["posets"]
+        code, out, _ = run(capsys, "posets", "--n", str(n), "--format", "csv")
+        assert code == 0
+        header, *lines = out.splitlines()
+        assert header == "poset,below,above"
+        assert {int(line.split(",")[0]) for line in lines} == set(range(1, len(posets) + 1))
+        # one row per relation, and one empty row for a poset without any
+        want = []
+        for i, relations in enumerate(posets, start=1):
+            want += [f"{i},{r.replace(' ', ',')}" for r in relations] or [f"{i},,"]
+        assert lines == want
+        assert lines[0] == "1,,"    # poset 1 is the antichain
+
     def test_each_listed_poset_checked_once(self, capsys, monkeypatch):
         calls = []
         member = litposet.is_pn_member

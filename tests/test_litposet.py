@@ -6,7 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obtf import census
-from obtf.boolfn import Formula, Literal, ParseError, TruthTable, all_ones, truth_table
+from obtf.boolfn import (
+    Clause,
+    Formula,
+    Literal,
+    ParseError,
+    TruthTable,
+    all_clauses,
+    all_ones,
+    is_elementary,
+    truth_table,
+)
 from obtf.census import enumerate_pn_oracle
 from obtf.litposet import (
     CoverGraph,
@@ -20,10 +30,11 @@ from obtf.litposet import (
     implication_poset,
     is_pn_member,
     parse_poset,
-    poset_to_formula,
     poset_to_function,
     transitive_closure,
 )
+
+from test_boolfn import all_formulas
 
 X1, NX1, X2, NX2, X3, NX3 = range(6)
 
@@ -163,6 +174,39 @@ class TestImplicationPoset:
         with pytest.raises(ValueError, match="elementary"):
             implication_poset(f)
 
+    def test_refused_exactly_off_elementary_on_every_small_formula(self):
+        checked = 0
+        for n in range(4):
+            for f in all_formulas(n):
+                assert implication_refused(f) == (not is_elementary(truth_table(f)))
+                checked += 1
+        assert checked == 4114
+
+
+def implication_refused(f):
+    """Whether implication_poset raises ValueError on f."""
+    try:
+        implication_poset(f)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def formulas(draw, max_n=7):
+    """A formula on n <= max_n variables with up to 2n random clauses, so
+    that elementary and non-elementary functions both come up."""
+    n = draw(st.integers(0, max_n))
+    clauses = all_clauses(n)
+    chosen = draw(st.lists(st.sampled_from(clauses), max_size=2 * n)) if clauses else []
+    return Formula.of(n, chosen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=formulas())
+def test_implication_poset_refused_exactly_off_elementary(f):
+    assert implication_refused(f) == (not is_elementary(truth_table(f)))
+
 
 class TestCoverRelations:
     def test_height_one_relations_are_covers(self):
@@ -259,15 +303,17 @@ class TestPosetToFunction:
         t = poset_to_function(poset_of(2, (X1, X2)))
         assert t == TruthTable(2, 0b1101)
 
-    def test_formula_uses_all_relations(self):
-        p = poset_of(3, (X1, X2), (X2, X3))
-        f = poset_to_formula(p)
-        # three relations up to duality: x1<x2, x2<x3, x1<x3
-        assert len(f.clauses) == 3
+    @pytest.mark.parametrize("n", range(4))
+    def test_is_the_clause_route(self, n):
+        # the oracle: one Clause (not-u or v) per relation u < v, every
+        # relation rather than just the covers, evaluated by truth_table
+        def literal(i):
+            return Literal(i // 2 + 1, i % 2 == 0)
 
-    def test_roundtrip_through_own_formula(self):
-        for p in enumerate_pn(3):
-            assert implication_poset(poset_to_formula(p)) == p
+        for p in enumerate_pn(n):
+            f = Formula.of(n, (Clause(literal(u).negate(), literal(v))
+                               for u, v in p.relation_pairs()))
+            assert poset_to_function(p) == truth_table(f)
 
 
 class TestEnumeration:
