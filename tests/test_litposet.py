@@ -303,17 +303,30 @@ class TestPosetToFunction:
         t = poset_to_function(poset_of(2, (X1, X2)))
         assert t == TruthTable(2, 0b1101)
 
+    def test_formula_uses_all_relations(self):
+        p = poset_of(3, (X1, X2), (X2, X3))
+        f = relation_formula(p)
+        # three relations up to duality: x1<x2, x2<x3, x1<x3
+        assert len(f.clauses) == 3
+
+    def test_roundtrip_through_own_formula(self):
+        for p in enumerate_pn(3):
+            assert implication_poset(relation_formula(p)) == p
+
     @pytest.mark.parametrize("n", range(4))
     def test_is_the_clause_route(self, n):
-        # the oracle: one Clause (not-u or v) per relation u < v, every
-        # relation rather than just the covers, evaluated by truth_table
-        def literal(i):
-            return Literal(i // 2 + 1, i % 2 == 0)
-
         for p in enumerate_pn(n):
-            f = Formula.of(n, (Clause(literal(u).negate(), literal(v))
-                               for u, v in p.relation_pairs()))
-            assert poset_to_function(p) == truth_table(f)
+            assert poset_to_function(p) == truth_table(relation_formula(p))
+
+
+def relation_formula(p):
+    """The oracle formula of p: one Clause (not-u or v) per relation u < v,
+    every relation rather than just the covers."""
+    def literal(i):
+        return Literal(i // 2 + 1, i % 2 == 0)
+
+    return Formula.of(p.n, (Clause(literal(u).negate(), literal(v))
+                            for u, v in p.relation_pairs()))
 
 
 class TestEnumeration:
