@@ -325,26 +325,12 @@ def _obtf_count_rec(nbr: list[int], blue: list[int], k: int, pairs, memo: dict) 
     return total
 
 
-def _obtf_prefix_count(n: int, prefix: tuple = ()) -> int:
-    """Completions of one state prefix (0 absent, 1 red, 2 blue; 0 if the
-    prefix itself already contains an odd-blue triangle); the engine
-    counts the empty prefix.  Branch over pairs in colex order and cut a
-    branch the moment a completed triangle is odd-blue (deleting edges
-    preserves the property, so pruning is sound), with one memo per call."""
+def _obtf_count(n: int) -> int:
+    """F(n): branch over pairs in colex order and cut a branch the moment
+    a completed triangle is odd-blue (deleting edges preserves the
+    property, so pruning is sound), with one memo per call."""
     pairs = [(a - 1, b - 1) for a, b in cgraph.pairs_colex(n)]
-    nbr, blue = [0] * n, [0] * n
-    for (a, b), s in zip(pairs, prefix):
-        if not s:
-            continue
-        common = nbr[a] & nbr[b]
-        if (blue[a] ^ blue[b]) & common != (common if s == 2 else 0):
-            return 0
-        nbr[a] |= 1 << b
-        nbr[b] |= 1 << a
-        if s == 2:
-            blue[a] |= 1 << b
-            blue[b] |= 1 << a
-    return _obtf_count_rec(nbr, blue, len(prefix), pairs, {})
+    return _obtf_count_rec([0] * n, [0] * n, 0, pairs, {})
 
 
 def _sweep_count(n: int, keep) -> int:
@@ -406,11 +392,12 @@ ENGINES = {
         "median-dp": (lambda n, t0: _elementary_count(n, _definable_tables_fast(n, t0)), 5),
     },
     "Pn": {
-        "orientation-sweep": (lambda n, _t0: sum(1 for _ in litposet.enumerate_pn(n)),
+        "orientation-sweep": (lambda n, _t0: sum(len(cgraph.poset_rows_of_graph(g)) for g in
+                              cgraph.enumerate_colored_graphs(n) if cgraph.is_obtf(g)),
                               litposet.P_N_GUARD),
     },
     "F": {
-        "dfs-prune": (lambda n, _t0: _obtf_prefix_count(n), 7),
+        "dfs-prune": (lambda n, _t0: _obtf_count(n), 7),
         "flat-sweep": (lambda n, _t0: _sweep_count(n, cgraph.is_obtf), 5),
     },
     "B": {
@@ -490,14 +477,13 @@ def _transpose(rows: tuple) -> list[int]:
     return below
 
 
-def _extensions(rows: tuple, negation: bool) -> list[tuple[int, int]]:
+def _extensions(rows: tuple, below: list[int], negation: bool) -> list[tuple[int, int]]:
     """Every (D, U) that point j = len(rows) can have below and above it,
     in lexicographic order of the states of points 0..j-1 (0 neither, 1 in
     D, 2 in U).  D is down-closed, U up-closed, all of D below all of U,
     and under negation neither holds a literal with its negation: each a
     condition on a pair of points, checked when the later one is decided."""
     j = len(rows)
-    below = _transpose(rows)
     parts = [(0, 0)]
     for i in range(j):
         bit = 1 << i
@@ -547,13 +533,13 @@ def _grow(level, j: int, negation: bool):
     if not negation:
         for rows in level:
             yield from [tuple(map(or_, rows, under[d])) + (u,)
-                        for d, u in _extensions(rows, False)]
+                        for d, u in _extensions(rows, _transpose(rows), False)]
         return
     flip = [sum(((s >> x) & 1) << (x ^ 1) for x in range(j)) for s in range(1 << j)]
     under1 = [tuple(b << 1 for b in row) for row in under]
     for rows in level:
         yield from [tuple(map(or_, map(or_, rows, under[d]), under1[flip[u]])) + (u, flip[d])
-                    for d, u in _extensions(rows, True)]
+                    for d, u in _extensions(rows, _transpose(rows), True)]
 
 
 def _cover_key_tables(m: int) -> tuple[list, list, list]:
@@ -569,7 +555,7 @@ def _cover_key_tables(m: int) -> tuple[list, list, list]:
     return key, cross, key[j][:1 << j]
 
 
-def _child_cover_keys(rows: tuple, extensions, tables: tuple) -> list[int]:
+def _child_cover_keys(rows: tuple, below: list[int], extensions, tables: tuple) -> list[int]:
     """The cover key of each order that grows from rows by point j =
     len(rows), one per (D, U) of extensions, from the key of rows itself.
 
@@ -579,7 +565,6 @@ def _child_cover_keys(rows: tuple, extensions, tables: tuple) -> list[int]:
     points of D and the minimal points of U."""
     key, cross, jedge = tables
     j = len(rows)
-    below = _transpose(rows)
     # top[s] and bot[s], the maximal and minimal points of s, from those of
     # s less its lowest point x
     top, bot = [0] * (1 << j), [0] * (1 << j)
@@ -609,7 +594,8 @@ def posets_per_cover_graph(m: int) -> tuple[int, frozenset[tuple[int, int]]]:
     groups: dict[int, int] = {}
     best = (0, 0)
     for rows in strict_orders(m - 1):
-        for graph in _child_cover_keys(rows, _extensions(rows, False), tables):
+        below = _transpose(rows)
+        for graph in _child_cover_keys(rows, below, _extensions(rows, below, False), tables):
             k = groups[graph] = groups.get(graph, 0) + 1
             if k > best[0]:
                 best = (k, graph)
@@ -618,7 +604,7 @@ def posets_per_cover_graph(m: int) -> tuple[int, frozenset[tuple[int, int]]]:
 
 def enumerate_pn_oracle(n: int) -> list[litposet.LiteralPoset]:
     """Pn by the order search on the 2n literals: Pn's second route,
-    independent of the graph-driven enumerate_pn.  Each order is checked
+    independent of the graph-driven cgraph.enumerate_pn.  Each order is checked
     for membership once, when its LiteralPoset is made."""
     if n > litposet.P_N_GUARD:
         raise ResourceGuardError(

@@ -4,7 +4,7 @@ Covers the graph side of the toolkit: odd-blue-triangle freeness,
 blue-bipartitions (balance of the associated signed graph), the minimum
 vertex/edge deletions to reach blue-bipartiteness, triangle components,
 the literal-level double cover, and the exact set of literal posets whose
-cover structure matches a given graph.
+cover structure matches a given graph, graph by graph the poset family.
 
 Vertices are labelled 1..n.  Edges are unordered (u, v) pairs stored with
 u < v; the fixed global edge order is colex: (1,2), (1,3), (2,3), (1,4), ...
@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 
 from . import litposet
 from .boolfn import ParseError, parse_lines
-from .litposet import CoverGraph, LiteralPoset, ResourceGuardError
+from .litposet import P_N_GUARD, CoverGraph, LiteralPoset, ResourceGuardError
 
 __all__ = [
     "Bipartition",
@@ -31,17 +31,20 @@ __all__ = [
     "check_closed_walks",
     "double_cover",
     "enumerate_colored_graphs",
+    "enumerate_pn",
     "eta",
     "find_blue_bipartition",
     "find_odd_nonsimple_walk",
     "format_colored_graph",
     "gamma",
+    "graph_of_covers",
     "graph_of_poset",
     "is_obtf",
     "is_triangle_connected",
     "kappa",
     "pairs_colex",
     "parse_colored_graph",
+    "poset_rows_of_graph",
     "posets_of_graph",
     "triangle_components",
     "triangles",
@@ -339,14 +342,18 @@ def is_triangle_connected(g: ColoredGraph) -> bool:
 
 
 def graph_of_poset(p: LiteralPoset) -> ColoredGraph:
-    """The colored graph of a family poset: covers between same-polarity
-    literals become blue edges, mixed-polarity covers red ones.
+    """The colored graph of a family poset: graph_of_covers of its covers."""
+    return graph_of_covers(litposet.cover_relations(p))
+
+
+def graph_of_covers(covers: CoverGraph) -> ColoredGraph:
+    """The colored graph of a family poset's covering pairs: same-polarity
+    covers become blue edges, mixed-polarity ones red edges.
 
     Raises if a vertex pair would need both colors or if the result has an
     odd-blue triangle; both are impossible for family members, so either
     signals a bug.
     """
-    covers = litposet.cover_relations(p)
     color: dict[tuple[int, int], str] = {}
     for u, v in covers.edges:
         i, j = u // 2 + 1, v // 2 + 1
@@ -356,7 +363,7 @@ def graph_of_poset(p: LiteralPoset) -> ColoredGraph:
             raise AssertionError(f"vertex pair {key} demands both red and blue")
         color[key] = want
     g = ColoredGraph(
-        p.n,
+        covers.n,
         frozenset(e for e, c in color.items() if c == "R"),
         frozenset(e for e, c in color.items() if c == "B"),
     )
@@ -379,8 +386,8 @@ def double_cover(g: ColoredGraph) -> CoverGraph:
                                      for e in ((a, b), (a ^ 1, b ^ 1))))
 
 
-def posets_of_graph(g: ColoredGraph) -> list[LiteralPoset]:
-    """Exactly the family posets whose colored graph is g.
+def poset_rows_of_graph(g: ColoredGraph) -> list[tuple[int, ...]]:
+    """Sorted closure rows of exactly the family posets whose colored graph is g.
 
     Depth-first search over the edges in `_lifted_edges` order: each
     level orients one edge's literal pair (a, b), first as a < b and then
@@ -433,7 +440,7 @@ def posets_of_graph(g: ColoredGraph) -> list[LiteralPoset]:
 
     def extend(k: int) -> None:
         if k == m:
-            found.append(LiteralPoset(g.n, tuple(rows)))
+            found.append(tuple(rows))
             return
         saved_rows, saved_preds, depth = rows[:], preds[:], len(chosen)
         for (a, b), (a2, b2) in seeds[k]:
@@ -448,8 +455,29 @@ def posets_of_graph(g: ColoredGraph) -> list[LiteralPoset]:
             del chosen[depth:]
 
     extend(0)
-    found.sort(key=lambda p: p.rows)
+    found.sort()
     return found
+
+
+def posets_of_graph(g: ColoredGraph) -> list[LiteralPoset]:
+    """Exactly the family posets whose colored graph is g, in row order."""
+    return [LiteralPoset(g.n, rows) for rows in poset_rows_of_graph(g)]
+
+
+def enumerate_pn(n: int) -> Iterator[LiteralPoset]:
+    """All members of the poset family on n variables, each exactly once.
+
+    Walks colored graphs in their fixed enumeration order and emits each
+    graph's posets; the graph map partitions the family, so no
+    deduplication is needed.  Graphs with an odd-blue triangle are skipped
+    outright (they admit no poset; the all-graphs verification sweep
+    re-checks that claim at small n on every run).
+    """
+    if n > P_N_GUARD:
+        raise ResourceGuardError(f"poset enumeration capped at n <= {P_N_GUARD}, got {n}")
+    for g in enumerate_colored_graphs(n):
+        if is_obtf(g):
+            yield from posets_of_graph(g)
 
 
 def find_odd_nonsimple_walk(g: ColoredGraph, max_len: int = 5):

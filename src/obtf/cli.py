@@ -302,7 +302,7 @@ def cmd_posets(args) -> int:
         return EXIT_OK
     if args.n is not None:
         n = args.n
-        blocks = [litposet.format_poset(p) for p in litposet.enumerate_pn(n)]
+        blocks = [litposet.format_poset(p) for p in cgraph.enumerate_pn(n)]
         if args.format == "json":
             payload = {"n": n, "count": len(blocks),
                        "posets": [b.rstrip("\n").splitlines()[1:] for b in blocks]}

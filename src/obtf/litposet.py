@@ -34,7 +34,6 @@ __all__ = [
     "cover_pairs",
     "cover_rows",
     "cover_relations",
-    "enumerate_pn",
     "format_poset",
     "implication_poset",
     "is_pn_member",
@@ -213,25 +212,6 @@ def poset_to_function(p: LiteralPoset) -> TruthTable:
     for u, v in p.relation_pairs():
         t &= masks[u ^ 1] | masks[v]
     return TruthTable(p.n, t)
-
-
-def enumerate_pn(n: int) -> Iterator[LiteralPoset]:
-    """All members of the poset family on n variables, each exactly once.
-
-    Walks colored graphs in their fixed enumeration order and emits each
-    graph's posets; the graph map partitions the family, so no
-    deduplication is needed.  Graphs with an odd-blue triangle are skipped
-    outright (they admit no poset; the all-graphs verification sweep
-    re-checks that claim at small n on every run).
-    """
-    if n > P_N_GUARD:
-        raise ResourceGuardError(f"poset enumeration capped at n <= {P_N_GUARD}, got {n}")
-    from . import cgraph
-
-    for g in cgraph.enumerate_colored_graphs(n):
-        if not cgraph.is_obtf(g):
-            continue
-        yield from cgraph.posets_of_graph(g)
 
 
 def parse_poset(text: str) -> LiteralPoset:

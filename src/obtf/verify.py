@@ -43,10 +43,11 @@ class CheckResult:
 
 class Run:
     """What the checks of one verify run share: the seed, the --big flag,
-    and one memo of census values, of each graph's posets and of the poset
-    family per n, so each is computed once per run.  Made per run, never
-    module-wide, and census.count and cgraph.posets_of_graph are looked
-    up at each call, so a patched one is seen; a raise is never stored."""
+    and one memo of census values, of each graph's poset rows and of the
+    poset family per n, so each is computed once per run and only the
+    family makes LiteralPosets.  Made per run, never module-wide, and
+    census.count and cgraph.poset_rows_of_graph are looked up at each
+    call, so a patched one is seen; a raise is never stored."""
 
     def __init__(self, seed: int = DEFAULT_SEED, big: bool = False):
         self.seed, self.big = seed, big
@@ -62,15 +63,18 @@ class Run:
         key = (quantity, n, convention, method or census.default_method(quantity, n))
         return self._once(key, lambda: census.count(*key).value)
 
-    def posets(self, g: cgraph.ColoredGraph) -> list[litposet.LiteralPoset]:
-        return self._once(("posets", g), lambda: cgraph.posets_of_graph(g))
+    def rows(self, g: cgraph.ColoredGraph) -> list[tuple[int, ...]]:
+        return self._once(("rows", g), lambda: cgraph.poset_rows_of_graph(g))
+
+    def family_rows(self, n: int) -> list[tuple[int, ...]]:
+        """The poset family's rows on n variables in cgraph.enumerate_pn's
+        order: the rows of each odd-blue-triangle-free graph in turn."""
+        return [r for g in cgraph.enumerate_colored_graphs(n)
+                if cgraph.is_obtf(g) for r in self.rows(g)]
 
     def family(self, n: int) -> list[litposet.LiteralPoset]:
-        """The poset family on n variables in litposet.enumerate_pn's order:
-        the posets of each odd-blue-triangle-free graph in turn."""
         return self._once(("family", n), lambda: [
-            p for g in cgraph.enumerate_colored_graphs(n)
-            if cgraph.is_obtf(g) for p in self.posets(g)])
+            litposet.LiteralPoset(n, r) for r in self.family_rows(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +136,7 @@ def _triangle_connected_two_posets(n: int, run: Run) -> Iterator[CheckResult]:
             continue
         if not cgraph.is_triangle_connected(g):
             continue
-        k = len(run.posets(g))
+        k = len(run.rows(g))
         if k > 2:
             bad = g
             break
@@ -159,7 +163,7 @@ def _poset_count_bounds(n: int, run: Run) -> Iterator[CheckResult]:
     """|posets| <= 2^eta <= (2n)! over all graphs."""
     bound_fact = factorial(2 * n)
     for g in cgraph.enumerate_colored_graphs(n):
-        k = len(run.posets(g))
+        k = len(run.rows(g))
         e = 1 << cgraph.eta(g)
         if not k <= e <= bound_fact:
             yield CheckResult("poset-count-bounds", f"n={n}", "FAIL",
@@ -198,8 +202,9 @@ def check_poset_graph_properties(n: int, run: Run) -> Iterator[CheckResult]:
                           "family enumeration came back empty")
         return
     for p in posets:
-        g = cgraph.graph_of_poset(p)  # raises on two-color demand or odd-blue
-        if cgraph.double_cover(g) != litposet.cover_relations(p):
+        covers = litposet.cover_relations(p)
+        g = cgraph.graph_of_covers(covers)  # raises on two-color demand or odd-blue
+        if cgraph.double_cover(g) != covers:
             yield CheckResult(
                 "poset-graph-properties", f"n={n}", "FAIL",
                 "double cover differs from cover relations",
@@ -270,7 +275,7 @@ def check_partition_law(n: int, run: Run) -> Iterator[CheckResult]:
     with an odd-blue triangle contributes zero."""
     total = 0
     for g in cgraph.enumerate_colored_graphs(n):
-        k = len(run.posets(g))
+        k = len(run.rows(g))
         if k and not cgraph.is_obtf(g):
             yield CheckResult(
                 "graph-partition-law", f"n={n}", "FAIL",
@@ -354,10 +359,10 @@ def check_bb_coherence(n: int, run: Run) -> Iterator[CheckResult]:
 
 
 def check_pn_oracle(n: int, run: Run) -> Iterator[CheckResult]:
-    """Graph-driven family enumeration equals census.enumerate_pn_oracle,
-    the order search on the 2n literals, as sets; n = 5 holds both
-    families of 138,057 posets at once."""
-    via_graphs = {p.rows for p in run.family(n)}
+    """The graph-driven family's rows equal, as a set, those of the order
+    search on the 2n literals, census.enumerate_pn_oracle, which checks
+    each as it makes its LiteralPoset: so both sets hold only members."""
+    via_graphs = set(run.family_rows(n))
     via_orders = {p.rows for p in census.enumerate_pn_oracle(n)}
     # the label says "sweep" because the pinned output digests include it
     yield CheckResult("poset-enumeration-oracle", f"n={n}", _verdict(via_graphs == via_orders),
@@ -428,7 +433,7 @@ def run_suites(ns: Iterable[int], seed: int = DEFAULT_SEED,
                big: bool = False) -> list[CheckResult]:
     """Every verify check over the requested sizes: the identity checks,
     then the property suites per size.  All of them share one Run, so each
-    census value, each graph's posets and each family is computed once.
+    census value, each graph's poset rows and each family is computed once.
     Each check runs at the sizes its _CHECKS row gives under big.
     """
     return _run_checks(_CHECKS, ns, Run(seed, big))

@@ -71,7 +71,7 @@ def test_criterion_1_exact_baselines():
     pn2_oracle = relation_matrix_sweep_n2()
     assert len(pn2_oracle) == 5
     assert census.count("Pn", 2).value == 5
-    assert {p.rows for p in litposet.enumerate_pn(2)} == pn2_oracle
+    assert {p.rows for p in cgraph.enumerate_pn(2)} == pn2_oracle
 
     for n, expect in ((2, 3), (3, 23)):
         assert census.count("F", n, method="flat-sweep").value == expect
@@ -136,7 +136,7 @@ def test_criterion_5_bijection_and_roundtrip():
         h = census.count("H", n, "t0").value
         assert pn == h, (n, pn, h)
     count = 0
-    for p in litposet.enumerate_pn(3):
+    for p in cgraph.enumerate_pn(3):
         t = litposet.poset_to_function(p)
         assert is_elementary(t)
         assert litposet.implication_poset(realize_formula(t)) == p
@@ -149,7 +149,7 @@ def test_criterion_5_bijection_and_roundtrip():
 def test_criterion_6_graph_map_properties():
     checked = 0
     for n in (1, 2, 3):
-        for p in litposet.enumerate_pn(n):
+        for p in cgraph.enumerate_pn(n):
             g = cgraph.graph_of_poset(p)   # raises on any two-color demand
             assert cgraph.double_cover(g) == litposet.cover_relations(p)
             assert cgraph.is_obtf(g)

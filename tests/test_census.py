@@ -21,7 +21,7 @@ from obtf.census import (
     record_checksum,
     strict_orders,
 )
-from obtf.litposet import ResourceGuardError
+from obtf.litposet import LiteralPoset, ResourceGuardError
 from obtf.verify import verify_identities
 
 # Values below were first computed by the flat-sweep oracles (and by hand
@@ -137,6 +137,14 @@ class TestPosetCount:
 
     def test_n5(self):
         assert count("Pn", 5).value == PN_5
+
+    def test_counts_without_making_posets(self, monkeypatch):
+        # the engine sums the orientation search's row counts, so it
+        # makes no LiteralPoset and runs no membership check
+        made = []
+        monkeypatch.setattr(LiteralPoset, "__post_init__", lambda p: made.append(p))
+        assert count("Pn", 4).value == PN[4]
+        assert made == []
 
 
 class TestObtfCount:
@@ -441,9 +449,11 @@ class TestCoverGraphQuestion:
         from obtf.litposet import cover_pairs
 
         tables = census._cover_key_tables(m)
-        grown = [key for rows in strict_orders(m - 1)
-                 for key in census._child_cover_keys(rows, census._extensions(rows, False),
-                                                      tables)]
+        grown = []
+        for rows in strict_orders(m - 1):
+            below = census._transpose(rows)
+            grown += census._child_cover_keys(rows, below, census._extensions(rows, below, False),
+                                              tables)
         assert grown == [sum(1 << (u * m + v) for u, v in cover_pairs(rows))
                          for rows in strict_orders(m)]
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from obtf import census
 from obtf.boolfn import TruthTable, is_elementary
-from obtf.cgraph import enumerate_colored_graphs, is_obtf, pairs_colex
 
 
 def _is_elementary_fast(n: int, bits: int) -> bool:
@@ -40,24 +39,6 @@ def truth_tables(draw):
 def test_elementary_filter_on_random_tables(table):
     n, bits = table
     assert _is_elementary_fast(n, bits) == is_elementary(TruthTable(n, bits))
-
-
-def _obtf_states(n: int) -> list[tuple[int, ...]]:
-    """Pair states (0 absent, 1 red, 2 blue, colex order) of every OBTF
-    graph, from the flat sweep."""
-    pairs = pairs_colex(n)
-    return [tuple(1 if p in g.red else 2 if p in g.blue else 0 for p in pairs)
-            for g in enumerate_colored_graphs(n) if is_obtf(g)]
-
-
-@pytest.mark.parametrize("n", range(6))
-def test_obtf_prefix_count_matches_the_sweep(n):
-    states = _obtf_states(n)
-    depth = min(1 if n == 5 else 3, len(pairs_colex(n)))
-    for d in range(depth + 1):
-        for prefix in itertools.product((0, 1, 2), repeat=d):
-            expected = sum(1 for s in states if s[:d] == prefix)
-            assert census._obtf_prefix_count(n, prefix) == expected, prefix
 
 
 def test_f7():

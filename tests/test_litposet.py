@@ -18,6 +18,7 @@ from obtf.boolfn import (
     truth_table,
 )
 from obtf.census import enumerate_pn_oracle
+from obtf.cgraph import enumerate_pn
 from obtf.litposet import (
     CoverGraph,
     LiteralPoset,
@@ -25,7 +26,6 @@ from obtf.litposet import (
     cover_pairs,
     cover_relations,
     cover_rows,
-    enumerate_pn,
     format_poset,
     implication_poset,
     is_pn_member,
@@ -287,8 +287,9 @@ def test_child_cover_key_is_the_childs_cover_key(child):
     rows = tuple(r & ~(1 << j) for r in child[:j])
     d = sum((r >> j & 1) << x for x, r in enumerate(child[:j]))
     u = child[j]
-    assert (d, u) in census._extensions(rows, False)
-    assert (census._child_cover_keys(rows, [(d, u)], cover_key_tables(j + 1))
+    below = census._transpose(rows)
+    assert (d, u) in census._extensions(rows, below, False)
+    assert (census._child_cover_keys(rows, below, [(d, u)], cover_key_tables(j + 1))
             == [sum(1 << (a * (j + 1) + b) for a, b in cover_pairs(child))])
 
 

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from obtf import boolfn, cgraph, census, cli, verify
+from obtf import boolfn, cgraph, census, cli, litposet, verify
 
 
 def test_default_suites_all_pass():
@@ -83,8 +83,8 @@ def test_walks_suite_small():
 
 
 @pytest.mark.parametrize("module,name,failing", [
-    (cgraph, "posets_of_graph", ["poset-function-bijection", "triangle-connected-two-posets",
-                                 "poset-count-bounds", "graph-partition-law"]),
+    (cgraph, "poset_rows_of_graph", ["poset-function-bijection", "triangle-connected-two-posets",
+                                     "poset-count-bounds", "graph-partition-law"]),
     (census, "_bb_closed_form", ["bb-closed-form", "ratio-table", "engine-agreement"]),
 ])
 def test_crashing_check_prints_fail_lines(monkeypatch, capsys, module, name, failing):
@@ -121,14 +121,14 @@ def test_each_value_counted_once(monkeypatch, capsys):
 
 
 def test_each_graph_listed_once(monkeypatch, capsys):
-    # the Pn engine's own enumerate_pn pass, inside census.count, is
-    # counted apart from the lists verify's checks ask for
+    # the Pn engine's own orientation searches, inside census.count, are
+    # counted apart from the searches verify's checks ask for
     listed, engine_listed, in_engine = Counter(), Counter(), []
-    real_posets, real_count = cgraph.posets_of_graph, census.count
+    real_rows, real_count = cgraph.poset_rows_of_graph, census.count
 
-    def posets_spy(g):
+    def rows_spy(g):
         (engine_listed if in_engine else listed)[g] += 1
-        return real_posets(g)
+        return real_rows(g)
 
     def count_spy(*args, **kwargs):
         in_engine.append(True)
@@ -137,7 +137,7 @@ def test_each_graph_listed_once(monkeypatch, capsys):
         finally:
             in_engine.pop()
 
-    monkeypatch.setattr(cgraph, "posets_of_graph", posets_spy)
+    monkeypatch.setattr(cgraph, "poset_rows_of_graph", rows_spy)
     monkeypatch.setattr(census, "count", count_spy)
     monkeypatch.delenv("OBTF_CACHE", raising=False)
     assert cli.main(["verify", "--range", "1..4", "--format", "json"]) == 0
@@ -179,9 +179,40 @@ def test_run_memo_sees_a_patch_and_keeps_no_error(monkeypatch):
             raise AssertionError("first call fails")
         return ["listed"]
 
-    monkeypatch.setattr(cgraph, "posets_of_graph", flaky)
+    monkeypatch.setattr(cgraph, "poset_rows_of_graph", flaky)
     run, g = verify.Run(), cgraph.ColoredGraph.of(2, blue=[(1, 2)])
     with pytest.raises(AssertionError):
-        run.posets(g)
-    assert run.posets(g) == run.posets(g) == ["listed"]
+        run.rows(g)
+    assert run.rows(g) == run.rows(g) == ["listed"]
     assert len(calls) == 2
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """Every LiteralPoset made, as (n, rows), counted."""
+    made, real = Counter(), litposet.LiteralPoset.__post_init__
+
+    def spy(p):
+        made[p.n, p.rows] += 1
+        real(p)
+
+    monkeypatch.setattr(litposet.LiteralPoset, "__post_init__", spy)
+    return made
+
+
+def test_each_family_poset_made_once(made):
+    assert not [c for c in verify.run_suites(range(1, 5)) if c.failed]
+    # each poset of P4 is made for the family the property suites walk
+    # and again as the roundtrip's implication poset; nothing else makes
+    # one, the Pn engine's count included
+    family4 = {rows for n, rows in made if n == 4}
+    assert len(family4) == 2153
+    assert {made[4, rows] for rows in family4} == {2}
+    assert sum(made.values()) == 4873
+
+
+def test_pn_oracle_makes_only_the_oracles_posets(made):
+    [check] = verify.check_pn_oracle(3, verify.Run())
+    assert check.status == "PASS"
+    assert sum(made.values()) == 69      # the graph side compares rows
+    assert set(made.values()) == {1}
