@@ -136,56 +136,35 @@ class CensusRecord:
 # G and H: function counting
 
 
-def _nonempty_or_closure(masks: list[int]) -> set[int]:
-    """All ORs of nonempty subsets, deduplicated incrementally.
-
-    Equivalent to sweeping every clause subset: after processing mask k
-    the set holds exactly the ORs of nonempty subsets of the first k
-    masks."""
-    acc: set[int] = set()
-    for m in masks:
-        acc |= {v | m for v in acc}
-        acc.add(m)
-    return acc
-
-
-def definable_tables(n: int, allow_empty: bool) -> frozenset[int]:
-    """Bitsets of every function realizable by a formula (clause-subset
-    sweep route)."""
-    cap = ENGINES["G"]["clause-sweep"][1]
-    if n > cap:
-        raise ResourceGuardError(f"clause sweep capped at n <= {cap}, got {n}")
-    full = all_ones(n)
-    tables = {full & ~viol
-              for viol in _nonempty_or_closure([full & ~m for m in clause_masks(n)])}
-    if allow_empty:
-        tables.add(full)
-    return frozenset(tables)
-
-
 @lru_cache(maxsize=None)
-def _median_closed_family_dp(n: int) -> frozenset[int]:
-    """All median-closed subsets of {0,1}^n as solution sets of unit- and
-    two-clause conjunctions (conjunction-closure dynamic program).
-
-    Units make every median-closed set reachable; for n >= 2 they are
-    syntactic sugar (a unit is two proper clauses), so the family equals
-    the t0-definable tables there.  Validated against the direct filter
-    wherever both run.
-    """
+def _conjunctions(n: int, units: bool) -> frozenset[int]:
+    """The tables of all conjunctions of two-clauses, and of unit clauses
+    too if units is set, the empty one included: after mask k the set
+    holds the ANDs of all-ones with every subset of the first k masks.
+    Units make every median-closed set reachable; from n = 2 on a unit is
+    two proper clauses, so both families are the t0-definable tables."""
     acc: set[int] = {all_ones(n)}
-    for m in (*literal_masks(n), *clause_masks(n)):
+    for m in (*(literal_masks(n) if units else ()), *clause_masks(n)):
         acc |= {v & m for v in acc}
     return frozenset(acc)
 
 
+def definable_tables(n: int, allow_empty: bool) -> frozenset[int]:
+    """Bitsets of every function realizable by a formula (clause-sweep
+    route).  No clause holds on every assignment, so only the empty
+    formula reaches the all-ones table."""
+    cap = ENGINES["G"]["clause-sweep"][1]
+    if n > cap:
+        raise ResourceGuardError(f"clause sweep capped at n <= {cap}, got {n}")
+    tables = _conjunctions(n, False)
+    return tables if allow_empty else tables - {all_ones(n)}
+
+
 def _definable_tables_fast(n: int, allow_empty: bool) -> frozenset[int]:
-    family = _median_closed_family_dp(n)
     if n < 2:
         return frozenset({all_ones(n)}) if allow_empty else frozenset()
-    if allow_empty:
-        return family
-    return family - {all_ones(n)}
+    family = _conjunctions(n, True)
+    return family if allow_empty else family - {all_ones(n)}
 
 
 @lru_cache(maxsize=None)

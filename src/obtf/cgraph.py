@@ -21,14 +21,11 @@ from .boolfn import ParseError, parse_lines
 from .litposet import P_N_GUARD, CoverGraph, LiteralPoset, ResourceGuardError
 
 __all__ = [
-    "Bipartition",
     "ColoredGraph",
-    "TriangleComponents",
     "KAPPA_GUARD",
     "EDGE_SWEEP_GUARD",
     "VERTEX_GUARD",
     "bipartition_sweep",
-    "check_closed_walks",
     "double_cover",
     "enumerate_colored_graphs",
     "enumerate_pn",
@@ -107,28 +104,6 @@ class ColoredGraph:
         return ColoredGraph(self.n, self.red - ds, self.blue - ds)
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """Witness of blue-bipartiteness: every blue edge crosses the two
-    sides, every red edge stays inside one."""
-
-    n: int
-    w_side: frozenset[int]
-
-    def side(self, v: int) -> str:
-        return "W" if v in self.w_side else "U"
-
-    def as_dict(self) -> dict[int, str]:
-        return {v: self.side(v) for v in range(1, self.n + 1)}
-
-
-@dataclass(frozen=True)
-class TriangleComponents:
-    """Partition of the edge set under chaining through shared triangles."""
-
-    classes: tuple[frozenset[tuple[int, int]], ...]
-
-
 def enumerate_colored_graphs(n: int) -> Iterator[ColoredGraph]:
     """All 3^C(n,2) colored graphs, in the fixed colex/state order
     (absent, red, blue per pair)."""
@@ -183,12 +158,14 @@ def _adjacency(g: ColoredGraph) -> list[list[tuple[int, bool]]]:
     return adj
 
 
-def find_blue_bipartition(g: ColoredGraph) -> Optional[Bipartition]:
+def find_blue_bipartition(g: ColoredGraph) -> Optional[frozenset[int]]:
     """Linear-time propagation: blue forces opposite sides, red the same.
 
-    Component roots (taken in ascending vertex order) go to side U, so the
-    witness is canonical.  Returns None when some constraint cycle is
-    frustrated.
+    The witness is the side W, as a vertex set: every blue edge crosses
+    between W and the other side U, every red edge stays inside one.
+    Component roots (taken in ascending vertex order) stay out of W, so
+    the witness is canonical.  Returns None when some constraint cycle is
+    frustrated; an empty W is still a witness.
     """
     adj = _adjacency(g)
     side = [None] * (g.n + 1)
@@ -206,10 +183,10 @@ def find_blue_bipartition(g: ColoredGraph) -> Optional[Bipartition]:
                     queue.append(w)
                 elif side[w] != want:
                     return None
-    return Bipartition(g.n, frozenset(v for v in range(1, g.n + 1) if side[v] == 1))
+    return frozenset(v for v in range(1, g.n + 1) if side[v] == 1)
 
 
-def bipartition_sweep(g: ColoredGraph) -> Optional[Bipartition]:
+def bipartition_sweep(g: ColoredGraph) -> Optional[frozenset[int]]:
     """Brute-force witness search over all 2^n side assignments; retained
     as the independent oracle for the propagation routine."""
     if g.n > _BIPARTITION_SWEEP_GUARD:
@@ -227,15 +204,14 @@ def bipartition_sweep(g: ColoredGraph) -> Optional[Bipartition]:
                     ok = False
                     break
         if ok:
-            return Bipartition(g.n, frozenset(v for v in range(1, g.n + 1)
-                                              if (mask >> (v - 1)) & 1))
+            return frozenset(v for v in range(1, g.n + 1) if (mask >> (v - 1)) & 1)
     return None
 
 
-def is_valid_bipartition(g: ColoredGraph, bp: Bipartition) -> bool:
-    ws = bp.w_side
-    return all(((u in ws) != (v in ws)) for u, v in g.blue) and \
-        all(((u in ws) == (v in ws)) for u, v in g.red)
+def is_valid_bipartition(g: ColoredGraph, w: frozenset[int]) -> bool:
+    """Every blue edge has one end in w, every red edge both or none."""
+    return all(((u in w) != (v in w)) for u, v in g.blue) and \
+        all(((u in w) == (v in w)) for u, v in g.red)
 
 
 def kappa(g: ColoredGraph) -> tuple[int, tuple[int, ...]]:
@@ -301,10 +277,10 @@ def gamma(g: ColoredGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
     return len(drop), drop
 
 
-def triangle_components(g: ColoredGraph) -> TriangleComponents:
+def triangle_components(g: ColoredGraph) -> tuple[frozenset[tuple[int, int]], ...]:
     """Equivalence classes of edges under membership in a chain of
-    triangles consecutively sharing an edge; triangle-free edges form
-    singleton classes."""
+    triangles consecutively sharing an edge, sorted by their sorted edges;
+    triangle-free edges form singleton classes."""
     edge_list = [(u, v) for u, v, _ in g.edges()]
     index = {e: i for i, e in enumerate(edge_list)}
     parent = list(range(len(edge_list)))
@@ -327,12 +303,11 @@ def triangle_components(g: ColoredGraph) -> TriangleComponents:
     groups: dict[int, set] = {}
     for e, i in index.items():
         groups.setdefault(find(i), set()).add(e)
-    classes = sorted((frozenset(s) for s in groups.values()), key=lambda s: sorted(s))
-    return TriangleComponents(tuple(classes))
+    return tuple(sorted((frozenset(s) for s in groups.values()), key=sorted))
 
 
 def eta(g: ColoredGraph) -> int:
-    return len(triangle_components(g).classes)
+    return len(triangle_components(g))
 
 
 def is_triangle_connected(g: ColoredGraph) -> bool:
@@ -514,15 +489,6 @@ def find_odd_nonsimple_walk(g: ColoredGraph, max_len: int = 5):
         if hit is not None:
             return hit
     return None
-
-
-def check_closed_walks(g: ColoredGraph, max_len: int = 5) -> bool:
-    """Every non-simple closed walk of length <= max_len has even blue
-    count.  Only defined for OBTF input; a False result would contradict
-    the structural claim this checks and should be reported, not hidden."""
-    if not is_obtf(g):
-        raise ValueError("closed-walk check requires an odd-blue-triangle-free graph")
-    return find_odd_nonsimple_walk(g, max_len) is None
 
 
 def parse_colored_graph(text: str) -> ColoredGraph:

@@ -199,10 +199,10 @@ def cmd_verify(args) -> int:
 def _analyze(g: cgraph.ColoredGraph) -> dict:
     info: dict = {"n": g.n, "edges": g.edge_count(), "skipped": []}
     info["obtf"] = cgraph.is_obtf(g)
-    bp = cgraph.find_blue_bipartition(g)
-    info["blue_bipartition"] = None if bp is None else {
-        "U": sorted(v for v in range(1, g.n + 1) if bp.side(v) == "U"),
-        "W": sorted(bp.w_side),
+    w = cgraph.find_blue_bipartition(g)
+    info["blue_bipartition"] = None if w is None else {
+        "U": sorted(set(range(1, g.n + 1)) - w),
+        "W": sorted(w),
     }
     # kappa, gamma and the poset listing enforce their own size guards;
     # past one, the field is left out and named in skipped
@@ -217,7 +217,7 @@ def _analyze(g: cgraph.ColoredGraph) -> dict:
     except ResourceGuardError:
         info["skipped"].append("gamma")
     info["eta"] = cgraph.eta(g)
-    info["triangle_connected"] = cgraph.is_triangle_connected(g)
+    info["triangle_connected"] = info["eta"] <= 1
     try:
         posets = cgraph.posets_of_graph(g)
         info["poset_count"] = len(posets)
@@ -277,6 +277,16 @@ def cmd_analyze(args) -> int:
 # posets
 
 
+def _posets_csv(blocks: list[str]) -> str:
+    """One poset,below,above row per relation of each formatted poset."""
+    rows = []
+    for i, b in enumerate(blocks, start=1):
+        relations = [line.split() for line in b.rstrip("\n").splitlines()[1:]]
+        # the antichain has no relations and still gets a row
+        rows += [[i, a, bb] for a, bb in relations] or [[i, "", ""]]
+    return _csv_text(["poset", "below", "above"], rows)
+
+
 def cmd_posets(args) -> int:
     modes = [args.n is not None, args.cover_multiplicity is not None,
              args.formula is not None]
@@ -293,12 +303,14 @@ def cmd_posets(args) -> int:
             p = litposet.implication_poset(parse_formula(text))
         except ValueError as exc:
             raise UserError(str(exc)) from exc
+        block = litposet.format_poset(p)
         if args.format == "json":
-            block = litposet.format_poset(p)
             sys.stdout.write(_canonical_json(
                 {"n": p.n, "relations": block.rstrip("\n").splitlines()[1:]}))
+        elif args.format == "csv":
+            sys.stdout.write(_posets_csv([block]))
         else:
-            sys.stdout.write(litposet.format_poset(p))
+            sys.stdout.write(block)
         return EXIT_OK
     if args.n is not None:
         n = args.n
@@ -308,12 +320,7 @@ def cmd_posets(args) -> int:
                        "posets": [b.rstrip("\n").splitlines()[1:] for b in blocks]}
             sys.stdout.write(_canonical_json(payload))
         elif args.format == "csv":
-            rows = []
-            for i, b in enumerate(blocks, start=1):
-                relations = [line.split() for line in b.rstrip("\n").splitlines()[1:]]
-                # the antichain has no relations and still gets a row
-                rows += [[i, a, bb] for a, bb in relations] or [[i, "", ""]]
-            sys.stdout.write(_csv_text(["poset", "below", "above"], rows))
+            sys.stdout.write(_posets_csv(blocks))
         else:
             out = [f"count: {len(blocks)}"]
             for i, b in enumerate(blocks, start=1):

@@ -201,7 +201,7 @@ def test_criterion_9_closed_walks():
     for n in range(1, 6):
         for g in cgraph.enumerate_colored_graphs(n):
             if cgraph.is_obtf(g):
-                assert cgraph.check_closed_walks(g), cgraph.format_colored_graph(g)
+                assert cgraph.find_odd_nonsimple_walk(g) is None, cgraph.format_colored_graph(g)
                 checked += 1
     report(9, "closed walks", f"{checked} OBTF graphs on n<=5, all even-blue "
                               f"on short non-simple closed walks")

@@ -7,7 +7,6 @@ from obtf.census import enumerate_pn_oracle
 from obtf.cgraph import (
     ColoredGraph,
     bipartition_sweep,
-    check_closed_walks,
     double_cover,
     enumerate_colored_graphs,
     eta,
@@ -65,16 +64,20 @@ class TestObtf:
 
 class TestBipartition:
     def test_single_blue_edge(self):
-        bp = find_blue_bipartition(G_BLUE)
-        assert bp.as_dict() == {1: "U", 2: "W"}
+        assert find_blue_bipartition(G_BLUE) == frozenset({2})
 
     def test_four_cycle_frustrated(self):
         assert find_blue_bipartition(FOUR_CYCLE) is None
         assert bipartition_sweep(FOUR_CYCLE) is None
 
     def test_empty_graph_all_u(self):
-        bp = find_blue_bipartition(ColoredGraph.of(3))
-        assert bp.as_dict() == {1: "U", 2: "U", 3: "U"}
+        # an empty W is still a witness
+        assert find_blue_bipartition(ColoredGraph.of(3)) == frozenset()
+
+    def test_component_roots_stay_out_of_w(self):
+        # components {1, 3} and {2, 4, 5}: roots 1 and 2 stay in U
+        g = ColoredGraph.of(5, red=[(2, 4)], blue=[(1, 3), (4, 5)])
+        assert find_blue_bipartition(g) == frozenset({3, 5})
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_propagation_matches_sweep(self, n):
@@ -119,14 +122,14 @@ class TestDeletionDistances:
 
 class TestTriangleComponents:
     def test_single_triangle_one_class(self):
-        tc = triangle_components(EVEN_TRIANGLE)
-        assert len(tc.classes) == 1
-        assert len(tc.classes[0]) == 3
+        assert triangle_components(EVEN_TRIANGLE) == (frozenset({(1, 2), (1, 3), (2, 3)}),)
         assert is_triangle_connected(EVEN_TRIANGLE)
 
     def test_bowtie_two_classes(self):
         bow = ColoredGraph.of(
             5, red=[(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)])
+        assert triangle_components(bow) == (frozenset({(1, 2), (1, 3), (2, 3)}),
+                                            frozenset({(3, 4), (3, 5), (4, 5)}))
         assert eta(bow) == 2
 
     def test_single_edge_singleton_class(self):
@@ -139,6 +142,8 @@ class TestTriangleComponents:
         assert is_triangle_connected(ColoredGraph.of(3))
 
     def test_four_cycle_four_singletons(self):
+        assert triangle_components(FOUR_CYCLE) == tuple(
+            frozenset({e}) for e in sorted(FOUR_CYCLE.red | FOUR_CYCLE.blue))
         assert eta(FOUR_CYCLE) == 4
 
 
@@ -240,14 +245,10 @@ class TestClosedWalks:
             1 for a, b in zip(walk, walk[1:])
             if (min(a, b), max(a, b)) in EVEN_TRIANGLE.blue)
         assert blues % 2 == 0
-        assert check_closed_walks(EVEN_TRIANGLE)
-
-    def test_rejects_non_obtf_input(self):
-        with pytest.raises(ValueError):
-            check_closed_walks(ODD_TRIANGLE)
+        assert find_odd_nonsimple_walk(EVEN_TRIANGLE) is None
 
     def test_empty_graph(self):
-        assert check_closed_walks(ColoredGraph.of(3))
+        assert find_odd_nonsimple_walk(ColoredGraph.of(3)) is None
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_exhaustive_small(self, n):

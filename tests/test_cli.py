@@ -361,6 +361,17 @@ class TestPosetsCommand:
         assert code == 0
         assert out == "n 2\n-1 2\n-2 1\n"
 
+    @pytest.mark.parametrize("text, rows", [
+        ("n 2\n1 2\n", ["1,-1,2", "1,-2,1"]),
+        ("n 2\n", ["1,,"]),     # the antichain still gets a row
+    ])
+    def test_formula_csv_is_the_poset_rows(self, capsys, tmp_path, text, rows):
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        code, out, _ = run(capsys, "posets", "--formula", str(path), "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == ["poset,below,above", *rows]
+
     def test_non_utf8_formula_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "f.txt"
         path.write_bytes(b"\xffn 2\n1 2\n")
