@@ -137,14 +137,14 @@ class CensusRecord:
 
 
 @lru_cache(maxsize=None)
-def _conjunctions(n: int, units: bool) -> frozenset[int]:
-    """The tables of all conjunctions of two-clauses, and of unit clauses
-    too if units is set, the empty one included: after mask k the set
-    holds the ANDs of all-ones with every subset of the first k masks.
-    Units make every median-closed set reachable; from n = 2 on a unit is
-    two proper clauses, so both families are the t0-definable tables."""
+def _conjunctions(n: int) -> frozenset[int]:
+    """The tables of all conjunctions of two-clauses, the empty one
+    included: after mask k the set holds the ANDs of all-ones with every
+    subset of the first k masks.  From n = 2 on these are all the
+    median-closed tables, as a unit clause is the AND of two proper
+    ones."""
     acc: set[int] = {all_ones(n)}
-    for m in (*(literal_masks(n) if units else ()), *clause_masks(n)):
+    for m in clause_masks(n):
         acc |= {v & m for v in acc}
     return frozenset(acc)
 
@@ -156,15 +156,12 @@ def definable_tables(n: int, allow_empty: bool) -> frozenset[int]:
     cap = ENGINES["G"]["clause-sweep"][1]
     if n > cap:
         raise ResourceGuardError(f"clause sweep capped at n <= {cap}, got {n}")
-    tables = _conjunctions(n, False)
+    return _definable_tables(n, allow_empty)
+
+
+def _definable_tables(n: int, allow_empty: bool) -> frozenset[int]:
+    tables = _conjunctions(n)
     return tables if allow_empty else tables - {all_ones(n)}
-
-
-def _definable_tables_fast(n: int, allow_empty: bool) -> frozenset[int]:
-    if n < 2:
-        return frozenset({all_ones(n)}) if allow_empty else frozenset()
-    family = _conjunctions(n, True)
-    return family if allow_empty else family - {all_ones(n)}
 
 
 @lru_cache(maxsize=None)
@@ -364,11 +361,11 @@ ENGINES = {
     "G": {
         "clause-sweep": (lambda n, t0: len(definable_tables(n, t0)), 4),
         "median-filter": (lambda n, t0: _median_filter_count(n, t0), 4),
-        "median-dp": (lambda n, t0: len(_definable_tables_fast(n, t0)), 5),
+        "median-dp": (lambda n, t0: len(_definable_tables(n, t0)), 5),
     },
     "H": {
         "clause-sweep": (lambda n, t0: _elementary_count(n, definable_tables(n, t0)), 4),
-        "median-dp": (lambda n, t0: _elementary_count(n, _definable_tables_fast(n, t0)), 5),
+        "median-dp": (lambda n, t0: _elementary_count(n, _definable_tables(n, t0)), 5),
     },
     "Pn": {
         "orientation-sweep": (lambda n, _t0: sum(len(cgraph.poset_rows_of_graph(g)) for g in

@@ -66,13 +66,14 @@ class TestFunctionCounts:
         assert count("H", n, "t0").value == H_T0[n]
         assert count("H", n, "t1").value == H_T1[n]
 
-    def test_clause_sweep_builds_one_closure_for_both_conventions(self):
+    def test_g_and_h_engines_build_one_closure_per_n(self):
         census._conjunctions.cache_clear()
         for quantity in ("G", "H"):
             for conv in ("t0", "t1"):
-                count(quantity, 4, conv, "clause-sweep")
+                for method in ("clause-sweep", "median-dp"):
+                    count(quantity, 4, conv, method)
         info = census._conjunctions.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+        assert (info.misses, info.hits, info.currsize) == (1, 7, 1)
 
     def test_guards(self):
         with pytest.raises(ResourceGuardError):

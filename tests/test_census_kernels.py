@@ -22,18 +22,12 @@ def _is_elementary_fast(n: int, bits: int) -> bool:
 
 @pytest.mark.parametrize("n", range(5))
 def test_elementary_filter_on_every_family_member(n):
-    family = census._conjunctions(n, True)
+    family = census._median_closed_tables(n)
     assert family
+    if n >= 2:
+        assert census._conjunctions(n) == family
     for bits in family:
         assert _is_elementary_fast(n, bits) == is_elementary(TruthTable(n, bits)), bits
-
-
-@pytest.mark.parametrize("n", range(1, 5))
-def test_unit_clauses_reach_every_median_closed_table(n):
-    # the units matter only at n = 1, where no two-clause exists
-    family = census._conjunctions(n, True)
-    assert family == census._median_closed_tables(n)
-    assert (census._conjunctions(n, False) == family) == (n >= 2)
 
 
 @st.composite
