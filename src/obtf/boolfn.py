@@ -4,6 +4,11 @@ A function of n variables is stored as the set of its satisfying
 assignments, packed into a single integer: assignment (a_1..a_n) sits at
 bit index sum(a_i * 2**(i-1)), i.e. little-endian in the variable index.
 That fixed encoding keeps checksums stable across runs.
+
+Literals are indices among the 2n literals: x_i is 2(i-1), not-x_i is
+2(i-1)+1, so negation is index XOR 1.  literal_index and signed_literal
+convert from and to the signed form (i or -i) of the text formats.  A
+clause is an ordered pair (a, b) of literal indices with a < b.
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ from operator import and_
 from typing import Iterable, Iterator
 
 __all__ = [
-    "Literal",
-    "Clause",
     "Formula",
     "TruthTable",
     "CacheError",
@@ -30,11 +33,13 @@ __all__ = [
     "is_2sat_definable",
     "is_elementary",
     "is_median_closed",
+    "literal_index",
     "literal_masks",
     "parse_formula",
     "parse_lines",
     "format_formula",
     "realize_formula",
+    "signed_literal",
     "signed_pair",
     "spine",
     "truth_table",
@@ -46,6 +51,8 @@ __all__ = [
 # ParseError, so the command line can offer and catch them without
 # importing the census engines.
 QUANTITIES = ("G", "H", "Pn", "F", "B")
+
+_SAME_VARIABLE = "clause literals must use different variables"
 
 
 class CacheError(RuntimeError):
@@ -60,83 +67,51 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
-    """A variable occurrence, positive or negated. Variables are 1-based."""
-
-    var: int
-    positive: bool = True
-
-    def __post_init__(self):
-        if self.var < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.var}")
-
-    def negate(self) -> "Literal":
-        return Literal(self.var, not self.positive)
-
-    @property
-    def index(self) -> int:
-        """Position among the 2n literals: x_i -> 2(i-1), negated x_i -> 2(i-1)+1."""
-        return 2 * (self.var - 1) + (0 if self.positive else 1)
-
-    @classmethod
-    def from_signed(cls, a: int) -> "Literal":
-        if a == 0:
-            raise ValueError("0 is not a valid signed literal")
-        return cls(abs(a), a > 0)
-
-    def signed(self) -> int:
-        return self.var if self.positive else -self.var
+def literal_index(a: int) -> int:
+    """The index of signed literal a: i -> 2(i-1), -i -> 2(i-1)+1."""
+    if a == 0:
+        raise ValueError("0 is not a valid signed literal")
+    return 2 * (abs(a) - 1) + (a < 0)
 
 
-@dataclass(frozen=True)
-class Clause:
-    """Disjunction of two literals over distinct variables; unordered."""
-
-    first: Literal
-    second: Literal
-
-    def __post_init__(self):
-        if self.first.var == self.second.var:
-            raise ValueError("clause literals must use different variables")
-        if self.second < self.first:
-            a, b = self.second, self.first
-            object.__setattr__(self, "first", a)
-            object.__setattr__(self, "second", b)
-
-    def signed(self) -> tuple[int, int]:
-        return (self.first.signed(), self.second.signed())
+def signed_literal(u: int) -> int:
+    """The signed form of literal index u, inverse of literal_index."""
+    return -(u >> 1) - 1 if u & 1 else (u >> 1) + 1
 
 
 @dataclass(frozen=True)
 class Formula:
     """A conjunction of two-literal clauses over variables 1..n.
 
-    Clauses are deduplicated; two formulas are equal iff their clause sets
-    are. The empty clause set denotes the always-true conjunction (only
-    meaningful where the empty formula is admitted).
+    Clauses are (a, b) literal-index pairs with a < b on different
+    variables; two formulas are equal iff their clause sets are.  The
+    empty clause set denotes the always-true conjunction (only meaningful
+    where the empty formula is admitted).
     """
 
     n: int
-    clauses: frozenset[Clause]
+    clauses: frozenset[tuple[int, int]]
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("variable count must be >= 0")
-        for c in self.clauses:
-            if c.second.var > self.n:
-                raise ValueError(f"clause {c.signed()} uses a variable beyond n={self.n}")
+        for a, b in self.clauses:
+            if a >> 1 == b >> 1:
+                raise ValueError(_SAME_VARIABLE)
+            if not 0 <= a < b:
+                raise ValueError(f"clause {(a, b)} is not an ordered pair of literal indices")
+            if b >> 1 >= self.n:
+                raise ValueError(f"clause {(signed_literal(a), signed_literal(b))} "
+                                 f"uses a variable beyond n={self.n}")
 
     @classmethod
-    def of(cls, n: int, clauses: Iterable[Clause] = ()) -> "Formula":
-        return cls(n, frozenset(clauses))
+    def of(cls, n: int, clauses: Iterable[tuple[int, int]] = ()) -> "Formula":
+        """From literal-index pairs in either order."""
+        return cls(n, frozenset((min(a, b), max(a, b)) for a, b in clauses))
 
     @classmethod
     def from_signed_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Formula":
-        return cls.of(
-            n,
-            (Clause(Literal.from_signed(a), Literal.from_signed(b)) for a, b in pairs),
-        )
+        return cls.of(n, ((literal_index(a), literal_index(b)) for a, b in pairs))
 
 
 @dataclass(frozen=True)
@@ -183,7 +158,7 @@ def variable_masks(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def literal_masks(n: int) -> tuple[int, ...]:
-    """masks[lit.index] has bit a set iff assignment a makes lit true, so
+    """masks[u] has bit a set iff assignment a makes literal u true, so
     masks[u ^ 1] is the complement of masks[u]."""
     full = all_ones(n)
     return tuple(m for x in variable_masks(n) for m in (x, full ^ x))
@@ -193,8 +168,8 @@ def truth_table(f: Formula) -> TruthTable:
     """Evaluate a formula; the empty conjunction is constant True."""
     masks = literal_masks(f.n)
     bits = all_ones(f.n)
-    for c in f.clauses:
-        bits &= masks[c.first.index] | masks[c.second.index]
+    for a, b in f.clauses:
+        bits &= masks[a] | masks[b]
         if not bits:
             break
     return TruthTable(f.n, bits)
@@ -284,21 +259,18 @@ def is_2sat_definable(t: TruthTable, allow_empty: bool) -> bool:
 
 
 @lru_cache(maxsize=None)
-def all_clauses(n: int) -> tuple[Clause, ...]:
-    """Every clause on n variables, in colex pair order, fixed polarity order."""
-    out = []
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            for pi, pj in ((True, True), (True, False), (False, True), (False, False)):
-                out.append(Clause(Literal(i, pi), Literal(j, pj)))
-    return tuple(out)
+def all_clauses(n: int) -> tuple[tuple[int, int], ...]:
+    """Every clause on n variables: variable pairs in colex order, each
+    with the polarities (+,+), (+,-), (-,+), (-,-)."""
+    return tuple((2 * i + p, 2 * j + q)
+                 for j in range(n) for i in range(j) for p in (0, 1) for q in (0, 1))
 
 
 @lru_cache(maxsize=None)
 def clause_masks(n: int) -> tuple[int, ...]:
     """The satisfying-assignment bitset of every clause, in all_clauses order."""
     masks = literal_masks(n)
-    return tuple(masks[c.first.index] | masks[c.second.index] for c in all_clauses(n))
+    return tuple(masks[a] | masks[b] for a, b in all_clauses(n))
 
 
 def realize_formula(t: TruthTable) -> Formula:
@@ -354,22 +326,24 @@ def parse_formula(text: str) -> Formula:
     """Formula text format: `n <int>` then one clause per line as two
     signed integers; blank lines and `#` comments ignored."""
     n, lines = parse_lines(text, "variable")
-    pairs = []
+    clauses = []
     for line_no, fields in lines:
         a, b = signed_pair(line_no, fields)
         try:
-            c = Clause(Literal.from_signed(a), Literal.from_signed(b))
+            u, v = literal_index(a), literal_index(b)
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
-        if c.second.var > n:
+        if u >> 1 == v >> 1:
+            raise ParseError(line_no, _SAME_VARIABLE)
+        if max(u, v) >> 1 >= n:
             raise ParseError(line_no, f"variable beyond n={n}")
-        pairs.append((a, b))
-    return Formula.from_signed_pairs(n, pairs)
+        clauses.append((u, v))
+    return Formula.of(n, clauses)
 
 
 def format_formula(f: Formula) -> str:
+    """One clause per line, sorted by variable with not-x_i before x_i."""
     lines = [f"n {f.n}"]
-    for c in sorted(f.clauses, key=lambda c: (c.first, c.second)):
-        a, b = c.signed()
-        lines.append(f"{a} {b}")
+    for a, b in sorted(f.clauses, key=lambda c: (c[0] ^ 1, c[1] ^ 1)):
+        lines.append(f"{signed_literal(a)} {signed_literal(b)}")
     return "\n".join(lines) + "\n"

@@ -61,7 +61,6 @@ __all__ = [
     "conventions",
     "count",
     "default_method",
-    "definable_tables",
     "enumerate_pn_oracle",
     "max_n",
     "methods",
@@ -149,17 +148,9 @@ def _conjunctions(n: int) -> frozenset[int]:
     return frozenset(acc)
 
 
-def definable_tables(n: int, allow_empty: bool) -> frozenset[int]:
-    """Bitsets of every function realizable by a formula (clause-sweep
-    route).  No clause holds on every assignment, so only the empty
-    formula reaches the all-ones table."""
-    cap = ENGINES["G"]["clause-sweep"][1]
-    if n > cap:
-        raise ResourceGuardError(f"clause sweep capped at n <= {cap}, got {n}")
-    return _definable_tables(n, allow_empty)
-
-
 def _definable_tables(n: int, allow_empty: bool) -> frozenset[int]:
+    """The tables of every formula; as no clause holds on every
+    assignment, only the empty formula reaches the all-ones table."""
     tables = _conjunctions(n)
     return tables if allow_empty else tables - {all_ones(n)}
 
@@ -359,12 +350,12 @@ def b_benchmark(n: int) -> int:
 # allow_empty) returns the value; cap is the largest n it admits.
 ENGINES = {
     "G": {
-        "clause-sweep": (lambda n, t0: len(definable_tables(n, t0)), 4),
+        "clause-sweep": (lambda n, t0: len(_definable_tables(n, t0)), 4),
         "median-filter": (lambda n, t0: _median_filter_count(n, t0), 4),
         "median-dp": (lambda n, t0: len(_definable_tables(n, t0)), 5),
     },
     "H": {
-        "clause-sweep": (lambda n, t0: _elementary_count(n, definable_tables(n, t0)), 4),
+        "clause-sweep": (lambda n, t0: _elementary_count(n, _definable_tables(n, t0)), 4),
         "median-dp": (lambda n, t0: _elementary_count(n, _definable_tables(n, t0)), 5),
     },
     "Pn": {

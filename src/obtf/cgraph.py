@@ -23,6 +23,7 @@ from .litposet import P_N_GUARD, CoverGraph, LiteralPoset, ResourceGuardError
 __all__ = [
     "ColoredGraph",
     "KAPPA_GUARD",
+    "EDGE_GUARD",
     "EDGE_SWEEP_GUARD",
     "VERTEX_GUARD",
     "bipartition_sweep",
@@ -50,6 +51,7 @@ __all__ = [
 KAPPA_GUARD = 12
 EDGE_SWEEP_GUARD = 20
 VERTEX_GUARD = 1000
+EDGE_GUARD = 20_000
 _BIPARTITION_SWEEP_GUARD = 6
 
 
@@ -494,7 +496,9 @@ def find_odd_nonsimple_walk(g: ColoredGraph, max_len: int = 5):
 def parse_colored_graph(text: str) -> ColoredGraph:
     """Colored-graph text format: `n <int>`, then `u v R|B` per edge with
     1-based vertex ids; `#` starts a comment.  n is capped at
-    VERTEX_GUARD, since analyze spends O(n) on even an edgeless graph."""
+    VERTEX_GUARD, since analyze spends O(n) on even an edgeless graph, and
+    the edge count m at EDGE_GUARD, since is_obtf and triangle_components
+    visit every triangle, of which there are at most (sqrt 2 / 3) m^(3/2)."""
     n, lines = parse_lines(text, "vertex")
     if n > VERTEX_GUARD:
         raise ResourceGuardError(f"colored graph capped at n <= {VERTEX_GUARD} vertices, got {n}")
@@ -518,6 +522,9 @@ def parse_colored_graph(text: str) -> ColoredGraph:
         if e in other:
             raise ParseError(line_no, f"edge {e} already has the other color")
         (red if color == "R" else blue).add(e)
+    m = len(red) + len(blue)
+    if m > EDGE_GUARD:
+        raise ResourceGuardError(f"colored graph capped at |E| <= {EDGE_GUARD} edges, got {m}")
     return ColoredGraph(n, frozenset(red), frozenset(blue))
 
 

@@ -3,9 +3,8 @@
 The orders of interest leave each literal incomparable to its own
 negation and are symmetric under it: u < v holds exactly when
 not-v < not-u.  Relations live in a 2n x 2n boolean matrix stored as one
-bitmask row per literal; literal u maps to row/bit 2*(var-1) for the
-positive occurrence and 2*(var-1)+1 for the negated one, so negation is
-index XOR 1.
+bitmask row per literal, indexed by the literal layout of boolfn
+(literal_index).
 """
 
 from __future__ import annotations
@@ -15,13 +14,14 @@ from typing import Iterable, Iterator
 
 from .boolfn import (
     Formula,
-    Literal,
     ParseError,
     TruthTable,
     all_ones,
     bits,
+    literal_index,
     literal_masks,
     parse_lines,
+    signed_literal,
     signed_pair,
 )
 
@@ -48,11 +48,6 @@ IMPLICATION_GUARD = 14
 
 class ResourceGuardError(RuntimeError):
     """An operation was asked to exceed its exact-search size cap."""
-
-
-def index_to_signed(idx: int) -> int:
-    var = idx // 2 + 1
-    return var if idx % 2 == 0 else -var
 
 
 @dataclass(frozen=True)
@@ -167,7 +162,7 @@ def implication_poset(f: Formula) -> LiteralPoset:
             f"implication poset capped at n <= {IMPLICATION_GUARD} variables, got {f.n}")
     try:
         return LiteralPoset.from_relations(
-            f.n, ((c.first.index ^ 1, c.second.index) for c in f.clauses))
+            f.n, ((a ^ 1, b) for a, b in f.clauses))
     except ValueError:
         raise ValueError("implication poset is defined only for elementary functions") from None
 
@@ -225,7 +220,7 @@ def parse_poset(text: str) -> LiteralPoset:
         for x in (a, b):
             if x == 0 or abs(x) > n:
                 raise ParseError(line_no, f"literal {x} out of range for n={n}")
-        relations.append((Literal.from_signed(a).index, Literal.from_signed(b).index))
+        relations.append((literal_index(a), literal_index(b)))
     try:
         return LiteralPoset.from_relations(n, relations)
     except ValueError:
@@ -234,6 +229,6 @@ def parse_poset(text: str) -> LiteralPoset:
 
 def format_poset(p: LiteralPoset) -> str:
     """Covers only, each u < v, sorted by index; their closure is the order."""
-    lines = [f"n {p.n}"] + [f"{index_to_signed(u)} {index_to_signed(v)}"
+    lines = [f"n {p.n}"] + [f"{signed_literal(u)} {signed_literal(v)}"
                             for u, row in enumerate(cover_rows(p.rows)) for v in bits(row)]
     return "\n".join(lines) + "\n"

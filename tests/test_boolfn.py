@@ -3,9 +3,7 @@ import itertools
 import pytest
 
 from obtf.boolfn import (
-    Clause,
     Formula,
-    Literal,
     ParseError,
     TruthTable,
     all_clauses,
@@ -15,9 +13,11 @@ from obtf.boolfn import (
     is_2sat_definable,
     is_elementary,
     is_median_closed,
+    literal_index,
     literal_masks,
     parse_formula,
     realize_formula,
+    signed_literal,
     spine,
     truth_table,
 )
@@ -40,19 +40,20 @@ def all_formulas(n, min_clauses=0):
 
 class TestLiteral:
     def test_negation_involution(self):
-        for var in (1, 2, 7):
-            for pos in (True, False):
-                lit = Literal(var, pos)
-                assert lit.negate().negate() == lit
-                assert lit.negate().var == var
+        # negation is index XOR 1
+        for a in (1, 2, 7):
+            assert literal_index(-a) == literal_index(a) ^ 1
+            assert signed_literal(literal_index(a) ^ 1) == -a
 
     def test_signed_roundtrip(self):
         for a in (1, -1, 3, -5):
-            assert Literal.from_signed(a).signed() == a
+            assert signed_literal(literal_index(a)) == a
+        for u in range(10):
+            assert literal_index(signed_literal(u)) == u
 
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            Literal.from_signed(0)
+        with pytest.raises(ValueError, match="^0 is not a valid signed literal$"):
+            literal_index(0)
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -64,18 +65,33 @@ def test_literal_masks_by_definition(n):
     for v in range(1, n + 1):
         for positive in (True, False):
             want = sum(1 << a for a in range(1 << n) if (a >> (v - 1)) & 1 == positive)
-            assert masks[Literal(v, positive).index] == want
+            assert masks[literal_index(v if positive else -v)] == want
 
 
 class TestClause:
     def test_unordered(self):
-        a, b = Literal(1), Literal(2, False)
-        assert Clause(a, b) == Clause(b, a)
-        assert hash(Clause(a, b)) == hash(Clause(b, a))
+        assert Formula.of(2, [(3, 0)]) == Formula.of(2, [(0, 3)])
+        assert Formula.of(2, [(3, 0)]).clauses == frozenset({(0, 3)})
 
     def test_distinct_variables_required(self):
-        with pytest.raises(ValueError):
-            Clause(Literal(1), Literal(1, False))
+        with pytest.raises(ValueError, match="^clause literals must use different variables$"):
+            Formula(2, frozenset({(0, 1)}))
+        with pytest.raises(ValueError, match="different variables"):
+            Formula.from_signed_pairs(2, [(1, -1)])
+
+    def test_pair_must_be_ordered(self):
+        with pytest.raises(ValueError, match="not an ordered pair"):
+            Formula(2, frozenset({(3, 0)}))
+
+    def test_variable_beyond_n(self):
+        with pytest.raises(ValueError, match=r"^clause \(1, -3\) uses a variable beyond n=2$"):
+            Formula(2, frozenset({(0, 5)}))
+        assert Formula(3, frozenset({(0, 5)})).clauses == frozenset({(0, 5)})
+
+    def test_all_clauses_order(self):
+        assert all_clauses(2) == ((0, 2), (0, 3), (1, 2), (1, 3))
+        assert all_clauses(3)[4:] == ((0, 4), (0, 5), (1, 4), (1, 5),
+                                      (2, 4), (2, 5), (3, 4), (3, 5))
 
 
 class TestTruthTable:
@@ -224,6 +240,10 @@ class TestFormulaText:
         f = parse_formula(text)
         assert f == Formula.from_signed_pairs(3, [(1, -2), (-1, 3)])
         assert parse_formula(format_formula(f)) == f
+
+    def test_format_orders_negated_literal_first(self):
+        f = Formula.from_signed_pairs(3, [(1, 2), (-1, 2), (2, -3), (1, -2), (-2, -3)])
+        assert format_formula(f) == "n 3\n-1 2\n1 -2\n1 2\n-2 -3\n2 -3\n"
 
     def test_bad_header(self):
         with pytest.raises(ParseError, match="line 1"):

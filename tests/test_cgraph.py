@@ -5,6 +5,7 @@ import pytest
 from obtf.boolfn import ParseError
 from obtf.census import enumerate_pn_oracle
 from obtf.cgraph import (
+    EDGE_GUARD,
     ColoredGraph,
     bipartition_sweep,
     double_cover,
@@ -281,3 +282,13 @@ class TestGraphText:
     def test_bad_color(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_colored_graph("n 2\n1 2 X\n")
+
+    def test_edge_guard(self):
+        # K200 (19,900 edges) plus edges of a K201 to vertex 201
+        def graph(m):
+            edges = pairs_colex(201)[:m]
+            return "n 201\n" + "".join(f"{u} {v} B\n" for u, v in edges)
+
+        assert parse_colored_graph(graph(EDGE_GUARD)).edge_count() == 20_000
+        with pytest.raises(ResourceGuardError, match="<= 20000 edges, got 20001$"):
+            parse_colored_graph(graph(EDGE_GUARD + 1))

@@ -4,6 +4,7 @@ import pytest
 
 from obtf import litposet
 from obtf.census import record_checksum
+from obtf.cgraph import pairs_colex
 from obtf.cli import main
 
 
@@ -286,6 +287,14 @@ class TestAnalyzeCommand:
         code, out, err = run(capsys, "analyze", str(path))
         assert code == 2 and out == ""
         assert err == f"error: colored graph capped at n <= 1000 vertices, got {n}\n"
+
+    def test_edge_count_past_the_guard_exits_2(self, capsys, tmp_path):
+        # 20,001 edges: K200 plus 101 edges to vertex 201
+        path = tmp_path / "g.txt"
+        path.write_text("n 201\n" + "".join(f"{u} {v} B\n" for u, v in pairs_colex(201)[:20_001]))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: colored graph capped at |E| <= 20000 edges, got 20001\n"
 
     def test_vertex_count_at_the_guard_is_analyzed(self, capsys, tmp_path):
         path = tmp_path / "g.txt"

@@ -6,17 +6,17 @@ in test_cgraph_properties)."""
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from obtf.boolfn import Clause, Formula, Literal, format_formula, parse_formula
+from obtf.boolfn import Formula, format_formula, parse_formula
 from obtf.litposet import LiteralPoset, format_poset, parse_poset
 
 
 @st.composite
 def formulas(draw, max_n=5):
     n = draw(st.integers(0, max_n))
-    literal = st.builds(Literal, st.integers(1, max(n, 1)), st.booleans())
-    clauses = st.tuples(literal, literal).filter(lambda c: c[0].var != c[1].var)
+    literal = st.integers(-max(n, 1), max(n, 1)).filter(bool)
+    clauses = st.tuples(literal, literal).filter(lambda c: abs(c[0]) != abs(c[1]))
     pairs = draw(st.lists(clauses, max_size=8)) if n >= 2 else []
-    return Formula.of(n, (Clause(a, b) for a, b in pairs))
+    return Formula.from_signed_pairs(n, pairs)
 
 
 @st.composite

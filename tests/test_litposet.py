@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from obtf import census
 from obtf.boolfn import (
-    Clause,
     Formula,
-    Literal,
     ParseError,
     TruthTable,
     all_clauses,
     all_ones,
     is_elementary,
+    literal_index,
     truth_table,
 )
 from obtf.census import enumerate_pn_oracle
@@ -321,13 +320,9 @@ class TestPosetToFunction:
 
 
 def relation_formula(p):
-    """The oracle formula of p: one Clause (not-u or v) per relation u < v,
+    """The oracle formula of p: one clause (not-u or v) per relation u < v,
     every relation rather than just the covers."""
-    def literal(i):
-        return Literal(i // 2 + 1, i % 2 == 0)
-
-    return Formula.of(p.n, (Clause(literal(u).negate(), literal(v))
-                            for u, v in p.relation_pairs()))
+    return Formula.of(p.n, ((u ^ 1, v) for u, v in p.relation_pairs()))
 
 
 class TestEnumeration:
@@ -367,7 +362,7 @@ def relation_sweep(n):
     orbits = []
     for j in range(2, n + 1):
         for i in range(1, j):
-            xi, xj = Literal(i).index, Literal(j).index
+            xi, xj = literal_index(i), literal_index(j)
             orbits += [(xi, xj), (xi, xj ^ 1)]
     out = set()
     for states in itertools.product((0, 1, 2), repeat=len(orbits)):
@@ -408,5 +403,5 @@ class TestPosetText:
 
 
 def test_lit_index_layout():
-    assert [Literal(1, True).index, Literal(1, False).index] == [0, 1]
-    assert [Literal(3, True).index, Literal(3, False).index] == [4, 5]
+    assert [literal_index(1), literal_index(-1)] == [0, 1]
+    assert [literal_index(3), literal_index(-3)] == [4, 5]

@@ -38,3 +38,22 @@ def test_header_error(parse, noun, body, text, line_no, message):
         parse(text)
     assert info.value.line_no == line_no
     assert str(info.value) == f"line {line_no}: " + message.format(noun=noun, body=body)
+
+
+FORMULA_BODY_CASES = [
+    ("n 2\n0 1\n", "0 is not a valid signed literal"),
+    ("n 2\n1 0\n", "0 is not a valid signed literal"),
+    ("n 2\n1 -1\n", "clause literals must use different variables"),
+    ("n 2\n3 -3\n", "clause literals must use different variables"),
+    ("n 2\n1 3\n", "variable beyond n=2"),
+    ("n 2\n-3 1\n", "variable beyond n=2"),
+]
+
+
+@pytest.mark.parametrize("text,message", FORMULA_BODY_CASES)
+def test_formula_body_error(text, message):
+    """The clause checks run in this order: zero literal, same variable,
+    variable beyond n (3 -3 under n 2 names the variable, not the range)."""
+    with pytest.raises(ParseError) as info:
+        parse_formula(text)
+    assert str(info.value) == "line 2: " + message
