@@ -19,9 +19,10 @@ whose cap admits n must return the same value (verify checks this and
 the identities between quantities).
 
 strict_orders adds one point at a time and yields the orders sorted by
-pair-state vector.  It answers the cover-graph multiplicity question and
-is Pn's second route: enumerate_pn_oracle runs it on the 2n literals under
-negation, and verify compares that with the graph-driven family as sets.
+pair-state vector.  It answers the cover-graph multiplicity question, and
+on the 2n literals under negation it is census's only route to Pn: the
+order-dfs engine counts that stream, and enumerate_pn_oracle lists it,
+each order checked, for verify to compare with the graph-driven family.
 """
 
 from __future__ import annotations
@@ -359,9 +360,8 @@ ENGINES = {
         "median-dp": (lambda n, t0: _elementary_count(n, _definable_tables(n, t0)), 5),
     },
     "Pn": {
-        "orientation-sweep": (lambda n, _t0: sum(len(cgraph.poset_rows_of_graph(g)) for g in
-                              cgraph.enumerate_colored_graphs(n) if cgraph.is_obtf(g)),
-                              litposet.P_N_GUARD),
+        "order-dfs": (lambda n, _t0: sum(1 for _ in strict_orders(2 * n, negation=True)),
+                      litposet.P_N_GUARD),
     },
     "F": {
         "dfs-prune": (lambda n, _t0: _obtf_count(n), 7),
@@ -406,9 +406,11 @@ def count(quantity: str, n: int, convention: Optional[str] = None,
     """quantity(n) by the given method, else the default one, as a record.
 
     Raises ResourceGuardError above the engine's cap, and ValueError for an
-    unknown quantity or method or a convention that does not apply.
+    unknown quantity or method, n < 0 or a convention that does not apply.
     """
     engines = _engines(quantity)
+    if n < 0:
+        raise ValueError(f"{quantity} needs n >= 0, got {n}")
     method = method or default_method(quantity, n)
     if method not in engines:
         raise ValueError(f"unknown method {method!r} for {quantity}")
@@ -431,8 +433,7 @@ def count(quantity: str, n: int, convention: Optional[str] = None,
 
 
 # ---------------------------------------------------------------------------
-# The order search: the cover-graph multiplicity question, and Pn's
-# second route
+# The order search: the cover-graph multiplicity question, and Pn
 
 
 def _transpose(rows: tuple) -> list[int]:
@@ -570,9 +571,8 @@ def posets_per_cover_graph(m: int) -> tuple[int, frozenset[tuple[int, int]]]:
 
 
 def enumerate_pn_oracle(n: int) -> list[litposet.LiteralPoset]:
-    """Pn by the order search on the 2n literals: Pn's second route,
-    independent of the graph-driven cgraph.enumerate_pn.  Each order is checked
-    for membership once, when its LiteralPoset is made."""
+    """Pn as LiteralPosets, each checked once, from the order stream that
+    order-dfs counts: the listing verify compares cgraph.enumerate_pn with."""
     if n > litposet.P_N_GUARD:
         raise ResourceGuardError(
             f"poset order search capped at n <= {litposet.P_N_GUARD}, got {n}")

@@ -271,8 +271,8 @@ def check_formula_independence(n: int, run: Run) -> Iterator[CheckResult]:
 
 def check_partition_law(n: int, run: Run) -> Iterator[CheckResult]:
     """Poset counts per graph partition the family: the sum over all
-    colored graphs matches the streamed family count, and every graph
-    with an odd-blue triangle contributes zero."""
+    colored graphs matches census's Pn count, made by the order search,
+    and every graph with an odd-blue triangle contributes zero."""
     total = 0
     for g in cgraph.enumerate_colored_graphs(n):
         k = len(run.rows(g))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obtf import census
+from obtf import census, cgraph
 from obtf.boolfn import TruthTable, is_2sat_definable, is_median_closed
 from obtf.census import (
     CacheError,
@@ -148,12 +148,19 @@ class TestPosetCount:
         assert count("Pn", 5).value == PN_5
 
     def test_counts_without_making_posets(self, monkeypatch):
-        # the engine sums the orientation search's row counts, so it
-        # makes no LiteralPoset and runs no membership check
+        # the engine counts the closure rows that the order search yields,
+        # so it makes no LiteralPoset and runs no membership check
         made = []
         monkeypatch.setattr(LiteralPoset, "__post_init__", lambda p: made.append(p))
         assert count("Pn", 4).value == PN[4]
         assert made == []
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+    def test_graph_route_sums_to_count(self, n):
+        # the orientation search's closure rows over the OBTF graphs: the
+        # graph route that verify's partition law also takes
+        graphs = [g for g in cgraph.enumerate_colored_graphs(n) if cgraph.is_obtf(g)]
+        assert sum(len(cgraph.poset_rows_of_graph(g)) for g in graphs) == count("Pn", n).value
 
 
 class TestObtfCount:
@@ -195,7 +202,7 @@ class TestEngineTable:
     @pytest.mark.parametrize("quantity,n,method", [
         ("G", 0, "clause-sweep"), ("G", 4, "clause-sweep"), ("G", 5, "median-dp"),
         ("H", 4, "clause-sweep"), ("H", 5, "median-dp"),
-        ("Pn", 0, "orientation-sweep"), ("Pn", 5, "orientation-sweep"),
+        ("Pn", 0, "order-dfs"), ("Pn", 5, "order-dfs"),
         ("F", 0, "dfs-prune"), ("F", 7, "dfs-prune"),
         ("B", 0, "component-closed-form"), ("B", 7, "component-closed-form"),
     ])
@@ -207,7 +214,7 @@ class TestEngineTable:
         assert {q: list(e) for q, e in ENGINES.items()} == {
             "G": ["clause-sweep", "median-filter", "median-dp"],
             "H": ["clause-sweep", "median-dp"],
-            "Pn": ["orientation-sweep"],
+            "Pn": ["order-dfs"],
             "F": ["dfs-prune", "flat-sweep"],
             "B": ["component-closed-form", "flat-sweep"],
         }
@@ -227,6 +234,14 @@ class TestEngineTable:
             count("G", 2)
         with pytest.raises(ValueError, match="convention 't0' does not apply to F"):
             count("F", 2, "t0")
+
+    @pytest.mark.parametrize("quantity,method", [
+        (q, m) for q, engines in ENGINES.items() for m in [*engines, None]])
+    def test_negative_n_refused(self, quantity, method):
+        # one message for every engine and for the default, before any runs
+        for conv in census.conventions(quantity):
+            with pytest.raises(ValueError, match=rf"^{quantity} needs n >= 0, got -1$"):
+                count(quantity, -1, conv, method)
 
     def test_methods_are_the_admitting_ones_in_order(self):
         assert census.methods("G", 4) == ["clause-sweep", "median-filter", "median-dp"]

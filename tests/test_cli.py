@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from obtf import litposet
+from obtf import census, litposet
 from obtf.census import record_checksum
 from obtf.cgraph import pairs_colex
 from obtf.cli import main
@@ -178,14 +178,14 @@ class TestVerifyCommand:
 
 
     @staticmethod
-    def _verify_one_record(capsys, tmp_path, quantity, n, method, value):
-        rec = {"quantity": quantity, "n": n, "convention": None, "value": value,
+    def _verify_one_record(capsys, tmp_path, quantity, n, method, value, convention=None):
+        rec = {"quantity": quantity, "n": n, "convention": convention, "value": value,
                "method": method, "wall_time": 0.0,
-               "checksum": record_checksum(quantity, n, None, method, value)}
+               "checksum": record_checksum(quantity, n, convention, method, value)}
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps(rec) + "\n")
-        code, out, _ = run(capsys, "verify", "--range", "1", "--cache", str(path))
-        assert code == 0
+        code, out, err = run(capsys, "verify", "--range", "1", "--cache", str(path))
+        assert code == 0 and "Traceback" not in err
         return out
 
     @pytest.mark.parametrize("quantity,n,method,detail", [
@@ -194,6 +194,35 @@ class TestVerifyCommand:
     def test_cache_skips_are_reported(self, capsys, tmp_path, quantity, n, method, detail):
         out = self._verify_one_record(capsys, tmp_path, quantity, n, method, 23)
         assert f"[info] cache-consistency {quantity} n={n} - {method}: {detail}\n" in out
+
+    @pytest.mark.parametrize("quantity,method,convention", [
+        (q, m, c) for q, engines in census.ENGINES.items() for m in engines
+        for c in census.conventions(q)])
+    def test_cached_record_below_zero_is_not_rechecked(self, capsys, tmp_path,
+                                                       quantity, method, convention):
+        # a hand-made record with a valid checksum; F's DFS would return 1
+        # at n = -1 and B's closed form raise IndexError, were they run
+        out = self._verify_one_record(capsys, tmp_path, quantity, -1, method, 1, convention)
+        lines = [line for line in out.splitlines() if "cache-consistency" in line]
+        assert lines == [f"[info] cache-consistency {quantity} n=-1 {convention or '-'} "
+                         f"{method}: not rechecked: {quantity} needs n >= 0, got -1"]
+
+    def test_cache_from_the_retired_pn_engine(self, capsys, tmp_path):
+        # caches written before order-dfs hold orientation-sweep records
+        out = self._verify_one_record(capsys, tmp_path, "Pn", 3, "orientation-sweep", 69)
+        assert ("[info] cache-consistency Pn n=3 - orientation-sweep: "
+                "not rechecked: unknown method 'orientation-sweep' for Pn\n") in out
+        path = tmp_path / "c.jsonl"
+        old = path.read_text()
+        code, out, err = run(capsys, "census", "--quantity", "Pn", "--n", "3",
+                             "--cache", str(path), "--format", "json")
+        assert code == 0 and err == ""
+        [rec] = json.loads(out)
+        assert (rec["method"], rec["value"]) == ("order-dfs", 69)
+        assert rec["checksum"] == record_checksum("Pn", 3, None, "order-dfs", 69)
+        lines = path.read_text().splitlines()
+        assert lines[0] + "\n" == old and json.loads(lines[1]) == rec
+        assert len(lines) == 2
 
     def test_cached_record_above_the_cap_gives_the_engine_refusal(self, capsys, tmp_path):
         out = self._verify_one_record(capsys, tmp_path, "F", 8, "dfs-prune", 97_703_043_489)

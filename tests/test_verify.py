@@ -27,7 +27,7 @@ def test_formula_independence_is_seeded():
 
 class TestMutationSensitivity:
     """Inverting the odd-blue-triangle test must surface as failing
-    partition/bijection checks carrying a witness, not as silence."""
+    graph-route checks carrying a witness, not as silence."""
 
     @pytest.fixture
     def inverted_obtf(self, monkeypatch):
@@ -39,10 +39,17 @@ class TestMutationSensitivity:
         assert check.status == "FAIL"
         assert check.witness is not None
 
-    def test_bijection_catches_inversion(self, inverted_obtf):
-        checks = [c for c in verify.verify_identities([2])
-                  if c.name == "poset-function-bijection"]
-        assert checks and all(c.status == "FAIL" for c in checks)
+    def test_inversion_fails_the_graph_route_only(self, inverted_obtf):
+        # census counts Pn from the order search, so the bijection line
+        # holds; every check that lists posets by graph fails, and so does
+        # F's flat sweep against its DFS
+        checks = verify.run_suites([2])
+        failed = {c.name: c for c in checks if c.failed}
+        assert set(failed) == {"graph-partition-law", "poset-graph-properties",
+                               "bijection-roundtrip", "poset-enumeration-oracle",
+                               "engine-agreement-F"}
+        assert failed["graph-partition-law"].witness is not None
+        assert [c.status for c in checks if c.name == "poset-function-bijection"] == ["PASS"]
 
     def test_property_suite_catches_inversion(self, inverted_obtf):
         [check] = verify.check_poset_graph_properties(2, verify.Run())
@@ -83,7 +90,7 @@ def test_walks_suite_small():
 
 
 @pytest.mark.parametrize("module,name,failing", [
-    (cgraph, "poset_rows_of_graph", ["poset-function-bijection", "triangle-connected-two-posets",
+    (cgraph, "poset_rows_of_graph", ["triangle-connected-two-posets",
                                      "poset-count-bounds", "graph-partition-law"]),
     (census, "_bb_closed_form", ["bb-closed-form", "ratio-table", "engine-agreement"]),
 ])
@@ -98,8 +105,10 @@ def test_crashing_check_prints_fail_lines(monkeypatch, capsys, module, name, fai
     lines = out.splitlines()
     for check in failing:
         assert f"[FAIL] {check} n=2: raised AssertionError: broken invariant" in lines
-    # checks that never reach the broken function still report
+    # checks that never reach the broken function still report; census
+    # counts Pn from the order search, which lists no graph
     assert "[PASS] counting-lower-bound n=2 t1: G=15 > 4" in lines
+    assert "[PASS] poset-function-bijection n=2: |Pn|=5 H_t0=5" in lines
     assert "[PASS] short-closed-walks n=2: 3 graphs free of odd short walks" in lines
 
 
@@ -121,30 +130,21 @@ def test_each_value_counted_once(monkeypatch, capsys):
 
 
 def test_each_graph_listed_once(monkeypatch, capsys):
-    # the Pn engine's own orientation searches, inside census.count, are
-    # counted apart from the searches verify's checks ask for
-    listed, engine_listed, in_engine = Counter(), Counter(), []
-    real_rows, real_count = cgraph.poset_rows_of_graph, census.count
+    listed, real = Counter(), cgraph.poset_rows_of_graph
 
-    def rows_spy(g):
-        (engine_listed if in_engine else listed)[g] += 1
-        return real_rows(g)
+    def spy(g):
+        listed[g] += 1
+        return real(g)
 
-    def count_spy(*args, **kwargs):
-        in_engine.append(True)
-        try:
-            return real_count(*args, **kwargs)
-        finally:
-            in_engine.pop()
-
-    monkeypatch.setattr(cgraph, "poset_rows_of_graph", rows_spy)
-    monkeypatch.setattr(census, "count", count_spy)
+    monkeypatch.setattr(cgraph, "poset_rows_of_graph", spy)
+    # the Pn engine counts the order search's stream and lists no graph
+    assert [census.count("Pn", n).value for n in range(5)] == [1, 1, 5, 69, 2153]
+    assert not listed
     monkeypatch.delenv("OBTF_CACHE", raising=False)
     assert cli.main(["verify", "--range", "1..4", "--format", "json"]) == 0
     capsys.readouterr()
-    assert max(listed.values()) == 1
     assert len(listed) == 1 + 3 + 27 + 729              # every graph on 1..4 vertices
-    assert sum(engine_listed.values()) == 1 + 3 + 23 + 417   # the OBTF ones, once each
+    assert set(listed.values()) == {1}
 
 
 def test_median_filter_built_once_per_n(monkeypatch, capsys):
