@@ -1,9 +1,11 @@
 """Two-clause Boolean functions as truth-table bitsets.
 
-A function of n variables is stored as the set of its satisfying
-assignments, packed into a single integer: assignment (a_1..a_n) sits at
-bit index sum(a_i * 2**(i-1)), i.e. little-endian in the variable index.
-That fixed encoding keeps checksums stable across runs.
+A function of n variables is its truth table: the set of its satisfying
+assignments packed into a plain int, passed together with n.  Assignment
+(a_1..a_n) sits at bit index sum(a_i * 2**(i-1)), i.e. little-endian in
+the variable index, so a table lies in 0..all_ones(n) and its bit count
+is its number of models.  That fixed encoding keeps checksums stable
+across runs.
 
 Literals are indices among the 2n literals: x_i is 2(i-1), not-x_i is
 2(i-1)+1, so negation is index XOR 1.  literal_index and signed_literal
@@ -21,7 +23,6 @@ from typing import Iterable, Iterator
 
 __all__ = [
     "Formula",
-    "TruthTable",
     "CacheError",
     "ParseError",
     "QUANTITIES",
@@ -114,24 +115,6 @@ class Formula:
         return cls.of(n, ((literal_index(a), literal_index(b)) for a, b in pairs))
 
 
-@dataclass(frozen=True)
-class TruthTable:
-    """Satisfying-assignment bitset of an n-variable Boolean function."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("variable count must be >= 0")
-        if not 0 <= self.bits < (1 << (1 << self.n)):
-            raise ValueError(f"bitset out of range for n={self.n}")
-
-    @property
-    def satisfying_count(self) -> int:
-        return self.bits.bit_count()
-
-
 def bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of mask, ascending."""
     while mask:
@@ -164,86 +147,85 @@ def literal_masks(n: int) -> tuple[int, ...]:
     return tuple(m for x in variable_masks(n) for m in (x, full ^ x))
 
 
-def truth_table(f: Formula) -> TruthTable:
+def truth_table(f: Formula) -> int:
     """Evaluate a formula; the empty conjunction is constant True."""
     masks = literal_masks(f.n)
-    bits = all_ones(f.n)
+    t = all_ones(f.n)
     for a, b in f.clauses:
-        bits &= masks[a] | masks[b]
-        if not bits:
+        t &= masks[a] | masks[b]
+        if not t:
             break
-    return TruthTable(f.n, bits)
+    return t
 
 
-def _require_satisfiable(t: TruthTable) -> None:
-    if t.bits == 0:
+def _require_satisfiable(t: int) -> None:
+    if t == 0:
         raise ValueError("trivial function: spine undefined")
 
 
-def spine(t: TruthTable) -> dict[int, bool]:
+def spine(n: int, t: int) -> dict[int, bool]:
     """Variables taking a single value in every satisfying assignment.
 
     Returns {variable: forced value}. Raises ValueError on the trivial
     (unsatisfiable) function, for which the notion is undefined.
     """
     _require_satisfiable(t)
-    masks = variable_masks(t.n)
+    masks = variable_masks(n)
     forced = {}
-    for i in range(1, t.n + 1):
+    for i in range(1, n + 1):
         m = masks[i - 1]
-        if t.bits & ~m == 0:
+        if t & ~m == 0:
             forced[i] = True
-        elif t.bits & m == 0:
+        elif t & m == 0:
             forced[i] = False
     return forced
 
 
-def associated_pairs(t: TruthTable) -> set[tuple[int, int, int]]:
+def associated_pairs(n: int, t: int) -> set[tuple[int, int, int]]:
     """Variable pairs locked together across all satisfying assignments.
 
     Yields (i, j, +1) when x_i == x_j everywhere, (i, j, -1) when
     x_i != x_j everywhere, with i < j. Undefined for the trivial function.
     """
     _require_satisfiable(t)
-    masks = variable_masks(t.n)
+    masks = variable_masks(n)
     pairs = set()
-    for i in range(1, t.n + 1):
-        for j in range(i + 1, t.n + 1):
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
             diff = masks[i - 1] ^ masks[j - 1]
-            if t.bits & diff == 0:
+            if t & diff == 0:
                 pairs.add((i, j, +1))
-            elif t.bits & ~diff == 0:
+            elif t & ~diff == 0:
                 pairs.add((i, j, -1))
     return pairs
 
 
-def is_elementary(t: TruthTable) -> bool:
+def is_elementary(n: int, t: int) -> bool:
     """Satisfiable with empty spine and no associated pairs.
 
     The unsatisfiable function is classified trivial, never elementary.
     """
-    if t.bits == 0:
+    if t == 0:
         return False
-    return not spine(t) and not associated_pairs(t)
+    return not spine(n, t) and not associated_pairs(n, t)
 
 
-def is_median_closed(t: TruthTable) -> bool:
+def is_median_closed(t: int) -> bool:
     """Closed under coordinatewise majority of any three satisfying assignments.
 
     The assignment encoding makes majority a bitwise expression on the
     indices themselves: maj(a,b,c) = (a&b)|(a&c)|(b&c).
     """
-    table = t.bits
-    sat = list(bits(table))
+    sat = list(bits(t))
     if len(sat) <= 2:
         return True
     for a, b, c in itertools.combinations(sat, 3):
-        if not (table >> ((a & b) | (a & c) | (b & c))) & 1:
+        if not (t >> ((a & b) | (a & c) | (b & c))) & 1:
             return False
     return True
 
 
-def is_2sat_definable(t: TruthTable, allow_empty: bool) -> bool:
+def is_2sat_definable(n: int, t: int, allow_empty: bool) -> bool:
     """Whether some formula (empty allowed iff allow_empty) has this table.
 
     For n >= 2 this is the median-closure criterion, with constant True
@@ -251,11 +233,11 @@ def is_2sat_definable(t: TruthTable, allow_empty: bool) -> bool:
     variables no clause exists at all, so only constant True is definable
     and only by the empty formula.
     """
-    if t.n < 2:
-        return allow_empty and t.bits == all_ones(t.n)
+    if n < 2:
+        return allow_empty and t == all_ones(n)
     if not is_median_closed(t):
         return False
-    return allow_empty or t.bits != all_ones(t.n)
+    return allow_empty or t != all_ones(n)
 
 
 @lru_cache(maxsize=None)
@@ -273,17 +255,17 @@ def clause_masks(n: int) -> tuple[int, ...]:
     return tuple(masks[a] | masks[b] for a, b in all_clauses(n))
 
 
-def realize_formula(t: TruthTable) -> Formula:
+def realize_formula(n: int, t: int) -> Formula:
     """A canonical formula for a definable table: the conjunction of every
     clause valid on it.
 
     Raises ValueError if no formula matches (the table is not definable
     with the empty formula admitted).
     """
-    valid = [(c, m) for c, m in zip(all_clauses(t.n), clause_masks(t.n)) if t.bits & ~m == 0]
-    if reduce(and_, (m for _, m in valid), all_ones(t.n)) != t.bits:
+    valid = [(c, m) for c, m in zip(all_clauses(n), clause_masks(n)) if t & ~m == 0]
+    if reduce(and_, (m for _, m in valid), all_ones(n)) != t:
         raise ValueError("table is not definable by a two-clause conjunction")
-    return Formula.of(t.n, (c for c, _ in valid))
+    return Formula.of(n, (c for c, _ in valid))
 
 
 def parse_lines(text: str, noun: str) -> tuple[int, list[tuple[int, list[str]]]]:

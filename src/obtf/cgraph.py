@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 
 from . import litposet
 from .boolfn import ParseError, parse_lines
-from .litposet import P_N_GUARD, CoverGraph, LiteralPoset, ResourceGuardError
+from .litposet import P_N_GUARD, LiteralPoset, ResourceGuardError
 
 __all__ = [
     "ColoredGraph",
@@ -320,19 +320,21 @@ def is_triangle_connected(g: ColoredGraph) -> bool:
 
 def graph_of_poset(p: LiteralPoset) -> ColoredGraph:
     """The colored graph of a family poset: graph_of_covers of its covers."""
-    return graph_of_covers(litposet.cover_relations(p))
+    return graph_of_covers(p.n, litposet.cover_pairs(p.rows))
 
 
-def graph_of_covers(covers: CoverGraph) -> ColoredGraph:
-    """The colored graph of a family poset's covering pairs: same-polarity
-    covers become blue edges, mixed-polarity ones red edges.
+def graph_of_covers(n: int, covers: frozenset[tuple[int, int]]) -> ColoredGraph:
+    """The colored graph of a family poset's covering pairs of literal
+    indices on n variables: same-polarity covers become blue edges,
+    mixed-polarity ones red edges.  A cover within one variable makes a
+    loop, which ColoredGraph refuses with ValueError.
 
     Raises if a vertex pair would need both colors or if the result has an
     odd-blue triangle; both are impossible for family members, so either
     signals a bug.
     """
     color: dict[tuple[int, int], str] = {}
-    for u, v in covers.edges:
+    for u, v in covers:
         i, j = u // 2 + 1, v // 2 + 1
         want = "B" if (u % 2) == (v % 2) else "R"
         key = (min(i, j), max(i, j))
@@ -340,7 +342,7 @@ def graph_of_covers(covers: CoverGraph) -> ColoredGraph:
             raise AssertionError(f"vertex pair {key} demands both red and blue")
         color[key] = want
     g = ColoredGraph(
-        covers.n,
+        n,
         frozenset(e for e, c in color.items() if c == "R"),
         frozenset(e for e, c in color.items() if c == "B"),
     )
@@ -356,11 +358,11 @@ def _lifted_edges(g: ColoredGraph) -> list[tuple[int, int]]:
     return [(2 * (u - 1), 2 * (v - 1) + (color == "R")) for u, v, color in g.edges()]
 
 
-def double_cover(g: ColoredGraph) -> CoverGraph:
+def double_cover(g: ColoredGraph) -> frozenset[tuple[int, int]]:
     """Lift to the 2n literals: a blue edge joins same-polarity pairs, a
-    red edge mixed-polarity pairs; edge count doubles."""
-    return CoverGraph(g.n, frozenset(e for a, b in _lifted_edges(g)
-                                     for e in ((a, b), (a ^ 1, b ^ 1))))
+    red edge mixed-polarity pairs; edge count doubles.  The pairs are
+    literal indices (a, b) with a < b, as cover_pairs writes them."""
+    return frozenset(e for a, b in _lifted_edges(g) for e in ((a, b), (a ^ 1, b ^ 1)))
 
 
 def poset_rows_of_graph(g: ColoredGraph) -> list[tuple[int, ...]]:

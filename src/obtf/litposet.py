@@ -4,7 +4,9 @@ The orders of interest leave each literal incomparable to its own
 negation and are symmetric under it: u < v holds exactly when
 not-v < not-u.  Relations live in a 2n x 2n boolean matrix stored as one
 bitmask row per literal, indexed by the literal layout of boolfn
-(literal_index).
+(literal_index).  A poset's cover graph is the frozenset of its covering
+pairs of literal indices (cover_pairs), and its function the int truth
+table of boolfn (poset_to_function).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Iterable, Iterator
 from .boolfn import (
     Formula,
     ParseError,
-    TruthTable,
     all_ones,
     bits,
     literal_index,
@@ -26,14 +27,12 @@ from .boolfn import (
 )
 
 __all__ = [
-    "CoverGraph",
     "LiteralPoset",
     "IMPLICATION_GUARD",
     "P_N_GUARD",
     "ResourceGuardError",
     "cover_pairs",
     "cover_rows",
-    "cover_relations",
     "format_poset",
     "implication_poset",
     "is_pn_member",
@@ -97,22 +96,6 @@ class LiteralPoset:
         for u, row in enumerate(self.rows):
             for v in bits(row):
                 yield (u, v)
-
-
-@dataclass(frozen=True)
-class CoverGraph:
-    """Unordered covering pairs of a literal poset, as (u, v) with u < v
-    in index order (not in the poset order)."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        for u, v in self.edges:
-            if not 0 <= u < v < 2 * self.n:
-                raise ValueError(f"bad literal pair ({u}, {v})")
-            if u ^ 1 == v:
-                raise ValueError("a literal cannot cover its own negation")
 
 
 def transitive_closure(rows: tuple[int, ...]) -> tuple[int, ...]:
@@ -187,17 +170,13 @@ def cover_rows(rows: tuple[int, ...]) -> list[int]:
 
 def cover_pairs(rows: tuple[int, ...]) -> frozenset[tuple[int, int]]:
     """Covering pairs of a strict order given as closed bitmask rows, each
-    written (min, max) in index order."""
+    written (min, max) in index order (not in the order itself).  For a
+    family member this set is its cover graph on the 2n literals."""
     return frozenset((min(u, v), max(u, v))
                      for u, row in enumerate(cover_rows(rows)) for v in bits(row))
 
 
-def cover_relations(p: LiteralPoset) -> CoverGraph:
-    """Covering pairs: u < v with nothing strictly between."""
-    return CoverGraph(p.n, cover_pairs(p.rows))
-
-
-def poset_to_function(p: LiteralPoset) -> TruthTable:
+def poset_to_function(p: LiteralPoset) -> int:
     """The function of the clauses (not-u or v), one per relation u < v:
     the AND of masks[u ^ 1] | masks[v] over every relation, not just the
     covers, so the result does not depend on a choice of generating set.
@@ -206,7 +185,7 @@ def poset_to_function(p: LiteralPoset) -> TruthTable:
     t = all_ones(p.n)
     for u, v in p.relation_pairs():
         t &= masks[u ^ 1] | masks[v]
-    return TruthTable(p.n, t)
+    return t
 
 
 def parse_poset(text: str) -> LiteralPoset:

@@ -202,8 +202,8 @@ def check_poset_graph_properties(n: int, run: Run) -> Iterator[CheckResult]:
                           "family enumeration came back empty")
         return
     for p in posets:
-        covers = litposet.cover_relations(p)
-        g = cgraph.graph_of_covers(covers)  # raises on two-color demand or odd-blue
+        covers = litposet.cover_pairs(p.rows)
+        g = cgraph.graph_of_covers(n, covers)  # raises on two-color demand or odd-blue
         if cgraph.double_cover(g) != covers:
             yield CheckResult(
                 "poset-graph-properties", f"n={n}", "FAIL",
@@ -224,9 +224,9 @@ def check_roundtrip(n: int, run: Run) -> Iterator[CheckResult]:
         return
     for p in posets:
         t = litposet.poset_to_function(p)
-        if not is_elementary(t):
+        if not is_elementary(n, t):
             problem = "poset function is not elementary"
-        elif litposet.implication_poset(realize_formula(t)) != p:
+        elif litposet.implication_poset(realize_formula(n, t)) != p:
             problem = "roundtrip returned a different poset"
         else:
             continue
@@ -247,10 +247,10 @@ def check_formula_independence(n: int, run: Run) -> Iterator[CheckResult]:
         size = rng.randint(0, len(clauses))
         f1 = Formula.of(n, rng.sample(clauses, size))
         t = truth_table(f1)
-        if not is_elementary(t):
+        if not is_elementary(n, t):
             continue
         # second realization: pad with further clauses valid on the table
-        extra = [c for c, m in zip(clauses, clause_masks(n)) if t.bits & ~m == 0]
+        extra = [c for c, m in zip(clauses, clause_masks(n)) if t & ~m == 0]
         f2 = Formula.of(n, list(f1.clauses) + rng.sample(extra, rng.randint(0, len(extra))))
         if truth_table(f2) != t:
             yield CheckResult("formula-independence", f"n={n}", "FAIL",
@@ -258,7 +258,7 @@ def check_formula_independence(n: int, run: Run) -> Iterator[CheckResult]:
             return
         p1 = litposet.implication_poset(f1)
         p2 = litposet.implication_poset(f2)
-        p3 = litposet.implication_poset(realize_formula(t))
+        p3 = litposet.implication_poset(realize_formula(n, t))
         if not (p1 == p2 == p3):
             yield CheckResult("formula-independence", f"n={n}", "FAIL",
                               "equal functions produced different posets",

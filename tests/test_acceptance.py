@@ -16,7 +16,6 @@ import pytest
 from obtf import census, cgraph, litposet, verify
 from obtf.boolfn import (
     Formula,
-    TruthTable,
     all_clauses,
     all_ones,
     is_elementary,
@@ -36,7 +35,7 @@ def literal_clause_subset_sweep(n, allow_empty):
     clauses = all_clauses(n)
     for r in range(0 if allow_empty else 1, len(clauses) + 1):
         for sub in itertools.combinations(clauses, r):
-            tables.add(truth_table(Formula.of(n, sub)).bits)
+            tables.add(truth_table(Formula.of(n, sub)))
     return tables
 
 
@@ -64,7 +63,7 @@ def test_criterion_1_exact_baselines():
     assert census.count("G", 2, "t1").value == 15
     assert census.count("G", 2, "t0").value == 16
 
-    h2_oracle = sum(1 for bits in swept_t1 if is_elementary(TruthTable(2, bits)))
+    h2_oracle = sum(1 for bits in swept_t1 if is_elementary(2, bits))
     assert h2_oracle == 4
     assert census.count("H", 2, "t1").value == 4
 
@@ -138,8 +137,8 @@ def test_criterion_5_bijection_and_roundtrip():
     count = 0
     for p in cgraph.enumerate_pn(3):
         t = litposet.poset_to_function(p)
-        assert is_elementary(t)
-        assert litposet.implication_poset(realize_formula(t)) == p
+        assert is_elementary(3, t)
+        assert litposet.implication_poset(realize_formula(3, t)) == p
         count += 1
     assert count == 69
     report(5, "bijection", f"|Pn|=H_t0 at n=1,2,3; all {count} posets of n=3 "
@@ -151,7 +150,7 @@ def test_criterion_6_graph_map_properties():
     for n in (1, 2, 3):
         for p in cgraph.enumerate_pn(n):
             g = cgraph.graph_of_poset(p)   # raises on any two-color demand
-            assert cgraph.double_cover(g) == litposet.cover_relations(p)
+            assert cgraph.double_cover(g) == litposet.cover_pairs(p.rows)
             assert cgraph.is_obtf(g)
             checked += 1
     assert checked == 1 + 5 + 69

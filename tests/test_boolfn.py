@@ -5,7 +5,6 @@ import pytest
 from obtf.boolfn import (
     Formula,
     ParseError,
-    TruthTable,
     all_clauses,
     all_ones,
     associated_pairs,
@@ -23,12 +22,12 @@ from obtf.boolfn import (
 )
 
 
-def table(n, *assignments):
+def table(*assignments):
     """Build a table from assignment tuples like (1,0) meaning x1=1, x2=0."""
     bits = 0
     for a in assignments:
         bits |= 1 << sum(v << i for i, v in enumerate(a))
-    return TruthTable(n, bits)
+    return bits
 
 
 def all_formulas(n, min_clauses=0):
@@ -98,97 +97,96 @@ class TestTruthTable:
     def test_single_clause(self):
         f = Formula.from_signed_pairs(2, [(1, 2)])
         t = truth_table(f)
-        assert t == table(2, (0, 1), (1, 0), (1, 1))
-        assert t.satisfying_count == 3
+        assert t == table((0, 1), (1, 0), (1, 1))
+        assert t.bit_count() == 3
 
     def test_empty_formula_is_true(self):
-        assert truth_table(Formula.of(2)).bits == all_ones(2)
+        assert truth_table(Formula.of(2)) == all_ones(2)
 
     def test_four_clauses_unsatisfiable(self):
         f = Formula.from_signed_pairs(2, [(1, 2), (-1, 2), (1, -2), (-1, -2)])
-        assert truth_table(f).bits == 0
+        assert truth_table(f) == 0
 
     def test_adding_clause_never_adds_assignments(self):
         # exhaustive at n=2
         for f in all_formulas(2):
-            base = truth_table(f).bits
+            base = truth_table(f)
             for c in all_clauses(2):
-                extended = truth_table(Formula.of(2, set(f.clauses) | {c})).bits
+                extended = truth_table(Formula.of(2, set(f.clauses) | {c}))
                 assert extended & ~base == 0
 
 
 class TestSpine:
     def test_singleton_fixes_everything(self):
-        assert spine(table(2, (1, 1))) == {1: True, 2: True}
+        assert spine(2, table((1, 1))) == {1: True, 2: True}
 
     def test_three_assignments_empty_spine(self):
-        assert spine(table(2, (0, 1), (1, 0), (1, 1))) == {}
+        assert spine(2, table((0, 1), (1, 0), (1, 1))) == {}
 
     def test_one_forced_variable(self):
-        assert spine(table(2, (1, 0), (1, 1))) == {1: True}
+        assert spine(2, table((1, 0), (1, 1))) == {1: True}
 
     def test_unsatisfiable_rejected(self):
         with pytest.raises(ValueError, match="trivial function"):
-            spine(TruthTable(2, 0))
+            spine(2, 0)
 
 
 class TestAssociatedPairs:
     def test_equal(self):
-        assert associated_pairs(table(2, (0, 0), (1, 1))) == {(1, 2, +1)}
+        assert associated_pairs(2, table((0, 0), (1, 1))) == {(1, 2, +1)}
 
     def test_complementary(self):
-        assert associated_pairs(table(2, (0, 1), (1, 0))) == {(1, 2, -1)}
+        assert associated_pairs(2, table((0, 1), (1, 0))) == {(1, 2, -1)}
 
     def test_none(self):
-        assert associated_pairs(table(2, (0, 1), (1, 0), (1, 1))) == set()
+        assert associated_pairs(2, table((0, 1), (1, 0), (1, 1))) == set()
 
     def test_unsatisfiable_rejected(self):
         with pytest.raises(ValueError):
-            associated_pairs(TruthTable(2, 0))
+            associated_pairs(2, 0)
 
     def test_singleton_has_spine_and_associations(self):
         # no mutual exclusion for one-assignment tables: the definitions
         # all hold literally
-        t = table(2, (1, 0))
-        assert spine(t) == {1: True, 2: False}
-        assert associated_pairs(t) == {(1, 2, -1)}
+        t = table((1, 0))
+        assert spine(2, t) == {1: True, 2: False}
+        assert associated_pairs(2, t) == {(1, 2, -1)}
 
 
 class TestElementary:
     def test_examples(self):
-        assert is_elementary(table(2, (0, 1), (1, 0), (1, 1)))
-        assert not is_elementary(table(2, (0, 0), (1, 1)))
-        assert is_elementary(TruthTable(1, 0b11))
-        assert not is_elementary(TruthTable(2, 0))
+        assert is_elementary(2, table((0, 1), (1, 0), (1, 1)))
+        assert not is_elementary(2, table((0, 0), (1, 1)))
+        assert is_elementary(1, 0b11)
+        assert not is_elementary(2, 0)
 
-    def _relabeled(self, t, perm, flips):
+    def _relabeled(self, n, t, perm, flips):
         bits = 0
-        for a in range(1 << t.n):
+        for a in range(1 << n):
             old = 0
-            for i in range(t.n):
+            for i in range(n):
                 if ((a >> i) & 1) ^ flips[i]:
                     old |= 1 << (perm[i] - 1)
-            if (t.bits >> old) & 1:
+            if (t >> old) & 1:
                 bits |= 1 << a
-        return TruthTable(t.n, bits)
+        return bits
 
     def test_invariant_under_relabeling(self):
         n = 3
-        tables = [truth_table(f) for f in all_formulas(n, min_clauses=1)]
-        seen = {t.bits: t for t in tables}
-        for t in list(seen.values())[:80]:
-            want = is_elementary(t)
+        tables = dict.fromkeys(truth_table(f) for f in all_formulas(n, min_clauses=1))
+        for t in list(tables)[:80]:
+            want = is_elementary(n, t)
             for perm in itertools.permutations(range(1, n + 1)):
                 for flips in itertools.product((0, 1), repeat=n):
-                    assert is_elementary(self._relabeled(t, perm, flips)) == want
+                    assert is_elementary(n, self._relabeled(n, t, perm, flips)) == want
 
 
 class TestMedianClosed:
     def test_examples(self):
-        assert is_median_closed(table(2, (0, 1), (1, 0), (1, 1)))
-        assert is_median_closed(table(2, (0, 0), (1, 0)))
-        assert is_median_closed(TruthTable(2, 0))
-        assert not is_median_closed(table(3, (0, 0, 1), (0, 1, 0), (1, 0, 0)))
+        assert is_median_closed(table((0, 1), (1, 0), (1, 1)))
+        assert is_median_closed(table((0, 0), (1, 0)))
+        assert is_median_closed(0)
+        assert not is_median_closed(table((0, 0, 1), (0, 1, 0), (1, 0, 0)))
 
     def test_every_formula_table_is_median_closed(self):
         for f in all_formulas(2):
@@ -201,20 +199,20 @@ class TestMedianClosed:
 
 class TestDefinable:
     def test_examples(self):
-        assert is_2sat_definable(table(2, (0, 1), (1, 0), (1, 1)), allow_empty=False)
-        assert not is_2sat_definable(TruthTable(2, all_ones(2)), allow_empty=False)
-        assert is_2sat_definable(TruthTable(2, all_ones(2)), allow_empty=True)
+        assert is_2sat_definable(2, table((0, 1), (1, 0), (1, 1)), allow_empty=False)
+        assert not is_2sat_definable(2, all_ones(2), allow_empty=False)
+        assert is_2sat_definable(2, all_ones(2), allow_empty=True)
 
     def test_small_n(self):
-        assert is_2sat_definable(TruthTable(1, 0b11), allow_empty=True)
-        assert not is_2sat_definable(TruthTable(1, 0b11), allow_empty=False)
-        assert not is_2sat_definable(TruthTable(1, 0b01), allow_empty=True)
+        assert is_2sat_definable(1, 0b11, allow_empty=True)
+        assert not is_2sat_definable(1, 0b11, allow_empty=False)
+        assert not is_2sat_definable(1, 0b01, allow_empty=True)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_formula_sweep_exactly(self, n):
-        swept = {truth_table(f).bits for f in all_formulas(n, min_clauses=1)}
+        swept = {truth_table(f) for f in all_formulas(n, min_clauses=1)}
         decided = {bits for bits in range(1 << (1 << n))
-                   if is_2sat_definable(TruthTable(n, bits), allow_empty=False)}
+                   if is_2sat_definable(n, bits, allow_empty=False)}
         assert swept == decided
 
 
@@ -222,16 +220,16 @@ class TestRealize:
     def test_roundtrip_on_definable(self):
         for f in all_formulas(2, min_clauses=1):
             t = truth_table(f)
-            assert truth_table(realize_formula(t)) == t
+            assert truth_table(realize_formula(2, t)) == t
 
     def test_constant_true_realized_by_empty(self):
-        f = realize_formula(TruthTable(2, all_ones(2)))
+        f = realize_formula(2, all_ones(2))
         assert not f.clauses
 
     def test_undefinable_rejected(self):
-        bad = table(3, (0, 0, 1), (0, 1, 0), (1, 0, 0))
+        bad = table((0, 0, 1), (0, 1, 0), (1, 0, 0))
         with pytest.raises(ValueError):
-            realize_formula(bad)
+            realize_formula(3, bad)
 
 
 class TestFormulaText:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obtf import census, cgraph
-from obtf.boolfn import TruthTable, is_2sat_definable, is_median_closed
+from obtf.boolfn import is_2sat_definable, is_median_closed
 from obtf.census import (
     CacheError,
     CensusCache,
@@ -112,7 +112,7 @@ class TestFunctionCounts:
 def median_closed_sweep(n):
     """The median-filter engine's oracle: every table on n variables tested
     for median closure, one at a time."""
-    return {b for b in range(1 << (1 << n)) if is_median_closed(TruthTable(n, b))}
+    return {b for b in range(1 << (1 << n)) if is_median_closed(b)}
 
 
 class TestMedianFilter:
@@ -124,7 +124,7 @@ class TestMedianFilter:
     @pytest.mark.parametrize("convention", ["t1", "t0"])
     def test_count_is_the_definable_sum(self, n, convention):
         definable = sum(1 for b in range(1 << (1 << n))
-                        if is_2sat_definable(TruthTable(n, b), convention == "t0"))
+                        if is_2sat_definable(n, b, convention == "t0"))
         assert count("G", n, convention, "median-filter").value == definable
 
     @settings(max_examples=300, deadline=None)
@@ -132,7 +132,7 @@ class TestMedianFilter:
         lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))))
     def test_member_iff_median_closed(self, table):
         n, b = table
-        assert (b in census._median_closed_tables(n)) == is_median_closed(TruthTable(n, b))
+        assert (b in census._median_closed_tables(n)) == is_median_closed(b)
 
 
 class TestPosetCount:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obtf import census
-from obtf.boolfn import TruthTable, is_elementary
+from obtf.boolfn import is_elementary
 
 
 def _is_elementary_fast(n: int, bits: int) -> bool:
@@ -27,7 +27,7 @@ def test_elementary_filter_on_every_family_member(n):
     if n >= 2:
         assert census._conjunctions(n) == family
     for bits in family:
-        assert _is_elementary_fast(n, bits) == is_elementary(TruthTable(n, bits)), bits
+        assert _is_elementary_fast(n, bits) == is_elementary(n, bits), bits
 
 
 @st.composite
@@ -40,7 +40,7 @@ def truth_tables(draw):
 @given(table=truth_tables())
 def test_elementary_filter_on_random_tables(table):
     n, bits = table
-    assert _is_elementary_fast(n, bits) == is_elementary(TruthTable(n, bits))
+    assert _is_elementary_fast(n, bits) == is_elementary(n, bits)
 
 
 def test_f7():

@@ -9,21 +9,19 @@ from obtf import census
 from obtf.boolfn import (
     Formula,
     ParseError,
-    TruthTable,
     all_clauses,
     all_ones,
     is_elementary,
     literal_index,
+    realize_formula,
     truth_table,
 )
 from obtf.census import enumerate_pn_oracle
-from obtf.cgraph import enumerate_pn
+from obtf.cgraph import enumerate_pn, graph_of_covers
 from obtf.litposet import (
-    CoverGraph,
     LiteralPoset,
     ResourceGuardError,
     cover_pairs,
-    cover_relations,
     cover_rows,
     format_poset,
     implication_poset,
@@ -34,6 +32,7 @@ from obtf.litposet import (
 )
 
 from test_boolfn import all_formulas
+from test_format_properties import posets
 
 X1, NX1, X2, NX2, X3, NX3 = range(6)
 
@@ -177,7 +176,7 @@ class TestImplicationPoset:
         checked = 0
         for n in range(4):
             for f in all_formulas(n):
-                assert implication_refused(f) == (not is_elementary(truth_table(f)))
+                assert implication_refused(f) == (not is_elementary(n, truth_table(f)))
                 checked += 1
         assert checked == 4114
 
@@ -204,26 +203,26 @@ def formulas(draw, max_n=7):
 @settings(max_examples=300, deadline=None)
 @given(f=formulas())
 def test_implication_poset_refused_exactly_off_elementary(f):
-    assert implication_refused(f) == (not is_elementary(truth_table(f)))
+    assert implication_refused(f) == (not is_elementary(f.n, truth_table(f)))
 
 
 class TestCoverRelations:
     def test_height_one_relations_are_covers(self):
         p = poset_of(2, (NX1, X2))
-        assert cover_relations(p).edges == frozenset({(NX1, X2), (X1, NX2)})
+        assert cover_pairs(p.rows) == frozenset({(NX1, X2), (X1, NX2)})
 
     def test_chain_drops_transitive_edge(self):
         p = poset_of(3, (X1, X2), (X2, X3))
-        edges = cover_relations(p).edges
+        edges = cover_pairs(p.rows)
         assert edges == frozenset({(X1, X2), (X2, X3), (NX1, NX2), (NX2, NX3)})
         assert (X1, X3) not in edges
 
     def test_antichain_has_no_covers(self):
-        assert cover_relations(LiteralPoset.antichain(3)).edges == frozenset()
+        assert cover_pairs(LiteralPoset.antichain(3).rows) == frozenset()
 
     def test_covers_negation_symmetric(self):
         for p in enumerate_pn(3):
-            edges = cover_relations(p).edges
+            edges = cover_pairs(p.rows)
             for u, v in edges:
                 du, dv = u ^ 1, v ^ 1
                 assert (min(du, dv), max(du, dv)) in edges
@@ -231,16 +230,17 @@ class TestCoverRelations:
     def test_covers_generate_the_order(self):
         for p in enumerate_pn(3):
             rows = [0] * (2 * p.n)
-            for u, v in cover_relations(p).edges:
+            for u, v in cover_pairs(p.rows):
                 if p.less(u, v):
                     rows[u] |= 1 << v
                 else:
                     rows[v] |= 1 << u
             assert transitive_closure(tuple(rows)) == p.rows
 
-    def test_cover_graph_rejects_negation_pair(self):
+    def test_graph_of_covers_rejects_negation_pair(self):
+        # a literal covering its own negation would be a loop on vertex 1
         with pytest.raises(ValueError):
-            CoverGraph(1, frozenset({(0, 1)}))
+            graph_of_covers(1, frozenset({(0, 1)}))
 
 
 @st.composite
@@ -295,13 +295,13 @@ def test_child_cover_key_is_the_childs_cover_key(child):
 class TestPosetToFunction:
     def test_antichain_is_constant_true(self):
         t = poset_to_function(LiteralPoset.antichain(2))
-        assert t.bits == all_ones(2)
+        assert t == all_ones(2)
 
     def test_two_examples(self):
         t = poset_to_function(poset_of(2, (NX1, X2)))
-        assert t == TruthTable(2, 0b1110)
+        assert t == 0b1110
         t = poset_to_function(poset_of(2, (X1, X2)))
-        assert t == TruthTable(2, 0b1101)
+        assert t == 0b1101
 
     def test_formula_uses_all_relations(self):
         p = poset_of(3, (X1, X2), (X2, X3))
@@ -317,6 +317,15 @@ class TestPosetToFunction:
     def test_is_the_clause_route(self, n):
         for p in enumerate_pn(n):
             assert poset_to_function(p) == truth_table(relation_formula(p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=posets(max_n=6))
+def test_function_round_trip_beyond_verify_sizes(p):
+    # verify's bijection-roundtrip walks the whole family only up to n = 4
+    t = poset_to_function(p)
+    assert is_elementary(p.n, t)
+    assert implication_poset(realize_formula(p.n, t)) == p
 
 
 def relation_formula(p):
