@@ -15,7 +15,6 @@ clause is an ordered pair (a, b) of literal indices with a < b.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_
@@ -31,9 +30,7 @@ __all__ = [
     "associated_pairs",
     "bits",
     "clause_masks",
-    "is_2sat_definable",
     "is_elementary",
-    "is_median_closed",
     "literal_index",
     "literal_masks",
     "parse_formula",
@@ -208,36 +205,6 @@ def is_elementary(n: int, t: int) -> bool:
     if t == 0:
         return False
     return not spine(n, t) and not associated_pairs(n, t)
-
-
-def is_median_closed(t: int) -> bool:
-    """Closed under coordinatewise majority of any three satisfying assignments.
-
-    The assignment encoding makes majority a bitwise expression on the
-    indices themselves: maj(a,b,c) = (a&b)|(a&c)|(b&c).
-    """
-    sat = list(bits(t))
-    if len(sat) <= 2:
-        return True
-    for a, b, c in itertools.combinations(sat, 3):
-        if not (t >> ((a & b) | (a & c) | (b & c))) & 1:
-            return False
-    return True
-
-
-def is_2sat_definable(n: int, t: int, allow_empty: bool) -> bool:
-    """Whether some formula (empty allowed iff allow_empty) has this table.
-
-    For n >= 2 this is the median-closure criterion, with constant True
-    reachable only through the empty formula. With fewer than two
-    variables no clause exists at all, so only constant True is definable
-    and only by the empty formula.
-    """
-    if n < 2:
-        return allow_empty and t == all_ones(n)
-    if not is_median_closed(t):
-        return False
-    return allow_empty or t != all_ones(n)
 
 
 @lru_cache(maxsize=None)

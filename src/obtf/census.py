@@ -142,9 +142,7 @@ def _conjunctions(n: int) -> frozenset[int]:
     included: after mask k the set holds the ANDs of all-ones with every
     subset of the first k masks.  From n = 2 on these are all the
     median-closed tables, as a unit clause is the AND of two proper
-    ones.  No clause holds on every assignment, so only the empty
-    conjunction reaches the all-ones table, which is elementary: the
-    convention without the empty formula (t1) counts one table fewer."""
+    ones."""
     acc: set[int] = {all_ones(n)}
     for m in clause_masks(n):
         acc |= {v & m for v in acc}
@@ -174,17 +172,6 @@ def _median_closed_tables(n: int) -> frozenset[int]:
              for t in half}
     return frozenset(lo | hi << points for lo in half for hi in half
                      if not hi & ~keeps[lo] and not lo & ~keeps[hi])
-
-
-def _median_filter_count(n: int, allow_empty: bool) -> int:
-    """G by median closure: the median-closed tables, built once per n
-    and shared by both conventions.  Below n = 2 no clause exists, so
-    only the empty formula's constant True counts; from n = 2 on every
-    median-closed table is definable, the all-ones one only by the empty
-    formula."""
-    if n < 2:
-        return int(allow_empty)
-    return len(_median_closed_tables(n)) - (not allow_empty)
 
 
 @lru_cache(maxsize=None)
@@ -342,29 +329,30 @@ def b_benchmark(n: int) -> int:
 # The engine table and its entry point
 
 
-# quantity -> {method: (run, cap)}, methods in preference order.  run(n,
-# allow_empty) returns the value; cap is the largest n it admits.
+# quantity -> {method: (run, cap)}, methods in preference order.  run(n)
+# returns the value, for G and H under t0; cap is the largest n it admits.
 ENGINES = {
     "G": {
-        "clause-sweep": (lambda n, t0: len(_conjunctions(n)) - (not t0), 4),
-        "median-filter": (lambda n, t0: _median_filter_count(n, t0), 4),
-        "median-dp": (lambda n, t0: len(_conjunctions(n)) - (not t0), 5),
+        "clause-sweep": (lambda n: len(_conjunctions(n)), 4),
+        # below n = 2 no clause exists: only the empty formula's constant True
+        "median-filter": (lambda n: 1 if n < 2 else len(_median_closed_tables(n)), 4),
+        "median-dp": (lambda n: len(_conjunctions(n)), 5),
     },
     "H": {
-        "clause-sweep": (lambda n, t0: _elementary_count(n, _conjunctions(n)) - (not t0), 4),
-        "median-dp": (lambda n, t0: _elementary_count(n, _conjunctions(n)) - (not t0), 5),
+        "clause-sweep": (lambda n: _elementary_count(n, _conjunctions(n)), 4),
+        "median-dp": (lambda n: _elementary_count(n, _conjunctions(n)), 5),
     },
     "Pn": {
-        "order-dfs": (lambda n, _t0: sum(1 for _ in strict_orders(2 * n, negation=True)),
+        "order-dfs": (lambda n: sum(1 for _ in strict_orders(2 * n, negation=True)),
                       litposet.P_N_GUARD),
     },
     "F": {
-        "dfs-prune": (lambda n, _t0: _obtf_count(n), 7),
-        "flat-sweep": (lambda n, _t0: _sweep_count(n, cgraph.is_obtf), 5),
+        "dfs-prune": (lambda n: _obtf_count(n), 7),
+        "flat-sweep": (lambda n: _sweep_count(n, cgraph.is_obtf), 5),
     },
     "B": {
-        "component-closed-form": (lambda n, _t0: _bb_closed_form(n), 7),
-        "flat-sweep": (lambda n, _t0: _sweep_count(
+        "component-closed-form": (lambda n: _bb_closed_form(n), 7),
+        "flat-sweep": (lambda n: _sweep_count(
             n, lambda g: cgraph.find_blue_bipartition(g) is not None), 5),
     },
 }
@@ -400,6 +388,10 @@ def count(quantity: str, n: int, convention: Optional[str] = None,
           method: Optional[str] = None) -> CensusRecord:
     """quantity(n) by the given method, else the default one, as a record.
 
+    The engines count G and H under t0.  The t1 convention drops the
+    empty formula, and no clause holds on every assignment, so only the
+    all-ones table, which is elementary, is lost: t1 is t0 less one.
+
     Raises ResourceGuardError above the engine's cap, and ValueError for an
     unknown quantity or method, n < 0 or a convention that does not apply.
     """
@@ -415,7 +407,7 @@ def count(quantity: str, n: int, convention: Optional[str] = None,
     if n > cap:
         raise ResourceGuardError(f"{quantity} {method} capped at n <= {cap}, got {n}")
     started = time.perf_counter()
-    value = run(n, convention == "t0")
+    value = run(n) - (convention == "t1")
     return CensusRecord(
         quantity=quantity,
         n=n,

@@ -459,9 +459,9 @@ def enumerate_pn(n: int) -> Iterator[LiteralPoset]:
             yield from posets_of_graph(g)
 
 
-def find_odd_nonsimple_walk(g: ColoredGraph, max_len: int = 5):
-    """A non-simple closed walk of length <= max_len with an odd number of
-    blue traversals, or None.
+def find_odd_nonsimple_walk(g: ColoredGraph):
+    """A non-simple closed walk of length <= 5 with an odd number of blue
+    traversals, or None.
 
     Walks are enumerated up to rotation by starting each at its minimum
     vertex; blue parity and non-simplicity are rotation-invariant.
@@ -477,7 +477,7 @@ def find_odd_nonsimple_walk(g: ColoredGraph, max_len: int = 5):
                 es = [frozenset((path[i], path[i + 1])) for i in range(depth)]
                 if len(set(period)) < len(period) or len(set(es)) < len(es):
                     return list(path)
-            if depth == max_len:
+            if depth == 5:
                 return None
             for w, is_blue in adj[v]:
                 if w < start:

@@ -89,9 +89,6 @@ class LiteralPoset:
             rows[v ^ 1] |= 1 << (u ^ 1)
         return cls(n, transitive_closure(tuple(rows)))
 
-    def less(self, u: int, v: int) -> bool:
-        return bool((self.rows[u] >> v) & 1)
-
     def relation_pairs(self) -> Iterator[tuple[int, int]]:
         for u, row in enumerate(self.rows):
             for v in bits(row):

@@ -11,13 +11,10 @@ import json
 import time
 from math import comb
 
-import pytest
-
-from obtf import census, cgraph, litposet, verify
+from obtf import census, cgraph, litposet
 from obtf.boolfn import (
     Formula,
     all_clauses,
-    all_ones,
     is_elementary,
     realize_formula,
     truth_table,

@@ -8,10 +8,9 @@ from obtf.boolfn import (
     all_clauses,
     all_ones,
     associated_pairs,
+    bits,
     format_formula,
-    is_2sat_definable,
     is_elementary,
-    is_median_closed,
     literal_index,
     literal_masks,
     parse_formula,
@@ -24,10 +23,10 @@ from obtf.boolfn import (
 
 def table(*assignments):
     """Build a table from assignment tuples like (1,0) meaning x1=1, x2=0."""
-    bits = 0
+    t = 0
     for a in assignments:
-        bits |= 1 << sum(v << i for i, v in enumerate(a))
-    return bits
+        t |= 1 << sum(v << i for i, v in enumerate(a))
+    return t
 
 
 def all_formulas(n, min_clauses=0):
@@ -161,15 +160,15 @@ class TestElementary:
         assert not is_elementary(2, 0)
 
     def _relabeled(self, n, t, perm, flips):
-        bits = 0
+        out = 0
         for a in range(1 << n):
             old = 0
             for i in range(n):
                 if ((a >> i) & 1) ^ flips[i]:
                     old |= 1 << (perm[i] - 1)
             if (t >> old) & 1:
-                bits |= 1 << a
-        return bits
+                out |= 1 << a
+        return out
 
     def test_invariant_under_relabeling(self):
         n = 3
@@ -179,6 +178,30 @@ class TestElementary:
             for perm in itertools.permutations(range(1, n + 1)):
                 for flips in itertools.product((0, 1), repeat=n):
                     assert is_elementary(n, self._relabeled(n, t, perm, flips)) == want
+
+
+def is_median_closed(t):
+    """Closed under coordinatewise majority of any three satisfying
+    assignments: the oracle the median-closed engines are tested against.
+
+    The assignment encoding makes majority a bitwise expression on the
+    indices themselves: maj(a,b,c) = (a&b)|(a&c)|(b&c).
+    """
+    return all((t >> ((a & b) | (a & c) | (b & c))) & 1
+               for a, b, c in itertools.combinations(bits(t), 3))
+
+
+def is_2sat_definable(n, t, allow_empty):
+    """Whether some formula (empty allowed iff allow_empty) has this table.
+
+    For n >= 2 this is the median-closure criterion, with constant True
+    reachable only through the empty formula. With fewer than two
+    variables no clause exists at all, so only constant True is definable
+    and only by the empty formula.
+    """
+    if n < 2:
+        return allow_empty and t == all_ones(n)
+    return is_median_closed(t) and (allow_empty or t != all_ones(n))
 
 
 class TestMedianClosed:
@@ -211,8 +234,8 @@ class TestDefinable:
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_formula_sweep_exactly(self, n):
         swept = {truth_table(f) for f in all_formulas(n, min_clauses=1)}
-        decided = {bits for bits in range(1 << (1 << n))
-                   if is_2sat_definable(n, bits, allow_empty=False)}
+        decided = {t for t in range(1 << (1 << n))
+                   if is_2sat_definable(n, t, allow_empty=False)}
         assert swept == decided
 
 

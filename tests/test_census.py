@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obtf import census, cgraph
-from obtf.boolfn import is_2sat_definable, is_median_closed
 from obtf.census import (
     CacheError,
     CensusCache,
@@ -23,6 +22,7 @@ from obtf.census import (
 )
 from obtf.litposet import LiteralPoset, ResourceGuardError
 from obtf.verify import verify_identities
+from test_boolfn import is_2sat_definable, is_median_closed
 
 # Values below were first computed by the flat-sweep oracles (and by hand
 # where feasible: B via the component recurrence, the family counts via
@@ -99,7 +99,7 @@ class TestFunctionCounts:
                     tab[i][j] = j * tab[i - 1][j] + tab[i - 1][j - 1]
             return tab[r][m]
 
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5):
             h = {m: count("H", m, "t0").value for m in range(n + 1)}
             total = 1 + sum(
                 comb(n, k) * (1 << k)
