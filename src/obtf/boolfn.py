@@ -10,18 +10,19 @@ across runs.
 Literals are indices among the 2n literals: x_i is 2(i-1), not-x_i is
 2(i-1)+1, so negation is index XOR 1.  literal_index and signed_literal
 convert from and to the signed form (i or -i) of the text formats.  A
-clause is an ordered pair (a, b) of literal indices with a < b.
+clause is an ordered pair (a, b) of literal indices with a < b, on two
+different variables, and a formula is the frozenset of its clauses,
+passed together with n like a table; the empty set is the always-true
+conjunction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_
 from typing import Iterable, Iterator
 
 __all__ = [
-    "Formula",
     "CacheError",
     "ParseError",
     "QUANTITIES",
@@ -35,7 +36,6 @@ __all__ = [
     "literal_masks",
     "parse_formula",
     "parse_lines",
-    "format_formula",
     "realize_formula",
     "signed_literal",
     "signed_pair",
@@ -49,8 +49,6 @@ __all__ = [
 # ParseError, so the command line can offer and catch them without
 # importing the census engines.
 QUANTITIES = ("G", "H", "Pn", "F", "B")
-
-_SAME_VARIABLE = "clause literals must use different variables"
 
 
 class CacheError(RuntimeError):
@@ -75,41 +73,6 @@ def literal_index(a: int) -> int:
 def signed_literal(u: int) -> int:
     """The signed form of literal index u, inverse of literal_index."""
     return -(u >> 1) - 1 if u & 1 else (u >> 1) + 1
-
-
-@dataclass(frozen=True)
-class Formula:
-    """A conjunction of two-literal clauses over variables 1..n.
-
-    Clauses are (a, b) literal-index pairs with a < b on different
-    variables; two formulas are equal iff their clause sets are.  The
-    empty clause set denotes the always-true conjunction (only meaningful
-    where the empty formula is admitted).
-    """
-
-    n: int
-    clauses: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("variable count must be >= 0")
-        for a, b in self.clauses:
-            if a >> 1 == b >> 1:
-                raise ValueError(_SAME_VARIABLE)
-            if not 0 <= a < b:
-                raise ValueError(f"clause {(a, b)} is not an ordered pair of literal indices")
-            if b >> 1 >= self.n:
-                raise ValueError(f"clause {(signed_literal(a), signed_literal(b))} "
-                                 f"uses a variable beyond n={self.n}")
-
-    @classmethod
-    def of(cls, n: int, clauses: Iterable[tuple[int, int]] = ()) -> "Formula":
-        """From literal-index pairs in either order."""
-        return cls(n, frozenset((min(a, b), max(a, b)) for a, b in clauses))
-
-    @classmethod
-    def from_signed_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Formula":
-        return cls.of(n, ((literal_index(a), literal_index(b)) for a, b in pairs))
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -144,11 +107,11 @@ def literal_masks(n: int) -> tuple[int, ...]:
     return tuple(m for x in variable_masks(n) for m in (x, full ^ x))
 
 
-def truth_table(f: Formula) -> int:
+def truth_table(n: int, clauses: Iterable[tuple[int, int]]) -> int:
     """Evaluate a formula; the empty conjunction is constant True."""
-    masks = literal_masks(f.n)
-    t = all_ones(f.n)
-    for a, b in f.clauses:
+    masks = literal_masks(n)
+    t = all_ones(n)
+    for a, b in clauses:
         t &= masks[a] | masks[b]
         if not t:
             break
@@ -222,7 +185,7 @@ def clause_masks(n: int) -> tuple[int, ...]:
     return tuple(masks[a] | masks[b] for a, b in all_clauses(n))
 
 
-def realize_formula(n: int, t: int) -> Formula:
+def realize_formula(n: int, t: int) -> frozenset[tuple[int, int]]:
     """A canonical formula for a definable table: the conjunction of every
     clause valid on it.
 
@@ -232,7 +195,7 @@ def realize_formula(n: int, t: int) -> Formula:
     valid = [(c, m) for c, m in zip(all_clauses(n), clause_masks(n)) if t & ~m == 0]
     if reduce(and_, (m for _, m in valid), all_ones(n)) != t:
         raise ValueError("table is not definable by a two-clause conjunction")
-    return Formula.of(n, (c for c, _ in valid))
+    return frozenset(c for c, _ in valid)
 
 
 def parse_lines(text: str, noun: str) -> tuple[int, list[tuple[int, list[str]]]]:
@@ -271,9 +234,10 @@ def signed_pair(line_no: int, fields: list[str]) -> tuple[int, int]:
     return a, b
 
 
-def parse_formula(text: str) -> Formula:
-    """Formula text format: `n <int>` then one clause per line as two
-    signed integers; blank lines and `#` comments ignored."""
+def parse_formula(text: str) -> tuple[int, frozenset[tuple[int, int]]]:
+    """The formula text format: `n <int>` then one clause per line as two
+    signed integers; blank lines and `#` comments ignored.  Returns n and
+    the clause set."""
     n, lines = parse_lines(text, "variable")
     clauses = []
     for line_no, fields in lines:
@@ -283,16 +247,9 @@ def parse_formula(text: str) -> Formula:
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
         if u >> 1 == v >> 1:
-            raise ParseError(line_no, _SAME_VARIABLE)
+            raise ParseError(line_no, "clause literals must use different variables")
         if max(u, v) >> 1 >= n:
             raise ParseError(line_no, f"variable beyond n={n}")
-        clauses.append((u, v))
-    return Formula.of(n, clauses)
+        clauses.append((min(u, v), max(u, v)))
+    return n, frozenset(clauses)
 
-
-def format_formula(f: Formula) -> str:
-    """One clause per line, sorted by variable with not-x_i before x_i."""
-    lines = [f"n {f.n}"]
-    for a, b in sorted(f.clauses, key=lambda c: (c[0] ^ 1, c[1] ^ 1)):
-        lines.append(f"{signed_literal(a)} {signed_literal(b)}")
-    return "\n".join(lines) + "\n"

@@ -194,6 +194,8 @@ def _elementary_lookups(n: int) -> tuple[tuple[int, ...], ...]:
         for k in range(4))
 
 
+# cached: both conventions, and both H engines, count the same n's tables
+@lru_cache(maxsize=None)
 def _elementary_count(n: int, tables: frozenset[int]) -> int:
     if n > 5:
         raise ResourceGuardError(f"elementary filter capped at n <= 5, got {n}")

@@ -300,7 +300,7 @@ def cmd_posets(args) -> int:
         text = _read_input(args.formula)
         from .boolfn import parse_formula
         try:
-            p = litposet.implication_poset(parse_formula(text))
+            p = litposet.implication_poset(*parse_formula(text))
         except ValueError as exc:
             raise UserError(str(exc)) from exc
         block = litposet.format_poset(p)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .boolfn import (
-    Formula,
     ParseError,
     all_ones,
     bits,
@@ -124,7 +123,7 @@ def is_pn_member(rows: tuple[int, ...]) -> bool:
     return True
 
 
-def implication_poset(f: Formula) -> LiteralPoset:
+def implication_poset(n: int, clauses: Iterable[tuple[int, int]]) -> LiteralPoset:
     """The implication order of a formula with an elementary function.
 
     Seeds not-a < b for each clause (a or b), adds the negation duals and
@@ -137,12 +136,11 @@ def implication_poset(f: Formula) -> LiteralPoset:
     ValueError for non-elementary input.  No truth table is built; n is
     capped at IMPLICATION_GUARD only as a bound on outside input.
     """
-    if f.n > IMPLICATION_GUARD:
+    if n > IMPLICATION_GUARD:
         raise ResourceGuardError(
-            f"implication poset capped at n <= {IMPLICATION_GUARD} variables, got {f.n}")
+            f"implication poset capped at n <= {IMPLICATION_GUARD} variables, got {n}")
     try:
-        return LiteralPoset.from_relations(
-            f.n, ((a ^ 1, b) for a, b in f.clauses))
+        return LiteralPoset.from_relations(n, ((a ^ 1, b) for a, b in clauses))
     except ValueError:
         raise ValueError("implication poset is defined only for elementary functions") from None
 

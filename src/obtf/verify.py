@@ -19,7 +19,7 @@ from math import comb, factorial
 from typing import Iterable, Iterator, Optional
 
 from . import census, cgraph, litposet
-from .boolfn import Formula, all_clauses, clause_masks, is_elementary, realize_formula, truth_table
+from .boolfn import all_clauses, clause_masks, is_elementary, realize_formula, truth_table
 
 __all__ = ["CheckResult", "Run", "run_suites", "verify_identities", "DEFAULT_SEED", "RUN_LIMITS"]
 
@@ -226,7 +226,7 @@ def check_roundtrip(n: int, run: Run) -> Iterator[CheckResult]:
         t = litposet.poset_to_function(p)
         if not is_elementary(n, t):
             problem = "poset function is not elementary"
-        elif litposet.implication_poset(realize_formula(n, t)) != p:
+        elif litposet.implication_poset(n, realize_formula(n, t)) != p:
             problem = "roundtrip returned a different poset"
         else:
             continue
@@ -245,20 +245,20 @@ def check_formula_independence(n: int, run: Run) -> Iterator[CheckResult]:
     compared = 0
     for _ in range(200):
         size = rng.randint(0, len(clauses))
-        f1 = Formula.of(n, rng.sample(clauses, size))
-        t = truth_table(f1)
+        f1 = frozenset(rng.sample(clauses, size))
+        t = truth_table(n, f1)
         if not is_elementary(n, t):
             continue
         # second realization: pad with further clauses valid on the table
         extra = [c for c, m in zip(clauses, clause_masks(n)) if t & ~m == 0]
-        f2 = Formula.of(n, list(f1.clauses) + rng.sample(extra, rng.randint(0, len(extra))))
-        if truth_table(f2) != t:
+        f2 = f1.union(rng.sample(extra, rng.randint(0, len(extra))))
+        if truth_table(n, f2) != t:
             yield CheckResult("formula-independence", f"n={n}", "FAIL",
                               "padding with valid clauses changed the table")
             return
-        p1 = litposet.implication_poset(f1)
-        p2 = litposet.implication_poset(f2)
-        p3 = litposet.implication_poset(realize_formula(n, t))
+        p1 = litposet.implication_poset(n, f1)
+        p2 = litposet.implication_poset(n, f2)
+        p3 = litposet.implication_poset(n, realize_formula(n, t))
         if not (p1 == p2 == p3):
             yield CheckResult("formula-independence", f"n={n}", "FAIL",
                               "equal functions produced different posets",

@@ -13,7 +13,6 @@ from math import comb
 
 from obtf import census, cgraph, litposet
 from obtf.boolfn import (
-    Formula,
     all_clauses,
     is_elementary,
     realize_formula,
@@ -32,7 +31,7 @@ def literal_clause_subset_sweep(n, allow_empty):
     clauses = all_clauses(n)
     for r in range(0 if allow_empty else 1, len(clauses) + 1):
         for sub in itertools.combinations(clauses, r):
-            tables.add(truth_table(Formula.of(n, sub)))
+            tables.add(truth_table(n, sub))
     return tables
 
 
@@ -135,7 +134,7 @@ def test_criterion_5_bijection_and_roundtrip():
     for p in cgraph.enumerate_pn(3):
         t = litposet.poset_to_function(p)
         assert is_elementary(3, t)
-        assert litposet.implication_poset(realize_formula(3, t)) == p
+        assert litposet.implication_poset(3, realize_formula(3, t)) == p
         count += 1
     assert count == 69
     report(5, "bijection", f"|Pn|=H_t0 at n=1,2,3; all {count} posets of n=3 "

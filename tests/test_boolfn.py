@@ -3,13 +3,11 @@ import itertools
 import pytest
 
 from obtf.boolfn import (
-    Formula,
     ParseError,
     all_clauses,
     all_ones,
     associated_pairs,
     bits,
-    format_formula,
     is_elementary,
     literal_index,
     literal_masks,
@@ -30,10 +28,27 @@ def table(*assignments):
 
 
 def all_formulas(n, min_clauses=0):
+    """Every clause set on n variables with at least min_clauses clauses."""
     clauses = all_clauses(n)
     for r in range(min_clauses, len(clauses) + 1):
         for sub in itertools.combinations(clauses, r):
-            yield Formula.of(n, sub)
+            yield frozenset(sub)
+
+
+def formula(n, *signed_pairs):
+    """n and the clause set of the given signed-literal pairs, as
+    parse_formula returns them."""
+    indices = ((literal_index(a), literal_index(b)) for a, b in signed_pairs)
+    return n, frozenset((min(u, v), max(u, v)) for u, v in indices)
+
+
+def format_formula(n, clauses):
+    """The formula text format, one clause per line, sorted by variable
+    with not-x_i before x_i."""
+    lines = [f"n {n}"]
+    for a, b in sorted(clauses, key=lambda c: (c[0] ^ 1, c[1] ^ 1)):
+        lines.append(f"{signed_literal(a)} {signed_literal(b)}")
+    return "\n".join(lines) + "\n"
 
 
 class TestLiteral:
@@ -67,25 +82,6 @@ def test_literal_masks_by_definition(n):
 
 
 class TestClause:
-    def test_unordered(self):
-        assert Formula.of(2, [(3, 0)]) == Formula.of(2, [(0, 3)])
-        assert Formula.of(2, [(3, 0)]).clauses == frozenset({(0, 3)})
-
-    def test_distinct_variables_required(self):
-        with pytest.raises(ValueError, match="^clause literals must use different variables$"):
-            Formula(2, frozenset({(0, 1)}))
-        with pytest.raises(ValueError, match="different variables"):
-            Formula.from_signed_pairs(2, [(1, -1)])
-
-    def test_pair_must_be_ordered(self):
-        with pytest.raises(ValueError, match="not an ordered pair"):
-            Formula(2, frozenset({(3, 0)}))
-
-    def test_variable_beyond_n(self):
-        with pytest.raises(ValueError, match=r"^clause \(1, -3\) uses a variable beyond n=2$"):
-            Formula(2, frozenset({(0, 5)}))
-        assert Formula(3, frozenset({(0, 5)})).clauses == frozenset({(0, 5)})
-
     def test_all_clauses_order(self):
         assert all_clauses(2) == ((0, 2), (0, 3), (1, 2), (1, 3))
         assert all_clauses(3)[4:] == ((0, 4), (0, 5), (1, 4), (1, 5),
@@ -94,24 +90,22 @@ class TestClause:
 
 class TestTruthTable:
     def test_single_clause(self):
-        f = Formula.from_signed_pairs(2, [(1, 2)])
-        t = truth_table(f)
+        t = truth_table(*formula(2, (1, 2)))
         assert t == table((0, 1), (1, 0), (1, 1))
         assert t.bit_count() == 3
 
     def test_empty_formula_is_true(self):
-        assert truth_table(Formula.of(2)) == all_ones(2)
+        assert truth_table(2, ()) == all_ones(2)
 
     def test_four_clauses_unsatisfiable(self):
-        f = Formula.from_signed_pairs(2, [(1, 2), (-1, 2), (1, -2), (-1, -2)])
-        assert truth_table(f) == 0
+        assert truth_table(*formula(2, (1, 2), (-1, 2), (1, -2), (-1, -2))) == 0
 
     def test_adding_clause_never_adds_assignments(self):
         # exhaustive at n=2
         for f in all_formulas(2):
-            base = truth_table(f)
+            base = truth_table(2, f)
             for c in all_clauses(2):
-                extended = truth_table(Formula.of(2, set(f.clauses) | {c}))
+                extended = truth_table(2, f | {c})
                 assert extended & ~base == 0
 
 
@@ -172,7 +166,7 @@ class TestElementary:
 
     def test_invariant_under_relabeling(self):
         n = 3
-        tables = dict.fromkeys(truth_table(f) for f in all_formulas(n, min_clauses=1))
+        tables = dict.fromkeys(truth_table(n, f) for f in all_formulas(n, min_clauses=1))
         for t in list(tables)[:80]:
             want = is_elementary(n, t)
             for perm in itertools.permutations(range(1, n + 1)):
@@ -213,11 +207,11 @@ class TestMedianClosed:
 
     def test_every_formula_table_is_median_closed(self):
         for f in all_formulas(2):
-            assert is_median_closed(truth_table(f))
+            assert is_median_closed(truth_table(2, f))
         # spot-check n=3 over single- and double-clause formulas
         cs = all_clauses(3)
         for a, b in itertools.combinations(cs, 2):
-            assert is_median_closed(truth_table(Formula.of(3, [a, b])))
+            assert is_median_closed(truth_table(3, [a, b]))
 
 
 class TestDefinable:
@@ -233,7 +227,7 @@ class TestDefinable:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_formula_sweep_exactly(self, n):
-        swept = {truth_table(f) for f in all_formulas(n, min_clauses=1)}
+        swept = {truth_table(n, f) for f in all_formulas(n, min_clauses=1)}
         decided = {t for t in range(1 << (1 << n))
                    if is_2sat_definable(n, t, allow_empty=False)}
         assert swept == decided
@@ -242,12 +236,11 @@ class TestDefinable:
 class TestRealize:
     def test_roundtrip_on_definable(self):
         for f in all_formulas(2, min_clauses=1):
-            t = truth_table(f)
-            assert truth_table(realize_formula(2, t)) == t
+            t = truth_table(2, f)
+            assert truth_table(2, realize_formula(2, t)) == t
 
     def test_constant_true_realized_by_empty(self):
-        f = realize_formula(2, all_ones(2))
-        assert not f.clauses
+        assert realize_formula(2, all_ones(2)) == frozenset()
 
     def test_undefinable_rejected(self):
         bad = table((0, 0, 1), (0, 1, 0), (1, 0, 0))
@@ -259,12 +252,17 @@ class TestFormulaText:
     def test_parse_format_roundtrip(self):
         text = "n 3\n# comment\n1 -2\n\n-1 3\n"
         f = parse_formula(text)
-        assert f == Formula.from_signed_pairs(3, [(1, -2), (-1, 3)])
-        assert parse_formula(format_formula(f)) == f
+        assert f == formula(3, (1, -2), (-1, 3))
+        assert parse_formula(format_formula(*f)) == f
+
+    def test_parse_orders_each_clause_pair(self):
+        # x1 is literal 0 and not-x2 literal 3, in whichever order written
+        assert parse_formula("n 2\n-2 1\n") == (2, frozenset({(0, 3)}))
+        assert parse_formula("n 2\n1 -2\n") == (2, frozenset({(0, 3)}))
 
     def test_format_orders_negated_literal_first(self):
-        f = Formula.from_signed_pairs(3, [(1, 2), (-1, 2), (2, -3), (1, -2), (-2, -3)])
-        assert format_formula(f) == "n 3\n-1 2\n1 -2\n1 2\n-2 -3\n2 -3\n"
+        f = formula(3, (1, 2), (-1, 2), (2, -3), (1, -2), (-2, -3))
+        assert format_formula(*f) == "n 3\n-1 2\n1 -2\n1 2\n-2 -3\n2 -3\n"
 
     def test_bad_header(self):
         with pytest.raises(ParseError, match="line 1"):

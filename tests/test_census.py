@@ -87,6 +87,14 @@ class TestFunctionCounts:
         assert count("G", 5, "t0").value == G_T0_5
         assert count("H", 5, "t0").value == H_T0_5
 
+    def test_h_elementary_count_made_once_per_n(self):
+        # the t1 record reuses the t0 count of the 224,716 tables
+        census._elementary_count.cache_clear()
+        count("H", 5, "t0")
+        count("H", 5, "t1")
+        info = census._elementary_count.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     def test_decomposition_identity(self):
         # independent structural route: a satisfiable function is a spine
         # assignment, a signed partition of the rest, and an elementary

@@ -6,8 +6,10 @@ in test_cgraph_properties)."""
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from obtf.boolfn import Formula, format_formula, parse_formula
+from obtf.boolfn import parse_formula
 from obtf.litposet import LiteralPoset, format_poset, parse_poset
+
+from test_boolfn import format_formula, formula
 
 
 @st.composite
@@ -16,7 +18,7 @@ def formulas(draw, max_n=5):
     literal = st.integers(-max(n, 1), max(n, 1)).filter(bool)
     clauses = st.tuples(literal, literal).filter(lambda c: abs(c[0]) != abs(c[1]))
     pairs = draw(st.lists(clauses, max_size=8)) if n >= 2 else []
-    return Formula.from_signed_pairs(n, pairs)
+    return formula(n, *pairs)
 
 
 @st.composite
@@ -34,9 +36,9 @@ def posets(draw, max_n=4):
 @settings(max_examples=200, deadline=None)
 @given(f=formulas())
 def test_formula_round_trip(f):
-    text = format_formula(f)
+    text = format_formula(*f)
     assert parse_formula(text) == f
-    assert format_formula(parse_formula(text)) == text
+    assert format_formula(*parse_formula(text)) == text
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from obtf import census
 from obtf.boolfn import (
-    Formula,
     ParseError,
     all_clauses,
     all_ones,
@@ -31,7 +30,7 @@ from obtf.litposet import (
     transitive_closure,
 )
 
-from test_boolfn import all_formulas
+from test_boolfn import all_formulas, formula
 from test_format_properties import posets
 
 X1, NX1, X2, NX2, X3, NX3 = range(6)
@@ -156,35 +155,35 @@ def test_membership_is_the_closure_oracle(matrix):
 
 class TestImplicationPoset:
     def test_single_clause(self):
-        p = implication_poset(Formula.from_signed_pairs(2, [(1, 2)]))
+        p = implication_poset(*formula(2, (1, 2)))
         assert set(p.relation_pairs()) == {(NX1, X2), (NX2, X1)}
 
     def test_empty_formula_gives_antichain(self):
-        assert implication_poset(Formula.of(2)) == LiteralPoset.antichain(2)
+        assert implication_poset(2, ()) == LiteralPoset.antichain(2)
 
     def test_closure_added(self):
-        p = implication_poset(Formula.from_signed_pairs(3, [(-1, 2), (-2, 3)]))
+        p = implication_poset(*formula(3, (-1, 2), (-2, 3)))
         assert (p.rows[X1] >> X3) & 1
         assert (p.rows[NX3] >> NX1) & 1
 
     def test_non_elementary_rejected(self):
-        f = Formula.from_signed_pairs(2, [(1, 2), (1, -2)])  # forces x1
+        f = formula(2, (1, 2), (1, -2))  # forces x1
         with pytest.raises(ValueError, match="elementary"):
-            implication_poset(f)
+            implication_poset(*f)
 
     def test_refused_exactly_off_elementary_on_every_small_formula(self):
         checked = 0
         for n in range(4):
             for f in all_formulas(n):
-                assert implication_refused(f) == (not is_elementary(n, truth_table(f)))
+                assert implication_refused(n, f) == (not is_elementary(n, truth_table(n, f)))
                 checked += 1
         assert checked == 4114
 
 
-def implication_refused(f):
-    """Whether implication_poset raises ValueError on f."""
+def implication_refused(n, clauses):
+    """Whether implication_poset raises ValueError on the formula."""
     try:
-        implication_poset(f)
+        implication_poset(n, clauses)
     except ValueError:
         return True
     return False
@@ -192,18 +191,18 @@ def implication_refused(f):
 
 @st.composite
 def formulas(draw, max_n=7):
-    """A formula on n <= max_n variables with up to 2n random clauses, so
-    that elementary and non-elementary functions both come up."""
+    """n <= max_n and a clause set of up to 2n random clauses, so that
+    elementary and non-elementary functions both come up."""
     n = draw(st.integers(0, max_n))
     clauses = all_clauses(n)
     chosen = draw(st.lists(st.sampled_from(clauses), max_size=2 * n)) if clauses else []
-    return Formula.of(n, chosen)
+    return n, frozenset(chosen)
 
 
 @settings(max_examples=300, deadline=None)
 @given(f=formulas())
 def test_implication_poset_refused_exactly_off_elementary(f):
-    assert implication_refused(f) == (not is_elementary(f.n, truth_table(f)))
+    assert implication_refused(*f) == (not is_elementary(f[0], truth_table(*f)))
 
 
 class TestCoverRelations:
@@ -307,16 +306,16 @@ class TestPosetToFunction:
         p = poset_of(3, (X1, X2), (X2, X3))
         f = relation_formula(p)
         # three relations up to duality: x1<x2, x2<x3, x1<x3
-        assert len(f.clauses) == 3
+        assert len(f) == 3
 
     def test_roundtrip_through_own_formula(self):
         for p in enumerate_pn(3):
-            assert implication_poset(relation_formula(p)) == p
+            assert implication_poset(3, relation_formula(p)) == p
 
     @pytest.mark.parametrize("n", range(4))
     def test_is_the_clause_route(self, n):
         for p in enumerate_pn(n):
-            assert poset_to_function(p) == truth_table(relation_formula(p))
+            assert poset_to_function(p) == truth_table(n, relation_formula(p))
 
 
 @settings(max_examples=200, deadline=None)
@@ -325,13 +324,13 @@ def test_function_round_trip_beyond_verify_sizes(p):
     # verify's bijection-roundtrip walks the whole family only up to n = 4
     t = poset_to_function(p)
     assert is_elementary(p.n, t)
-    assert implication_poset(realize_formula(p.n, t)) == p
+    assert implication_poset(p.n, realize_formula(p.n, t)) == p
 
 
 def relation_formula(p):
-    """The oracle formula of p: one clause (not-u or v) per relation u < v,
-    every relation rather than just the covers."""
-    return Formula.of(p.n, ((u ^ 1, v) for u, v in p.relation_pairs()))
+    """The clause set of p's oracle formula: one clause (not-u or v) per
+    relation u < v, every relation rather than just the covers."""
+    return frozenset((min(u ^ 1, v), max(u ^ 1, v)) for u, v in p.relation_pairs())
 
 
 class TestEnumeration:
