@@ -18,8 +18,7 @@ conjunction.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from operator import and_
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -192,10 +191,10 @@ def realize_formula(n: int, t: int) -> frozenset[tuple[int, int]]:
     Raises ValueError if no formula matches (the table is not definable
     with the empty formula admitted).
     """
-    valid = [(c, m) for c, m in zip(all_clauses(n), clause_masks(n)) if t & ~m == 0]
-    if reduce(and_, (m for _, m in valid), all_ones(n)) != t:
+    clauses = frozenset(c for c, m in zip(all_clauses(n), clause_masks(n)) if t & ~m == 0)
+    if truth_table(n, clauses) != t:
         raise ValueError("table is not definable by a two-clause conjunction")
-    return frozenset(c for c, _ in valid)
+    return clauses
 
 
 def parse_lines(text: str, noun: str) -> tuple[int, list[tuple[int, list[str]]]]:

@@ -21,8 +21,9 @@ the identities between quantities).
 strict_orders adds one point at a time and yields the orders sorted by
 pair-state vector.  It answers the cover-graph multiplicity question, and
 on the 2n literals under negation it is census's only route to Pn: the
-order-dfs engine counts that stream, and enumerate_pn_oracle lists it,
-each order checked, for verify to compare with the graph-driven family.
+order-dfs engine counts that stream without a membership check, and
+enumerate_pn_oracle lists it as closure rows, checking the membership of
+each order it lists, for verify to compare with the graph-driven family.
 """
 
 from __future__ import annotations
@@ -559,13 +560,17 @@ def posets_per_cover_graph(m: int) -> tuple[int, frozenset[tuple[int, int]]]:
     return best[0], frozenset((e // m + 1, e % m + 1) for e in bits(best[1]))
 
 
-def enumerate_pn_oracle(n: int) -> list[litposet.LiteralPoset]:
-    """Pn as LiteralPosets, each checked once, from the order stream that
-    order-dfs counts: the listing verify compares cgraph.enumerate_pn with."""
+def enumerate_pn_oracle(n: int) -> list[tuple[int, ...]]:
+    """Pn's closure rows from the order stream that order-dfs counts, each
+    checked once for membership (a non-member raises AssertionError, since
+    it signals a bug): the listing verify compares cgraph.enumerate_pn with."""
     if n > litposet.P_N_GUARD:
         raise ResourceGuardError(
             f"poset order search capped at n <= {litposet.P_N_GUARD}, got {n}")
-    return [litposet.LiteralPoset(n, rows) for rows in strict_orders(2 * n, negation=True)]
+    orders = list(strict_orders(2 * n, negation=True))
+    if not all(map(litposet.is_pn_member, orders)):
+        raise AssertionError("order search listed a non-member")
+    return orders
 
 
 # ---------------------------------------------------------------------------

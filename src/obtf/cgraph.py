@@ -5,6 +5,8 @@ blue-bipartitions (balance of the associated signed graph), the minimum
 vertex/edge deletions to reach blue-bipartiteness, triangle components,
 the literal-level double cover, and the exact set of literal posets whose
 cover structure matches a given graph, graph by graph the poset family.
+A poset is its closure rows, as in litposet; the orientation search
+(posets_of_graph) checks the membership of each one it finds.
 
 Vertices are labelled 1..n.  Edges are unordered (u, v) pairs stored with
 u < v; the fixed global edge order is colex: (1,2), (1,3), (2,3), (1,4), ...
@@ -18,7 +20,7 @@ from typing import Iterator, Optional
 
 from . import litposet
 from .boolfn import ParseError, parse_lines
-from .litposet import P_N_GUARD, LiteralPoset, ResourceGuardError
+from .litposet import P_N_GUARD, ResourceGuardError
 
 __all__ = [
     "ColoredGraph",
@@ -42,7 +44,6 @@ __all__ = [
     "kappa",
     "pairs_colex",
     "parse_colored_graph",
-    "poset_rows_of_graph",
     "posets_of_graph",
     "triangle_components",
     "triangles",
@@ -318,9 +319,9 @@ def is_triangle_connected(g: ColoredGraph) -> bool:
     return eta(g) <= 1
 
 
-def graph_of_poset(p: LiteralPoset) -> ColoredGraph:
+def graph_of_poset(rows: tuple[int, ...]) -> ColoredGraph:
     """The colored graph of a family poset: graph_of_covers of its covers."""
-    return graph_of_covers(p.n, litposet.cover_pairs(p.rows))
+    return graph_of_covers(len(rows) // 2, litposet.cover_pairs(rows))
 
 
 def graph_of_covers(n: int, covers: frozenset[tuple[int, int]]) -> ColoredGraph:
@@ -365,8 +366,8 @@ def double_cover(g: ColoredGraph) -> frozenset[tuple[int, int]]:
     return frozenset(e for a, b in _lifted_edges(g) for e in ((a, b), (a ^ 1, b ^ 1)))
 
 
-def poset_rows_of_graph(g: ColoredGraph) -> list[tuple[int, ...]]:
-    """Sorted closure rows of exactly the family posets whose colored graph is g.
+def posets_of_graph(g: ColoredGraph) -> list[tuple[int, ...]]:
+    """Exactly the family posets whose colored graph is g, in row order.
 
     Depth-first search over the edges in `_lifted_edges` order: each
     level orients one edge's literal pair (a, b), first as a < b and then
@@ -381,8 +382,9 @@ def poset_rows_of_graph(g: ColoredGraph) -> list[tuple[int, ...]]:
         lies strictly between its ends).
     Adding relations only ever makes these events true, never false, so
     every pruned branch holds no member, and a branch that orients every
-    edge is a member whose cover pairs are exactly the lifted edge set;
-    making its LiteralPoset checks that membership.
+    edge is a member whose cover pairs are exactly the lifted edge set.
+    Each such poset's membership is checked as it is found; a non-member
+    raises AssertionError, since it signals a bug.
     """
     m = g.edge_count()
     if m > EDGE_SWEEP_GUARD:
@@ -419,7 +421,10 @@ def poset_rows_of_graph(g: ColoredGraph) -> list[tuple[int, ...]]:
 
     def extend(k: int) -> None:
         if k == m:
-            found.append(tuple(rows))
+            poset = tuple(rows)
+            if not litposet.is_pn_member(poset):
+                raise AssertionError("orientation search found a non-member")
+            found.append(poset)
             return
         saved_rows, saved_preds, depth = rows[:], preds[:], len(chosen)
         for (a, b), (a2, b2) in seeds[k]:
@@ -438,12 +443,7 @@ def poset_rows_of_graph(g: ColoredGraph) -> list[tuple[int, ...]]:
     return found
 
 
-def posets_of_graph(g: ColoredGraph) -> list[LiteralPoset]:
-    """Exactly the family posets whose colored graph is g, in row order."""
-    return [LiteralPoset(g.n, rows) for rows in poset_rows_of_graph(g)]
-
-
-def enumerate_pn(n: int) -> Iterator[LiteralPoset]:
+def enumerate_pn(n: int) -> Iterator[tuple[int, ...]]:
     """All members of the poset family on n variables, each exactly once.
 
     Walks colored graphs in their fixed enumeration order and emits each

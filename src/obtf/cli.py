@@ -299,14 +299,14 @@ def cmd_posets(args) -> int:
     if args.formula is not None:
         text = _read_input(args.formula)
         from .boolfn import parse_formula
+        n, clauses = parse_formula(text)
         try:
-            p = litposet.implication_poset(*parse_formula(text))
+            block = litposet.format_poset(litposet.implication_poset(n, clauses))
         except ValueError as exc:
             raise UserError(str(exc)) from exc
-        block = litposet.format_poset(p)
         if args.format == "json":
             sys.stdout.write(_canonical_json(
-                {"n": p.n, "relations": block.rstrip("\n").splitlines()[1:]}))
+                {"n": n, "relations": block.rstrip("\n").splitlines()[1:]}))
         elif args.format == "csv":
             sys.stdout.write(_posets_csv([block]))
         else:

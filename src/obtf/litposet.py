@@ -2,31 +2,31 @@
 
 The orders of interest leave each literal incomparable to its own
 negation and are symmetric under it: u < v holds exactly when
-not-v < not-u.  Relations live in a 2n x 2n boolean matrix stored as one
-bitmask row per literal, indexed by the literal layout of boolfn
-(literal_index).  A poset's cover graph is the frozenset of its covering
-pairs of literal indices (cover_pairs), and its function the int truth
-table of boolfn (poset_to_function).
+not-v < not-u.  A poset is the tuple of its 2n transitively closed
+bitmask rows, one per literal in the literal layout of boolfn
+(literal_index), bit v of rows[u] meaning u < v; n is len(rows) // 2.
+Membership in the family (is_pn_member) is checked where a poset is
+made: poset_from_relations here, and the order and orientation searches
+of census and cgraph.  A poset's cover graph is the frozenset of its
+covering pairs of literal indices (cover_pairs), and its function the
+int truth table of boolfn (poset_to_function).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .boolfn import (
     ParseError,
-    all_ones,
     bits,
     literal_index,
-    literal_masks,
     parse_lines,
     signed_literal,
     signed_pair,
+    truth_table,
 )
 
 __all__ = [
-    "LiteralPoset",
     "IMPLICATION_GUARD",
     "P_N_GUARD",
     "ResourceGuardError",
@@ -36,6 +36,7 @@ __all__ = [
     "implication_poset",
     "is_pn_member",
     "parse_poset",
+    "poset_from_relations",
     "poset_to_function",
     "transitive_closure",
 ]
@@ -46,52 +47,6 @@ IMPLICATION_GUARD = 14
 
 class ResourceGuardError(RuntimeError):
     """An operation was asked to exceed its exact-search size cap."""
-
-
-@dataclass(frozen=True)
-class LiteralPoset:
-    """A member of the negation-symmetric poset family: relation matrix
-    over the 2n literals, bit v of rows[u] meaning u < v.
-
-    Making one checks its shape and then its membership (is_pn_member),
-    raising ValueError on either, so every LiteralPoset is checked
-    exactly once, when it is made, and nothing that takes one checks it
-    again.
-    """
-
-    n: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("variable count must be >= 0")
-        if len(self.rows) != 2 * self.n:
-            raise ValueError(f"expected {2 * self.n} rows, got {len(self.rows)}")
-        full = (1 << (2 * self.n)) - 1
-        for r in self.rows:
-            if not 0 <= r <= full:
-                raise ValueError("row bits out of range")
-        if not is_pn_member(self.rows):
-            raise ValueError("not a member of the literal-poset family")
-
-    @classmethod
-    def antichain(cls, n: int) -> "LiteralPoset":
-        return cls(n, (0,) * (2 * n))
-
-    @classmethod
-    def from_relations(cls, n: int, relations: Iterable[tuple[int, int]]) -> "LiteralPoset":
-        """Build from (u, v) literal-index pairs meaning u < v, adding the
-        negation-symmetric duals and closing transitively."""
-        rows = [0] * (2 * n)
-        for u, v in relations:
-            rows[u] |= 1 << v
-            rows[v ^ 1] |= 1 << (u ^ 1)
-        return cls(n, transitive_closure(tuple(rows)))
-
-    def relation_pairs(self) -> Iterator[tuple[int, int]]:
-        for u, row in enumerate(self.rows):
-            for v in bits(row):
-                yield (u, v)
 
 
 def transitive_closure(rows: tuple[int, ...]) -> tuple[int, ...]:
@@ -112,18 +67,36 @@ def is_pn_member(rows: tuple[int, ...]) -> bool:
     """Whether bitmask rows over the 2n literals form a member of the
     family: a strict order, each literal incomparable to its negation,
     and u < v iff not-v < not-u.  Irreflexive and transitive makes it
-    antisymmetric; transitivity is checked per relation u < v as
-    "everything above v is above u"."""
+    antisymmetric; transitivity is checked per literal u as "everything
+    above a literal above u is above u"."""
     for u, row in enumerate(rows):
-        if (row >> u) & 1 or (row >> (u ^ 1)) & 1:
-            return False
-        for v in bits(row):
-            if rows[v] & ~row or not (rows[v ^ 1] >> (u ^ 1)) & 1:
+        neg, far, rest = 1 << (u ^ 1), 0, row
+        while rest:                 # set bits inline, as in cover_rows
+            v = (rest & -rest).bit_length() - 1
+            if not rows[v ^ 1] & neg:
                 return False
+            far |= rows[v]
+            rest &= rest - 1
+        if row >> (u & ~1) & 3 or far & ~row:   # u < u, u < not-u, or not closed
+            return False
     return True
 
 
-def implication_poset(n: int, clauses: Iterable[tuple[int, int]]) -> LiteralPoset:
+def poset_from_relations(n: int, relations: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The closed rows of (u, v) literal-index pairs meaning u < v, with
+    their negation-symmetric duals added; ValueError if they are not a
+    member of the family."""
+    rows = [0] * (2 * n)
+    for u, v in relations:
+        rows[u] |= 1 << v
+        rows[v ^ 1] |= 1 << (u ^ 1)
+    rows = transitive_closure(tuple(rows))
+    if not is_pn_member(rows):
+        raise ValueError("not a member of the literal-poset family")
+    return rows
+
+
+def implication_poset(n: int, clauses: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """The implication order of a formula with an elementary function.
 
     Seeds not-a < b for each clause (a or b), adds the negation duals and
@@ -132,7 +105,7 @@ def implication_poset(n: int, clauses: Iterable[tuple[int, int]]) -> LiteralPose
     when u and v agree on every model (Aspvall, Plass and Tarjan, 1979);
     an unsatisfiable one has some x < not-x < x.  So the closure is a
     member of the poset family exactly when the function is elementary:
-    making the LiteralPoset decides that, and its refusal becomes the
+    poset_from_relations decides that, and its refusal becomes the
     ValueError for non-elementary input.  No truth table is built; n is
     capped at IMPLICATION_GUARD only as a bound on outside input.
     """
@@ -140,7 +113,7 @@ def implication_poset(n: int, clauses: Iterable[tuple[int, int]]) -> LiteralPose
         raise ResourceGuardError(
             f"implication poset capped at n <= {IMPLICATION_GUARD} variables, got {n}")
     try:
-        return LiteralPoset.from_relations(n, ((a ^ 1, b) for a, b in clauses))
+        return poset_from_relations(n, ((a ^ 1, b) for a, b in clauses))
     except ValueError:
         raise ValueError("implication poset is defined only for elementary functions") from None
 
@@ -171,19 +144,14 @@ def cover_pairs(rows: tuple[int, ...]) -> frozenset[tuple[int, int]]:
                      for u, row in enumerate(cover_rows(rows)) for v in bits(row))
 
 
-def poset_to_function(p: LiteralPoset) -> int:
+def poset_to_function(rows: tuple[int, ...]) -> int:
     """The function of the clauses (not-u or v), one per relation u < v:
-    the AND of masks[u ^ 1] | masks[v] over every relation, not just the
-    covers, so the result does not depend on a choice of generating set.
-    The antichain gives constant True."""
-    masks = literal_masks(p.n)
-    t = all_ones(p.n)
-    for u, v in p.relation_pairs():
-        t &= masks[u ^ 1] | masks[v]
-    return t
+    every relation, not just the covers, so the result does not depend on
+    a choice of generating set.  The antichain gives constant True."""
+    return truth_table(len(rows) // 2, ((u ^ 1, v) for u, row in enumerate(rows) for v in bits(row)))
 
 
-def parse_poset(text: str) -> LiteralPoset:
+def parse_poset(text: str) -> tuple[int, ...]:
     """Poset text format: `n <int>` then one relation per line as two
     signed integers `a b` meaning literal(a) < literal(b); relations not
     listed are implied by closure and negation symmetry."""
@@ -196,13 +164,13 @@ def parse_poset(text: str) -> LiteralPoset:
                 raise ParseError(line_no, f"literal {x} out of range for n={n}")
         relations.append((literal_index(a), literal_index(b)))
     try:
-        return LiteralPoset.from_relations(n, relations)
+        return poset_from_relations(n, relations)
     except ValueError:
         raise ParseError(1, "relations do not close to a member of the poset family") from None
 
 
-def format_poset(p: LiteralPoset) -> str:
+def format_poset(rows: tuple[int, ...]) -> str:
     """Covers only, each u < v, sorted by index; their closure is the order."""
-    lines = [f"n {p.n}"] + [f"{signed_literal(u)} {signed_literal(v)}"
-                            for u, row in enumerate(cover_rows(p.rows)) for v in bits(row)]
+    lines = [f"n {len(rows) // 2}"] + [f"{signed_literal(u)} {signed_literal(v)}"
+                                       for u, row in enumerate(cover_rows(rows)) for v in bits(row)]
     return "\n".join(lines) + "\n"

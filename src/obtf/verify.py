@@ -43,11 +43,11 @@ class CheckResult:
 
 class Run:
     """What the checks of one verify run share: the seed, the --big flag,
-    and one memo of census values, of each graph's poset rows and of the
-    poset family per n, so each is computed once per run and only the
-    family makes LiteralPosets.  Made per run, never module-wide, and
-    census.count and cgraph.poset_rows_of_graph are looked up at each
-    call, so a patched one is seen; a raise is never stored."""
+    and one memo of census values, of each graph's posets and of the
+    poset family per n, so each is computed once per run.  Made per run,
+    never module-wide, and census.count and cgraph.posets_of_graph are
+    looked up at each call, so a patched one is seen; a raise is never
+    stored."""
 
     def __init__(self, seed: int = DEFAULT_SEED, big: bool = False):
         self.seed, self.big = seed, big
@@ -64,17 +64,14 @@ class Run:
         return self._once(key, lambda: census.count(*key).value)
 
     def rows(self, g: cgraph.ColoredGraph) -> list[tuple[int, ...]]:
-        return self._once(("rows", g), lambda: cgraph.poset_rows_of_graph(g))
+        return self._once(("rows", g), lambda: cgraph.posets_of_graph(g))
 
-    def family_rows(self, n: int) -> list[tuple[int, ...]]:
-        """The poset family's rows on n variables in cgraph.enumerate_pn's
-        order: the rows of each odd-blue-triangle-free graph in turn."""
-        return [r for g in cgraph.enumerate_colored_graphs(n)
-                if cgraph.is_obtf(g) for r in self.rows(g)]
-
-    def family(self, n: int) -> list[litposet.LiteralPoset]:
+    def family(self, n: int) -> list[tuple[int, ...]]:
+        """The poset family on n variables in cgraph.enumerate_pn's order:
+        the posets of each odd-blue-triangle-free graph in turn."""
         return self._once(("family", n), lambda: [
-            litposet.LiteralPoset(n, r) for r in self.family_rows(n)])
+            r for g in cgraph.enumerate_colored_graphs(n) if cgraph.is_obtf(g)
+            for r in self.rows(g)])
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +199,7 @@ def check_poset_graph_properties(n: int, run: Run) -> Iterator[CheckResult]:
                           "family enumeration came back empty")
         return
     for p in posets:
-        covers = litposet.cover_pairs(p.rows)
+        covers = litposet.cover_pairs(p)
         g = cgraph.graph_of_covers(n, covers)  # raises on two-color demand or odd-blue
         if cgraph.double_cover(g) != covers:
             yield CheckResult(
@@ -359,11 +356,11 @@ def check_bb_coherence(n: int, run: Run) -> Iterator[CheckResult]:
 
 
 def check_pn_oracle(n: int, run: Run) -> Iterator[CheckResult]:
-    """The graph-driven family's rows equal, as a set, those of the order
-    search on the 2n literals, census.enumerate_pn_oracle, which checks
-    each as it makes its LiteralPoset: so both sets hold only members."""
-    via_graphs = set(run.family_rows(n))
-    via_orders = {p.rows for p in census.enumerate_pn_oracle(n)}
+    """The graph-driven family equals, as a set of closure rows, the order
+    search on the 2n literals, census.enumerate_pn_oracle; both searches
+    check the membership of each poset they list."""
+    via_graphs = set(run.family(n))
+    via_orders = set(census.enumerate_pn_oracle(n))
     # the label says "sweep" because the pinned output digests include it
     yield CheckResult("poset-enumeration-oracle", f"n={n}", _verdict(via_graphs == via_orders),
                       f"graph-driven {len(via_graphs)}, sweep {len(via_orders)}")
@@ -433,7 +430,7 @@ def run_suites(ns: Iterable[int], seed: int = DEFAULT_SEED,
                big: bool = False) -> list[CheckResult]:
     """Every verify check over the requested sizes: the identity checks,
     then the property suites per size.  All of them share one Run, so each
-    census value, each graph's poset rows and each family is computed once.
+    census value, each graph's posets and each family is computed once.
     Each check runs at the sizes its _CHECKS row gives under big.
     """
     return _run_checks(_CHECKS, ns, Run(seed, big))

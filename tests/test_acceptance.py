@@ -66,7 +66,7 @@ def test_criterion_1_exact_baselines():
     pn2_oracle = relation_matrix_sweep_n2()
     assert len(pn2_oracle) == 5
     assert census.count("Pn", 2).value == 5
-    assert {p.rows for p in cgraph.enumerate_pn(2)} == pn2_oracle
+    assert set(cgraph.enumerate_pn(2)) == pn2_oracle
 
     for n, expect in ((2, 3), (3, 23)):
         assert census.count("F", n, method="flat-sweep").value == expect
@@ -146,7 +146,7 @@ def test_criterion_6_graph_map_properties():
     for n in (1, 2, 3):
         for p in cgraph.enumerate_pn(n):
             g = cgraph.graph_of_poset(p)   # raises on any two-color demand
-            assert cgraph.double_cover(g) == litposet.cover_pairs(p.rows)
+            assert cgraph.double_cover(g) == litposet.cover_pairs(p)
             assert cgraph.is_obtf(g)
             checked += 1
     assert checked == 1 + 5 + 69

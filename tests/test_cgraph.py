@@ -1,6 +1,7 @@
 import pytest
 
-from obtf.boolfn import ParseError
+from obtf import litposet
+from obtf.boolfn import ParseError, bits
 from obtf.census import enumerate_pn_oracle
 from obtf.cgraph import (
     EDGE_GUARD,
@@ -24,7 +25,7 @@ from obtf.cgraph import (
     triangle_components,
     triangles,
 )
-from obtf.litposet import LiteralPoset, ResourceGuardError
+from obtf.litposet import ResourceGuardError, poset_from_relations
 
 G_BLUE = ColoredGraph.of(2, blue=[(1, 2)])
 G_RED = ColoredGraph.of(2, red=[(1, 2)])
@@ -148,15 +149,15 @@ class TestTriangleComponents:
 
 class TestGraphOfPoset:
     def test_red_edge(self):
-        p = LiteralPoset.from_relations(2, [(1, 2)])  # !x1 < x2
+        p = poset_from_relations(2, [(1, 2)])  # !x1 < x2
         assert graph_of_poset(p) == G_RED
 
     def test_blue_edge(self):
-        p = LiteralPoset.from_relations(2, [(0, 2)])  # x1 < x2
+        p = poset_from_relations(2, [(0, 2)])  # x1 < x2
         assert graph_of_poset(p) == G_BLUE
 
     def test_antichain_empty_graph(self):
-        assert graph_of_poset(LiteralPoset.antichain(2)) == ColoredGraph.of(2)
+        assert graph_of_poset((0,) * 4) == ColoredGraph.of(2)
 
 
 class TestDoubleCover:
@@ -203,14 +204,14 @@ class TestPosetsOfGraph:
     def test_single_blue_edge_two_posets(self):
         ps = posets_of_graph(G_BLUE)
         assert len(ps) == 2
-        assert {frozenset(p.relation_pairs()) for p in ps} == {
-            frozenset({(0, 2), (3, 1)}), frozenset({(2, 0), (1, 3)})}
+        assert {frozenset((u, v) for u, row in enumerate(p) for v in bits(row))
+                for p in ps} == {frozenset({(0, 2), (3, 1)}), frozenset({(2, 0), (1, 3)})}
 
     def test_odd_triangle_empty(self):
         assert posets_of_graph(ODD_TRIANGLE) == []
 
     def test_empty_graph_antichain_only(self):
-        assert posets_of_graph(ColoredGraph.of(2)) == [LiteralPoset.antichain(2)]
+        assert posets_of_graph(ColoredGraph.of(2)) == [(0,) * 4]
 
     def test_four_cycle(self):
         assert len(posets_of_graph(FOUR_CYCLE)) == 8
@@ -220,20 +221,27 @@ class TestPosetsOfGraph:
         # graph and compare per graph
         by_graph = {}
         for p in enumerate_pn_oracle(3):
-            by_graph.setdefault(graph_of_poset(p), set()).add(p.rows)
+            by_graph.setdefault(graph_of_poset(p), set()).add(p)
         for g in enumerate_colored_graphs(3):
-            expect = by_graph.get(g, set())
-            assert {p.rows for p in posets_of_graph(g)} == expect
+            assert set(posets_of_graph(g)) == by_graph.get(g, set())
 
     def test_output_sorted(self):
         ps = posets_of_graph(FOUR_CYCLE)
-        assert [p.rows for p in ps] == sorted(p.rows for p in ps)
+        assert ps == sorted(ps)
+
+    def test_a_non_member_found_raises(self, monkeypatch):
+        # each poset is checked as the search finds it; a graph that
+        # carries none checks nothing
+        monkeypatch.setattr(litposet, "is_pn_member", lambda rows: False)
+        assert posets_of_graph(ODD_TRIANGLE) == []
+        with pytest.raises(AssertionError, match="non-member"):
+            posets_of_graph(G_BLUE)
 
     @pytest.mark.parametrize("text,expect", SEVEN_VERTEX_GRAPHS,
                              ids=[f"{12 + i}-edges" for i in range(5)])
     def test_seven_vertex_graphs_exact_posets(self, text, expect):
         g = parse_colored_graph(text)
-        assert [p.rows for p in posets_of_graph(g)] == expect
+        assert posets_of_graph(g) == expect
 
 
 class TestClosedWalks:

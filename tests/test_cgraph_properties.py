@@ -25,12 +25,12 @@ from obtf.cgraph import (
 
 @pytest.fixture(scope="module")
 def oracle_fibers():
-    """Sorted poset rows per colored graph, n <= 4, from the order search."""
+    """Sorted posets per colored graph, n <= 4, from the order search."""
     fibers = {}
     for n in range(5):
         for p in enumerate_pn_oracle(n):
-            fibers.setdefault(graph_of_poset(p), []).append(p.rows)
-    return {g: sorted(rows) for g, rows in fibers.items()}
+            fibers.setdefault(graph_of_poset(p), []).append(p)
+    return {g: sorted(ps) for g, ps in fibers.items()}
 
 
 @st.composite
@@ -46,7 +46,7 @@ def colored_graphs(draw, max_n=4):
 @settings(max_examples=300, deadline=None)
 @given(g=colored_graphs())
 def test_posets_of_graph_is_the_oracle_fiber(oracle_fibers, g):
-    assert [p.rows for p in posets_of_graph(g)] == oracle_fibers.get(g, [])
+    assert posets_of_graph(g) == oracle_fibers.get(g, [])
 
 
 @settings(max_examples=200, deadline=None)

@@ -410,6 +410,16 @@ class TestPosetsCommand:
         assert code == 0
         assert out.splitlines() == ["poset,below,above", *rows]
 
+    @pytest.mark.parametrize("text, out", [
+        ("n 0\n", '{\n  "n": 0,\n  "relations": []\n}\n'),
+        # n comes from the header, not from the variables the clauses use
+        ("n 3\n1 2\n", '{\n  "n": 3,\n  "relations": [\n    "-1 2",\n    "-2 1"\n  ]\n}\n'),
+    ])
+    def test_formula_json(self, capsys, tmp_path, text, out):
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        assert run(capsys, "posets", "--formula", str(path), "--format", "json") == (0, out, "")
+
     def test_non_utf8_formula_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "f.txt"
         path.write_bytes(b"\xffn 2\n1 2\n")

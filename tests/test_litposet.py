@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obtf import census
+from obtf import census, litposet
 from obtf.boolfn import (
     ParseError,
-    all_clauses,
     all_ones,
+    bits,
     is_elementary,
     literal_index,
     realize_formula,
@@ -18,7 +18,6 @@ from obtf.boolfn import (
 from obtf.census import enumerate_pn_oracle
 from obtf.cgraph import enumerate_pn, graph_of_covers
 from obtf.litposet import (
-    LiteralPoset,
     ResourceGuardError,
     cover_pairs,
     cover_rows,
@@ -26,43 +25,38 @@ from obtf.litposet import (
     implication_poset,
     is_pn_member,
     parse_poset,
+    poset_from_relations,
     poset_to_function,
     transitive_closure,
 )
 
 from test_boolfn import all_formulas, formula
-from test_format_properties import posets
+from test_format_properties import formulas, posets
 
 X1, NX1, X2, NX2, X3, NX3 = range(6)
 
 
 def poset_of(n, *relations):
-    return LiteralPoset.from_relations(n, relations)
+    return poset_from_relations(n, relations)
 
 
-def refused(n, rows):
-    """Whether making a LiteralPoset of these rows raises ValueError."""
-    try:
-        LiteralPoset(n, tuple(rows))
-    except ValueError:
-        return True
-    return False
+def relation_pairs(p):
+    """Every relation u < v of a poset's closure rows."""
+    return {(u, v) for u, row in enumerate(p) for v in bits(row)}
 
 
 class TestMembership:
     def test_antichain(self):
-        assert is_pn_member(LiteralPoset.antichain(2).rows)
+        assert is_pn_member((0,) * 4)
 
     def test_own_negation_comparable_rejected(self):
         rows = (0b10, 0)  # x1 < !x1
         assert not is_pn_member(rows)
-        assert refused(1, rows)
 
     def test_negation_symmetry_required(self):
         # x1 < x2 without !x2 < !x1
         rows = (1 << X2, 0, 0, 0)
         assert not is_pn_member(rows)
-        assert refused(2, rows)
 
     def test_transitivity_required(self):
         # x1 < x2 < x3 with duals but without the closing relations
@@ -72,10 +66,12 @@ class TestMembership:
         rows[NX2] |= 1 << NX1
         rows[NX3] |= 1 << NX2
         assert not is_pn_member(tuple(rows))
-        assert refused(3, rows)
-        closed = transitive_closure(tuple(rows))
-        assert is_pn_member(closed)
-        assert LiteralPoset(3, closed).rows == closed
+        assert is_pn_member(transitive_closure(tuple(rows)))
+
+    def test_from_relations_refuses_a_non_member(self):
+        assert poset_of(2, (X1, X2)) == (1 << X2, 0, 0, 1 << NX1)
+        with pytest.raises(ValueError, match="not a member"):
+            poset_of(2, (X1, X2), (X2, NX1))   # closes to x1 < !x1
 
     def test_raw_matrix_sweep_n2_finds_exactly_five(self):
         # every irreflexive relation matrix on the 4 literals of n=2
@@ -119,7 +115,6 @@ def test_membership_is_the_closure_oracle_on_every_n2_matrix():
         rows = tuple((cells >> (4 * u)) & 0b1111 for u in range(4))
         member = closure_membership(rows)
         assert is_pn_member(rows) == member
-        assert refused(2, rows) == (not member)
         members += member
     assert members == 5
 
@@ -141,30 +136,27 @@ def relation_matrices(draw, max_n=4):
     rows = tuple(rows)
     if draw(st.booleans()):
         rows = transitive_closure(rows)
-    return n, rows
+    return rows
 
 
 @settings(max_examples=500, deadline=None)
-@given(matrix=relation_matrices())
-def test_membership_is_the_closure_oracle(matrix):
-    n, rows = matrix
-    member = closure_membership(rows)
-    assert is_pn_member(rows) == member
-    assert refused(n, rows) == (not member)
+@given(rows=relation_matrices())
+def test_membership_is_the_closure_oracle(rows):
+    assert is_pn_member(rows) == closure_membership(rows)
 
 
 class TestImplicationPoset:
     def test_single_clause(self):
         p = implication_poset(*formula(2, (1, 2)))
-        assert set(p.relation_pairs()) == {(NX1, X2), (NX2, X1)}
+        assert relation_pairs(p) == {(NX1, X2), (NX2, X1)}
 
     def test_empty_formula_gives_antichain(self):
-        assert implication_poset(2, ()) == LiteralPoset.antichain(2)
+        assert implication_poset(2, ()) == (0,) * 4
 
     def test_closure_added(self):
         p = implication_poset(*formula(3, (-1, 2), (-2, 3)))
-        assert (p.rows[X1] >> X3) & 1
-        assert (p.rows[NX3] >> NX1) & 1
+        assert (p[X1] >> X3) & 1
+        assert (p[NX3] >> NX1) & 1
 
     def test_non_elementary_rejected(self):
         f = formula(2, (1, 2), (1, -2))  # forces x1
@@ -189,18 +181,8 @@ def implication_refused(n, clauses):
     return False
 
 
-@st.composite
-def formulas(draw, max_n=7):
-    """n <= max_n and a clause set of up to 2n random clauses, so that
-    elementary and non-elementary functions both come up."""
-    n = draw(st.integers(0, max_n))
-    clauses = all_clauses(n)
-    chosen = draw(st.lists(st.sampled_from(clauses), max_size=2 * n)) if clauses else []
-    return n, frozenset(chosen)
-
-
 @settings(max_examples=300, deadline=None)
-@given(f=formulas())
+@given(f=formulas(max_n=7))
 def test_implication_poset_refused_exactly_off_elementary(f):
     assert implication_refused(*f) == (not is_elementary(f[0], truth_table(*f)))
 
@@ -208,33 +190,33 @@ def test_implication_poset_refused_exactly_off_elementary(f):
 class TestCoverRelations:
     def test_height_one_relations_are_covers(self):
         p = poset_of(2, (NX1, X2))
-        assert cover_pairs(p.rows) == frozenset({(NX1, X2), (X1, NX2)})
+        assert cover_pairs(p) == frozenset({(NX1, X2), (X1, NX2)})
 
     def test_chain_drops_transitive_edge(self):
         p = poset_of(3, (X1, X2), (X2, X3))
-        edges = cover_pairs(p.rows)
+        edges = cover_pairs(p)
         assert edges == frozenset({(X1, X2), (X2, X3), (NX1, NX2), (NX2, NX3)})
         assert (X1, X3) not in edges
 
     def test_antichain_has_no_covers(self):
-        assert cover_pairs(LiteralPoset.antichain(3).rows) == frozenset()
+        assert cover_pairs((0,) * 6) == frozenset()
 
     def test_covers_negation_symmetric(self):
         for p in enumerate_pn(3):
-            edges = cover_pairs(p.rows)
+            edges = cover_pairs(p)
             for u, v in edges:
                 du, dv = u ^ 1, v ^ 1
                 assert (min(du, dv), max(du, dv)) in edges
 
     def test_covers_generate_the_order(self):
         for p in enumerate_pn(3):
-            rows = [0] * (2 * p.n)
-            for u, v in cover_pairs(p.rows):
-                if (p.rows[u] >> v) & 1:
+            rows = [0] * len(p)
+            for u, v in cover_pairs(p):
+                if (p[u] >> v) & 1:
                     rows[u] |= 1 << v
                 else:
                     rows[v] |= 1 << u
-            assert transitive_closure(tuple(rows)) == p.rows
+            assert transitive_closure(tuple(rows)) == p
 
     def test_graph_of_covers_rejects_negation_pair(self):
         # a literal covering its own negation would be a loop on vertex 1
@@ -293,7 +275,7 @@ def test_child_cover_key_is_the_childs_cover_key(child):
 
 class TestPosetToFunction:
     def test_antichain_is_constant_true(self):
-        t = poset_to_function(LiteralPoset.antichain(2))
+        t = poset_to_function((0,) * 4)
         assert t == all_ones(2)
 
     def test_two_examples(self):
@@ -322,15 +304,15 @@ class TestPosetToFunction:
 @given(p=posets(max_n=6))
 def test_function_round_trip_beyond_verify_sizes(p):
     # verify's bijection-roundtrip walks the whole family only up to n = 4
-    t = poset_to_function(p)
-    assert is_elementary(p.n, t)
-    assert implication_poset(p.n, realize_formula(p.n, t)) == p
+    n, t = len(p) // 2, poset_to_function(p)
+    assert is_elementary(n, t)
+    assert implication_poset(n, realize_formula(n, t)) == p
 
 
 def relation_formula(p):
     """The clause set of p's oracle formula: one clause (not-u or v) per
     relation u < v, every relation rather than just the covers."""
-    return frozenset((min(u ^ 1, v), max(u ^ 1, v)) for u, v in p.relation_pairs())
+    return frozenset((min(u ^ 1, v), max(u ^ 1, v)) for u, v in relation_pairs(p))
 
 
 class TestEnumeration:
@@ -338,28 +320,33 @@ class TestEnumeration:
     def test_counts(self, n, count):
         ps = list(enumerate_pn(n))
         assert len(ps) == count
-        assert all(is_pn_member(p.rows) for p in ps)
+        assert all(is_pn_member(p) for p in ps)
 
     def test_no_duplicates(self):
         ps = list(enumerate_pn(3))
-        assert len({p.rows for p in ps}) == len(ps)
+        assert len(set(ps)) == len(ps)
 
     @pytest.mark.parametrize("n", [
         1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])    # 5: 138,057, about 10 s
     def test_matches_relation_sweep_oracle(self, n):
-        assert ({p.rows for p in enumerate_pn(n)}
-                == {p.rows for p in enumerate_pn_oracle(n)})
+        assert set(enumerate_pn(n)) == set(enumerate_pn_oracle(n))
 
     @pytest.mark.parametrize("n", [
         0, 1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])    # 4: about 7 s, all in the sweep
     def test_order_search_is_the_relation_sweep(self, n):
-        assert {p.rows for p in enumerate_pn_oracle(n)} == relation_sweep(n)
+        assert set(enumerate_pn_oracle(n)) == relation_sweep(n)
 
     def test_guard(self):
         with pytest.raises(ResourceGuardError):
             list(enumerate_pn(6))
         with pytest.raises(ResourceGuardError):
             enumerate_pn_oracle(6)
+
+    def test_oracle_raises_on_a_non_member(self, monkeypatch):
+        # the order search checks each order it lists
+        monkeypatch.setattr(litposet, "is_pn_member", lambda rows: False)
+        with pytest.raises(AssertionError, match="non-member"):
+            enumerate_pn_oracle(2)
 
 
 def relation_sweep(n):
@@ -394,8 +381,8 @@ class TestPosetText:
 
     def test_closure_and_duals_implied(self):
         p = parse_poset("n 3\n1 2\n2 3\n")
-        assert (p.rows[X1] >> X3) & 1
-        assert (p.rows[NX2] >> NX1) & 1
+        assert (p[X1] >> X3) & 1
+        assert (p[NX2] >> NX1) & 1
 
     def test_bad_relation_rejected(self):
         with pytest.raises(ParseError):

@@ -90,8 +90,8 @@ def test_walks_suite_small():
 
 
 @pytest.mark.parametrize("module,name,failing", [
-    (cgraph, "poset_rows_of_graph", ["triangle-connected-two-posets",
-                                     "poset-count-bounds", "graph-partition-law"]),
+    (cgraph, "posets_of_graph", ["triangle-connected-two-posets",
+                                 "poset-count-bounds", "graph-partition-law"]),
     (census, "_bb_closed_form", ["bb-closed-form", "ratio-table", "engine-agreement"]),
 ])
 def test_crashing_check_prints_fail_lines(monkeypatch, capsys, module, name, failing):
@@ -130,13 +130,13 @@ def test_each_value_counted_once(monkeypatch, capsys):
 
 
 def test_each_graph_listed_once(monkeypatch, capsys):
-    listed, real = Counter(), cgraph.poset_rows_of_graph
+    listed, real = Counter(), cgraph.posets_of_graph
 
     def spy(g):
         listed[g] += 1
         return real(g)
 
-    monkeypatch.setattr(cgraph, "poset_rows_of_graph", spy)
+    monkeypatch.setattr(cgraph, "posets_of_graph", spy)
     # the Pn engine counts the order search's stream and lists no graph
     assert [census.count("Pn", n).value for n in range(5)] == [1, 1, 5, 69, 2153]
     assert not listed
@@ -168,7 +168,7 @@ def test_run_memo_sees_a_patch_and_keeps_no_error(monkeypatch):
             raise AssertionError("first call fails")
         return ["listed"]
 
-    monkeypatch.setattr(cgraph, "poset_rows_of_graph", flaky)
+    monkeypatch.setattr(cgraph, "posets_of_graph", flaky)
     run, g = verify.Run(), cgraph.ColoredGraph.of(2, blue=[(1, 2)])
     with pytest.raises(AssertionError):
         run.rows(g)
@@ -178,30 +178,36 @@ def test_run_memo_sees_a_patch_and_keeps_no_error(monkeypatch):
 
 @pytest.fixture
 def made(monkeypatch):
-    """Every LiteralPoset made, as (n, rows), counted."""
-    made, real = Counter(), litposet.LiteralPoset.__post_init__
+    """Every membership check, counted by the rows checked: a poset is
+    checked where it is made."""
+    made, real = Counter(), litposet.is_pn_member
 
-    def spy(p):
-        made[p.n, p.rows] += 1
-        real(p)
+    def spy(rows):
+        made[rows] += 1
+        return real(rows)
 
-    monkeypatch.setattr(litposet.LiteralPoset, "__post_init__", spy)
+    monkeypatch.setattr(litposet, "is_pn_member", spy)
     return made
 
 
 def test_each_family_poset_made_once(made):
     assert not [c for c in verify.run_suites(range(1, 5)) if c.failed]
-    # each poset of P4 is made for the family the property suites walk
-    # and again as the roundtrip's implication poset; nothing else makes
-    # one, the Pn engine's count included
-    family4 = {rows for n, rows in made if n == 4}
+    # each poset of P4 is checked once as the orientation search finds it
+    # for the memoized family, and again as the roundtrip's implication
+    # poset; nothing else checks one, the Pn engine's count included
+    family4 = {rows for rows in made if len(rows) == 8}
     assert len(family4) == 2153
-    assert {made[4, rows] for rows in family4} == {2}
+    assert {made[rows] for rows in family4} == {2}
     assert sum(made.values()) == 4873
 
 
 def test_pn_oracle_makes_only_the_oracles_posets(made):
-    [check] = verify.check_pn_oracle(3, verify.Run())
+    run = verify.Run()
+    run.family(3)
+    made.clear()
+    [check] = verify.check_pn_oracle(3, run)
     assert check.status == "PASS"
-    assert sum(made.values()) == 69      # the graph side compares rows
+    # the order search checks each order it lists; the family is the
+    # run's memo, whose posets were checked as the search found them
+    assert sum(made.values()) == 69
     assert set(made.values()) == {1}
