@@ -22,8 +22,9 @@ strict_orders adds one point at a time and yields the orders sorted by
 pair-state vector.  It answers the cover-graph multiplicity question, and
 on the 2n literals under negation it is census's only route to Pn: the
 order-dfs engine counts that stream without a membership check, and
-enumerate_pn_oracle lists it as closure rows, checking the membership of
-each order it lists, for verify to compare with the graph-driven family.
+verify compares the same stream, as a set of closure rows, with the
+graph-driven family, whose posets are checked for membership as the
+orientation search finds them.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .boolfn import (
     all_ones,
     bits,
     clause_masks,
+    is_elementary,
     literal_masks,
 )
 from .litposet import ResourceGuardError
@@ -63,7 +65,6 @@ __all__ = [
     "conventions",
     "count",
     "default_method",
-    "enumerate_pn_oracle",
     "max_n",
     "methods",
     "posets_per_cover_graph",
@@ -195,7 +196,7 @@ def _elementary_lookups(n: int) -> tuple[tuple[int, ...], ...]:
         for k in range(4))
 
 
-# cached: both conventions, and both H engines, count the same n's tables
+# cached: both conventions count the same n's tables
 @lru_cache(maxsize=None)
 def _elementary_count(n: int, tables: frozenset[int]) -> int:
     if n > 5:
@@ -342,7 +343,7 @@ ENGINES = {
         "median-dp": (lambda n: len(_conjunctions(n)), 5),
     },
     "H": {
-        "clause-sweep": (lambda n: _elementary_count(n, _conjunctions(n)), 4),
+        "clause-sweep": (lambda n: sum(1 for t in _conjunctions(n) if is_elementary(n, t)), 4),
         "median-dp": (lambda n: _elementary_count(n, _conjunctions(n)), 5),
     },
     "Pn": {
@@ -558,19 +559,6 @@ def posets_per_cover_graph(m: int) -> tuple[int, frozenset[tuple[int, int]]]:
             if k > best[0]:
                 best = (k, graph)
     return best[0], frozenset((e // m + 1, e % m + 1) for e in bits(best[1]))
-
-
-def enumerate_pn_oracle(n: int) -> list[tuple[int, ...]]:
-    """Pn's closure rows from the order stream that order-dfs counts, each
-    checked once for membership (a non-member raises AssertionError, since
-    it signals a bug): the listing verify compares cgraph.enumerate_pn with."""
-    if n > litposet.P_N_GUARD:
-        raise ResourceGuardError(
-            f"poset order search capped at n <= {litposet.P_N_GUARD}, got {n}")
-    orders = list(strict_orders(2 * n, negation=True))
-    if not all(map(litposet.is_pn_member, orders)):
-        raise AssertionError("order search listed a non-member")
-    return orders
 
 
 # ---------------------------------------------------------------------------

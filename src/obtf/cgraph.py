@@ -40,12 +40,10 @@ __all__ = [
     "graph_of_covers",
     "graph_of_poset",
     "is_obtf",
-    "is_triangle_connected",
     "kappa",
     "pairs_colex",
     "parse_colored_graph",
     "posets_of_graph",
-    "triangle_components",
     "triangles",
 ]
 
@@ -280,43 +278,29 @@ def gamma(g: ColoredGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
     return len(drop), drop
 
 
-def triangle_components(g: ColoredGraph) -> tuple[frozenset[tuple[int, int]], ...]:
-    """Equivalence classes of edges under membership in a chain of
-    triangles consecutively sharing an edge, sorted by their sorted edges;
-    triangle-free edges form singleton classes."""
-    edge_list = [(u, v) for u, v, _ in g.edges()]
-    index = {e: i for i, e in enumerate(edge_list)}
-    parent = list(range(len(edge_list)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for a, b, c in triangles(g):
-        e1, e2, e3 = index[(a, b)], index[(a, c)], index[(b, c)]
-        union(e1, e2)
-        union(e1, e3)
-    groups: dict[int, set] = {}
-    for e, i in index.items():
-        groups.setdefault(find(i), set()).add(e)
-    return tuple(sorted((frozenset(s) for s in groups.values()), key=sorted))
-
-
 def eta(g: ColoredGraph) -> int:
-    return len(triangle_components(g))
+    """The number of triangle components: classes of edges under
+    membership in a chain of triangles consecutively sharing an edge,
+    counted by union-find over the edges of each triangle.  A
+    triangle-free edge is a class of its own, and the edgeless graph has
+    0 classes."""
+    parent = {e: e for e in g.red | g.blue}
 
+    def find(e):
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
 
-def is_triangle_connected(g: ColoredGraph) -> bool:
-    """At most one triangle component.  The edgeless graph (zero classes)
-    counts as triangle-connected."""
-    return eta(g) <= 1
+    classes = len(parent)
+    for a, b, c in triangles(g):
+        root = find((a, b))
+        for e in ((a, c), (b, c)):
+            other = find(e)
+            if other != root:
+                parent[other] = root
+                classes -= 1
+    return classes
 
 
 def graph_of_poset(rows: tuple[int, ...]) -> ColoredGraph:
@@ -499,8 +483,8 @@ def parse_colored_graph(text: str) -> ColoredGraph:
     """Colored-graph text format: `n <int>`, then `u v R|B` per edge with
     1-based vertex ids; `#` starts a comment.  n is capped at
     VERTEX_GUARD, since analyze spends O(n) on even an edgeless graph, and
-    the edge count m at EDGE_GUARD, since is_obtf and triangle_components
-    visit every triangle, of which there are at most (sqrt 2 / 3) m^(3/2)."""
+    the edge count m at EDGE_GUARD, since is_obtf and eta visit every
+    triangle, of which there are at most (sqrt 2 / 3) m^(3/2)."""
     n, lines = parse_lines(text, "vertex")
     if n > VERTEX_GUARD:
         raise ResourceGuardError(f"colored graph capped at n <= {VERTEX_GUARD} vertices, got {n}")

@@ -159,9 +159,7 @@ def test_criterion_7_triangle_connected_bound():
     shortfalls = []
     for n in range(1, 6):
         for g in cgraph.enumerate_colored_graphs(n):
-            if cgraph.find_blue_bipartition(g) is None:
-                continue
-            if not cgraph.is_triangle_connected(g):
+            if cgraph.find_blue_bipartition(g) is None or cgraph.eta(g) > 1:
                 continue
             k = len(cgraph.posets_of_graph(g))
             assert k <= 2, cgraph.format_colored_graph(g)

@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 
 from obtf import litposet
 from obtf.boolfn import ParseError, bits
-from obtf.census import enumerate_pn_oracle
+from obtf.census import strict_orders
 from obtf.cgraph import (
     EDGE_GUARD,
     ColoredGraph,
@@ -16,13 +18,11 @@ from obtf.cgraph import (
     gamma,
     graph_of_poset,
     is_obtf,
-    is_triangle_connected,
     is_valid_bipartition,
     kappa,
     pairs_colex,
     parse_colored_graph,
     posets_of_graph,
-    triangle_components,
     triangles,
 )
 from obtf.litposet import ResourceGuardError, poset_from_relations
@@ -120,31 +120,41 @@ class TestDeletionDistances:
             kappa(ColoredGraph.of(13))
 
 
+def triangle_component_count(g):
+    """The triangle components of g, by brute force: each vertex triple
+    whose three edges are present merges every class that meets it."""
+    present = g.red | g.blue
+    classes = [{e} for e in present]
+    for a, b, c in itertools.combinations(range(1, g.n + 1), 3):
+        tri = {(a, b), (a, c), (b, c)}
+        if tri <= present:
+            merged = set().union(*(k for k in classes if k & tri))
+            classes = [k for k in classes if not k & tri] + [merged]
+    return len(classes)
+
+
 class TestTriangleComponents:
     def test_single_triangle_one_class(self):
-        assert triangle_components(EVEN_TRIANGLE) == (frozenset({(1, 2), (1, 3), (2, 3)}),)
-        assert is_triangle_connected(EVEN_TRIANGLE)
+        assert eta(EVEN_TRIANGLE) == 1
 
     def test_bowtie_two_classes(self):
         bow = ColoredGraph.of(
             5, red=[(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)])
-        assert triangle_components(bow) == (frozenset({(1, 2), (1, 3), (2, 3)}),
-                                            frozenset({(3, 4), (3, 5), (4, 5)}))
         assert eta(bow) == 2
 
     def test_single_edge_singleton_class(self):
-        g = ColoredGraph.of(2, red=[(1, 2)])
-        assert eta(g) == 1
-        assert is_triangle_connected(g)
+        assert eta(ColoredGraph.of(2, red=[(1, 2)])) == 1
 
     def test_edgeless_counts_as_connected(self):
         assert eta(ColoredGraph.of(3)) == 0
-        assert is_triangle_connected(ColoredGraph.of(3))
 
     def test_four_cycle_four_singletons(self):
-        assert triangle_components(FOUR_CYCLE) == tuple(
-            frozenset({e}) for e in sorted(FOUR_CYCLE.red | FOUR_CYCLE.blue))
         assert eta(FOUR_CYCLE) == 4
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_matches_brute_force(self, n):
+        for g in enumerate_colored_graphs(n):
+            assert eta(g) == triangle_component_count(g), format_colored_graph(g)
 
 
 class TestGraphOfPoset:
@@ -220,7 +230,7 @@ class TestPosetsOfGraph:
         # group the family, found by the independent order search, by its
         # graph and compare per graph
         by_graph = {}
-        for p in enumerate_pn_oracle(3):
+        for p in strict_orders(6, negation=True):
             by_graph.setdefault(graph_of_poset(p), set()).add(p)
         for g in enumerate_colored_graphs(3):
             assert set(posets_of_graph(g)) == by_graph.get(g, set())

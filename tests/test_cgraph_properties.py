@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from obtf.census import enumerate_pn_oracle
+from obtf.census import strict_orders
 from obtf.cgraph import (
     ColoredGraph,
     bipartition_sweep,
@@ -28,7 +28,7 @@ def oracle_fibers():
     """Sorted posets per colored graph, n <= 4, from the order search."""
     fibers = {}
     for n in range(5):
-        for p in enumerate_pn_oracle(n):
+        for p in strict_orders(2 * n, negation=True):
             fibers.setdefault(graph_of_poset(p), []).append(p)
     return {g: sorted(ps) for g, ps in fibers.items()}
 

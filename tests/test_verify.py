@@ -194,20 +194,48 @@ def test_each_family_poset_made_once(made):
     assert not [c for c in verify.run_suites(range(1, 5)) if c.failed]
     # each poset of P4 is checked once as the orientation search finds it
     # for the memoized family, and again as the roundtrip's implication
-    # poset; nothing else checks one, the Pn engine's count included
+    # poset; nothing else checks one, neither the Pn engine's count nor
+    # the oracle's order stream
     family4 = {rows for rows in made if len(rows) == 8}
     assert len(family4) == 2153
     assert {made[rows] for rows in family4} == {2}
-    assert sum(made.values()) == 4873
+    assert sum(made.values()) == 4798
 
 
-def test_pn_oracle_makes_only_the_oracles_posets(made):
+def test_pn_oracle_checks_no_poset(made):
     run = verify.Run()
     run.family(3)
     made.clear()
     [check] = verify.check_pn_oracle(3, run)
     assert check.status == "PASS"
-    # the order search checks each order it lists; the family is the
-    # run's memo, whose posets were checked as the search found them
-    assert sum(made.values()) == 69
-    assert set(made.values()) == {1}
+    # the family is the run's memo, whose posets were checked as the
+    # search found them, and the order stream is compared as it is
+    assert not made
+
+
+# x1 < not-x1: a strict order on the 4 literals of n = 2, but no member
+_NON_MEMBER = (0b0010, 0, 0, 0)
+
+
+@pytest.mark.parametrize("change,detail", [
+    (lambda orders: [*orders, _NON_MEMBER], "graph-driven 5, sweep 6"),
+    (lambda orders: orders[:-1], "graph-driven 5, sweep 4"),
+], ids=["adds-a-non-member", "drops-an-order"])
+def test_pn_oracle_fails_on_a_broken_order_stream(monkeypatch, change, detail):
+    real = census.strict_orders
+    monkeypatch.setattr(census, "strict_orders", lambda m, negation=False: change(
+        list(real(m, negation))))
+    [check] = verify.check_pn_oracle(2, verify.Run())
+    assert (check.status, check.detail) == ("FAIL", detail)
+
+
+def test_engine_agreement_h_runs_two_routes(monkeypatch):
+    # clause-sweep tests each table's spine and associated pairs itself,
+    # so a wrong byte-lookup count disagrees with it
+    real = census._elementary_count
+    monkeypatch.setattr(census, "_elementary_count", lambda n, tables: real(n, tables) + 1)
+    for n in range(2, 5):
+        checks = [c for c in verify.check_engine_agreement(n, verify.Run())
+                  if c.name == "engine-agreement-H"]
+        assert [c.scope for c in checks] == [f"n={n} t1", f"n={n} t0"]
+        assert {c.status for c in checks} == {"FAIL"}
