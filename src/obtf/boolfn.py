@@ -159,14 +159,27 @@ def associated_pairs(n: int, t: int) -> set[tuple[int, int, int]]:
     return pairs
 
 
+@lru_cache(maxsize=None)
+def _lock_masks(n: int) -> tuple[int, ...]:
+    """Every variable mask, then x_i xor x_j for every i < j: a variable
+    is fixed, or a pair locked, iff the table misses the mask or its
+    complement."""
+    masks = variable_masks(n)
+    return (*masks, *(masks[i] ^ m for j, m in enumerate(masks) for i in range(j)))
+
+
 def is_elementary(n: int, t: int) -> bool:
     """Satisfiable with empty spine and no associated pairs.
 
     The unsatisfiable function is classified trivial, never elementary.
+    Stops at the first fixed variable or locked pair.
     """
     if t == 0:
         return False
-    return not spine(n, t) and not associated_pairs(n, t)
+    for m in _lock_masks(n):
+        if not t & m or not t & ~m:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)

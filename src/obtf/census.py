@@ -18,6 +18,12 @@ in: the default method is the first whose cap admits n, and every method
 whose cap admits n must return the same value (verify checks this and
 the identities between quantities).
 
+G and H count median-closed tables, the sets a 2-CNF defines (Schaefer
+1978), by three routes: clause-sweep closes the clause masks under AND,
+median-filter pairs median-closed half-tables, and median-dp grows each
+table from its projection on x_1..x_{n-1}, so it counts the tables on n
+variables holding only those on n - 1.
+
 strict_orders adds one point at a time and yields the orders sorted by
 pair-state vector.  It answers the cover-graph multiplicity question, and
 on the 2n literals under negation it is census's only route to Pn: the
@@ -51,6 +57,7 @@ from .boolfn import (
     clause_masks,
     is_elementary,
     literal_masks,
+    variable_masks,
 )
 from .litposet import ResourceGuardError
 
@@ -177,34 +184,79 @@ def _median_closed_tables(n: int) -> frozenset[int]:
 
 
 @lru_cache(maxsize=None)
-def _elementary_lookups(n: int) -> tuple[tuple[int, ...], ...]:
-    """Per-byte lookup tables for the elementary test.
+def _cubes(n: int) -> tuple[int, ...]:
+    """The table of every cube on n variables, each variable absent,
+    true or false: the 3^n conjunctions of literals, all-ones the empty
+    one, then the contradictory cube 0."""
+    full = all_ones(n)
+    cubes = [full]
+    for x in variable_masks(n):
+        cubes = [c & m for c in cubes for m in (full, x, full ^ x)]
+    return (*cubes, 0)
 
-    A table is elementary iff it meets every test mask: all-ones (it is
-    satisfiable), x_i and not-x_i (no spine), x_i xor x_j and its
-    complement (no associated pair).  Entry h of the table for byte k has
-    bit t set iff byte value h at byte k meets test t, so a bitset passes
-    iff the OR of its byte lookups sets every test bit.  Four bytes hold
-    the truth table of every n <= 5.
+
+def _covering_pairs(n: int, p: int) -> list[tuple[int, int]]:
+    """The halves (lo, hi) on n variables of every median-closed table on
+    n + 1 whose projection, lo | hi, is the median-closed table p.
+
+    Such a table is f & (x | a) & (~x | b), with x = x_{n+1}, f a 2-CNF
+    on x_1..x_n and a, b cubes (the cube 0 for a unit clause on x).  Its
+    projection is p = f & (a | b), so lo = p & a and hi = p & b;
+    conversely, every such pair with lo | hi == p is p & (x | a) &
+    (~x | b), again a 2-CNF.
     """
-    masks = literal_masks(n)
-    tests = [all_ones(n), *masks]
-    tests += [masks[u] ^ masks[v] for u in range(0, 2 * n, 2) for v in range(u + 2, 2 * n)]
-    return tuple(
-        tuple(sum(1 << t for t, test in enumerate(tests) if (h << (8 * k)) & test)
-              for h in range(256))
-        for k in range(4))
+    s = {p & c for c in _cubes(n)}
+    return [(lo, hi) for lo in s for hi in s if lo | hi == p]
 
 
-# cached: both conventions count the same n's tables
 @lru_cache(maxsize=None)
-def _elementary_count(n: int, tables: frozenset[int]) -> int:
-    if n > 5:
-        raise ResourceGuardError(f"elementary filter capped at n <= 5, got {n}")
-    l0, l1, l2, l3 = _elementary_lookups(n)
-    want = l0[255] | l1[255] | l2[255] | l3[255]    # the all-ones table meets every test
-    return sum(1 for b in tables
-               if l0[b & 255] | l1[(b >> 8) & 255] | l2[(b >> 16) & 255] | l3[b >> 24] == want)
+def _projection_family(n: int) -> frozenset[int]:
+    """Every median-closed table on n variables, each grown once from its
+    projection on x_1..x_{n-1}: the projection of a median-closed table
+    is median-closed.  Neither the clause closure nor the half-table
+    median test is used."""
+    if n == 0:
+        return frozenset({0, 1})
+    shift = 1 << (n - 1)
+    return frozenset(lo | hi << shift for p in _projection_family(n - 1)
+                     for lo, hi in _covering_pairs(n - 1, p))
+
+
+# cached, like the H count: both conventions count the same n's tables
+@lru_cache(maxsize=None)
+def _projection_count(n: int) -> int:
+    """The median-closed tables on n >= 1 variables, counted from their
+    projections without holding them."""
+    return sum(len(_covering_pairs(n - 1, p)) for p in _projection_family(n - 1))
+
+
+@lru_cache(maxsize=None)
+def _elementary_projection_count(n: int) -> int:
+    """The elementary median-closed tables on n variables.
+
+    A table is elementary iff its projection p is (x_1..x_{n-1} keep their
+    spine and associated pairs), both halves are non-empty (x_n is not
+    fixed), and no literal u is false on all of lo and true on all of hi
+    (x_n is not locked to u).  sig[t] holds the literals t has no model
+    of, and those every model of t satisfies: the first set of lo must
+    miss the second of hi."""
+    if n == 0:
+        return 1    # the constant True on no variables
+    m = n - 1
+    literals = literal_masks(m)
+    sig: dict[int, tuple[int, int]] = {}
+    total = 0
+    for p in _projection_family(m):
+        if not is_elementary(m, p):
+            continue
+        for lo, hi in _covering_pairs(m, p):
+            if lo and hi:
+                for t in (lo, hi):
+                    if t not in sig:
+                        missed = [u for u, x in enumerate(literals) if not t & x]
+                        sig[t] = (sum(1 << u for u in missed), sum(1 << (u ^ 1) for u in missed))
+                total += not sig[lo][0] & sig[hi][1]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +392,11 @@ ENGINES = {
         "clause-sweep": (lambda n: len(_conjunctions(n)), 4),
         # below n = 2 no clause exists: only the empty formula's constant True
         "median-filter": (lambda n: 1 if n < 2 else len(_median_closed_tables(n)), 4),
-        "median-dp": (lambda n: len(_conjunctions(n)), 5),
+        "median-dp": (lambda n: 1 if n < 2 else _projection_count(n), 5),
     },
     "H": {
         "clause-sweep": (lambda n: sum(1 for t in _conjunctions(n) if is_elementary(n, t)), 4),
-        "median-dp": (lambda n: _elementary_count(n, _conjunctions(n)), 5),
+        "median-dp": (lambda n: _elementary_projection_count(n), 5),
     },
     "Pn": {
         "order-dfs": (lambda n: sum(1 for _ in strict_orders(2 * n, negation=True)),

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from obtf import census
 from obtf.boolfn import (
     ParseError,
     all_clauses,
@@ -152,6 +153,13 @@ class TestElementary:
         assert not is_elementary(2, table((0, 0), (1, 1)))
         assert is_elementary(1, 0b11)
         assert not is_elementary(2, 0)
+
+    def test_early_exit_keeps_the_definition(self):
+        tables = [(n, t) for n in range(4) for t in range(1 << (1 << n))]
+        tables += [(4, t) for t in census._median_closed_tables(4)]
+        for n, t in tables:
+            assert is_elementary(n, t) == (
+                t != 0 and not spine(n, t) and not associated_pairs(n, t)), (n, t)
 
     def _relabeled(self, n, t, perm, flips):
         out = 0

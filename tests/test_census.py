@@ -67,13 +67,14 @@ class TestFunctionCounts:
         assert count("H", n, "t1").value == H_T1[n]
 
     def test_g_and_h_engines_build_one_closure_per_n(self):
+        # only clause-sweep reads the clause closure; median-dp projects
         census._conjunctions.cache_clear()
         for quantity in ("G", "H"):
             for conv in ("t0", "t1"):
                 for method in ("clause-sweep", "median-dp"):
                     count(quantity, 4, conv, method)
         info = census._conjunctions.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 7, 1)
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
 
     def test_guards(self):
         with pytest.raises(ResourceGuardError):
@@ -88,11 +89,11 @@ class TestFunctionCounts:
         assert count("H", 5, "t0").value == H_T0_5
 
     def test_h_elementary_count_made_once_per_n(self):
-        # the t1 record reuses the t0 count of the 224,716 tables
-        census._elementary_count.cache_clear()
+        # the t1 record reuses the t0 count of the elementary tables
+        census._elementary_projection_count.cache_clear()
         count("H", 5, "t0")
         count("H", 5, "t1")
-        info = census._elementary_count.cache_info()
+        info = census._elementary_projection_count.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
     def test_decomposition_identity(self):

@@ -1,9 +1,10 @@
 """The fast census kernels against their independent oracles.
 
-Both H engines share the elementary filter, and F's DFS has no second
-engine above n = 5, so engine agreement alone cannot see a bug in either
-kernel; these tests compare each one with the reference definitions, and
-the switching-class key of F's memo with brute-force switching.
+G's and H's median-dp engines count the median-closed tables from their
+projections, and F's DFS has no second engine above n = 5, so engine
+agreement alone does not pin either kernel at its cap; these tests
+compare each one with the reference definitions, and the switching-class
+key of F's memo with brute-force switching.
 """
 
 import itertools
@@ -13,21 +14,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obtf import census
-from obtf.boolfn import is_elementary
+from obtf.boolfn import associated_pairs, is_elementary, spine
 
 
-def _is_elementary_fast(n: int, bits: int) -> bool:
-    return census._elementary_count(n, frozenset({bits})) == 1
+def _median_closed(n: int) -> frozenset[int]:
+    """The half-table median filter's family, and the clause closure's at
+    n = 5, where the half-table build takes seconds."""
+    return census._conjunctions(n) if n == 5 else census._median_closed_tables(n)
 
 
-@pytest.mark.parametrize("n", range(5))
-def test_elementary_filter_on_every_family_member(n):
-    family = census._median_closed_tables(n)
-    assert family
+@pytest.mark.parametrize("n", range(6))
+def test_projection_family_is_every_median_closed_table(n):
+    family = census._projection_family(n)
+    assert family == _median_closed(n)
     if n >= 2:
         assert census._conjunctions(n) == family
-    for bits in family:
-        assert _is_elementary_fast(n, bits) == is_elementary(n, bits), bits
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_elementary_filter_on_every_family_member(n):
+    want = sum(1 for t in _median_closed(n) if is_elementary(n, t))
+    assert census._elementary_projection_count(n) == want
+
+
+def test_n5_counts_never_build_the_clause_closure():
+    for cached in (census._conjunctions, census._projection_count,
+                   census._elementary_projection_count):
+        cached.cache_clear()
+    for quantity in ("G", "H"):
+        for convention in ("t0", "t1"):
+            census.count(quantity, 5, convention)
+    assert census._conjunctions.cache_info().currsize == 0
 
 
 @st.composite
@@ -39,8 +56,9 @@ def truth_tables(draw):
 @settings(max_examples=500, deadline=None)
 @given(table=truth_tables())
 def test_elementary_filter_on_random_tables(table):
-    n, bits = table
-    assert _is_elementary_fast(n, bits) == is_elementary(n, bits)
+    # is_elementary stops at the first fixed variable or locked pair
+    n, t = table
+    assert is_elementary(n, t) == (t != 0 and not spine(n, t) and not associated_pairs(n, t))
 
 
 def test_f7():
