@@ -19,6 +19,7 @@ conjunction.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import getitem
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -27,18 +28,17 @@ __all__ = [
     "QUANTITIES",
     "all_clauses",
     "all_ones",
-    "associated_pairs",
     "bits",
     "clause_masks",
     "is_elementary",
     "literal_index",
     "literal_masks",
+    "orbits",
     "parse_formula",
     "parse_lines",
     "realize_formula",
     "signed_literal",
     "signed_pair",
-    "spine",
     "truth_table",
     "variable_masks",
 ]
@@ -117,48 +117,6 @@ def truth_table(n: int, clauses: Iterable[tuple[int, int]]) -> int:
     return t
 
 
-def _require_satisfiable(t: int) -> None:
-    if t == 0:
-        raise ValueError("trivial function: spine undefined")
-
-
-def spine(n: int, t: int) -> dict[int, bool]:
-    """Variables taking a single value in every satisfying assignment.
-
-    Returns {variable: forced value}. Raises ValueError on the trivial
-    (unsatisfiable) function, for which the notion is undefined.
-    """
-    _require_satisfiable(t)
-    masks = variable_masks(n)
-    forced = {}
-    for i in range(1, n + 1):
-        m = masks[i - 1]
-        if t & ~m == 0:
-            forced[i] = True
-        elif t & m == 0:
-            forced[i] = False
-    return forced
-
-
-def associated_pairs(n: int, t: int) -> set[tuple[int, int, int]]:
-    """Variable pairs locked together across all satisfying assignments.
-
-    Yields (i, j, +1) when x_i == x_j everywhere, (i, j, -1) when
-    x_i != x_j everywhere, with i < j. Undefined for the trivial function.
-    """
-    _require_satisfiable(t)
-    masks = variable_masks(n)
-    pairs = set()
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            diff = masks[i - 1] ^ masks[j - 1]
-            if t & diff == 0:
-                pairs.add((i, j, +1))
-            elif t & ~diff == 0:
-                pairs.add((i, j, -1))
-    return pairs
-
-
 @lru_cache(maxsize=None)
 def _lock_masks(n: int) -> tuple[int, ...]:
     """Every variable mask, then x_i xor x_j for every i < j: a variable
@@ -180,6 +138,38 @@ def is_elementary(n: int, t: int) -> bool:
         if not t & m or not t & ~m:
             return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _byte_images(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """images[k][v]: the image under perm of the points 8k..8k+7 that byte
+    v holds, so a bitset's image is the sum over its bytes."""
+    return tuple(tuple(sum(1 << perm[8 * k + i] for i in bits(v) if 8 * k + i < len(perm))
+                       for v in range(256))
+                 for k in range((len(perm) + 7) // 8))
+
+
+def orbits(members: Iterable[int], point_perms) -> list[tuple[int, int]]:
+    """(representative, orbit size) for each orbit of members, bitsets on
+    the points that point_perms permute (perm[i] the image of point i),
+    under the group they generate: every member's orbit is walked from
+    the first member met in it, one byte lookup per byte and generator."""
+    tables = [_byte_images(tuple(perm)) for perm in point_perms]
+    seen: set[int] = set()
+    found = []
+    for t in members:
+        if t in seen:
+            continue
+        seen.add(t)
+        orbit = [t]
+        for x in orbit:
+            for images in tables:
+                y = sum(map(getitem, images, x.to_bytes(len(images), "little")))
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        found.append((t, len(orbit)))
+    return found
 
 
 @lru_cache(maxsize=None)

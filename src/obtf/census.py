@@ -21,8 +21,12 @@ the identities between quantities).
 G and H count median-closed tables, the sets a 2-CNF defines (Schaefer
 1978), by three routes: clause-sweep closes the clause masks under AND,
 median-filter pairs median-closed half-tables, and median-dp grows each
-table from its projection on x_1..x_{n-1}, so it counts the tables on n
-variables holding only those on n - 1.
+table from its projection on x_1..x_{n-1}.  A symmetry of the cube,
+which permutes and negates variables, maps the tables over a projection
+one-to-one onto those over its image, so median-dp counts them for one
+representative per orbit of the projections and weights it by the orbit
+size: over MC(n - 1) up to n = 6, and at n = 7 over MC(5) again, two
+projection levels deep.
 
 strict_orders adds one point at a time and yields the orders sorted by
 pair-state vector.  It answers the cover-graph multiplicity question, and
@@ -57,6 +61,7 @@ from .boolfn import (
     clause_masks,
     is_elementary,
     literal_masks,
+    orbits,
     variable_masks,
 )
 from .litposet import ResourceGuardError
@@ -222,41 +227,72 @@ def _projection_family(n: int) -> frozenset[int]:
                      for lo, hi in _covering_pairs(n - 1, p))
 
 
+@lru_cache(maxsize=None)
+def _cube_generators(n: int) -> tuple[tuple[int, ...], ...]:
+    """The n - 1 adjacent variable swaps and the negation of x_1, each as
+    the permutation it makes of the 2^n assignments: they generate the
+    2^n * n! symmetries of the n-cube."""
+    points = range(1 << n)
+    swaps = [tuple(a ^ ((a >> i ^ a >> (i + 1)) & 1) * (3 << i) for a in points)
+             for i in range(n - 1)]
+    return (*swaps, tuple(a ^ 1 for a in points)) if n else ()
+
+
+@lru_cache(maxsize=None)
+def _orbits(n: int) -> list[tuple[int, int]]:
+    """MC(n), the median-closed tables on n variables, as (representative,
+    orbit size) under the symmetries of the n-cube."""
+    return orbits(_projection_family(n), _cube_generators(n))
+
+
+def _fibre_count(m: int, p: int, levels: int, sig: Optional[dict]) -> int:
+    """The median-closed tables on m + levels variables whose projection
+    on x_1..x_m is the table p, grown one variable per level; with sig,
+    only the elementary ones, p being elementary.
+
+    A table on k + 1 variables is elementary iff its projection is (x_1..x_k
+    keep their spine and associated pairs), both halves are non-empty
+    (x_{k+1} is not fixed), and no literal u is false on all of lo and
+    true on all of hi (x_{k+1} is not locked to u).  sig memoises, per
+    (k, t), the literals t has no model of, and those every model of t
+    satisfies: the first set of lo must miss the second of hi."""
+    pairs = _covering_pairs(m, p)
+    if sig is not None:
+        literals = literal_masks(m)
+        for t in {t for pair in pairs for t in pair}:
+            if (m, t) not in sig:
+                missed = [u for u, x in enumerate(literals) if not t & x]
+                sig[m, t] = (sum(1 << u for u in missed), sum(1 << (u ^ 1) for u in missed))
+        pairs = [(lo, hi) for lo, hi in pairs
+                 if lo and hi and not sig[m, lo][0] & sig[m, hi][1]]
+    if levels == 1:
+        return len(pairs)
+    return sum(_fibre_count(m + 1, lo | hi << (1 << m), levels - 1, sig) for lo, hi in pairs)
+
+
+def _orbit_sum(n: int, sig: Optional[dict]) -> int:
+    """The median-closed tables on n >= 1 variables (with sig, the
+    elementary ones), summed over the orbits of MC(m), m = min(n - 1, 5):
+    a symmetry g of the m-cube maps cubes to cubes and keeps elementarity,
+    so it maps the fibre over p one-to-one onto the fibre over g.p, and
+    each orbit counts |O| times its representative's fibre."""
+    m = min(n - 1, 5)
+    return sum(size * _fibre_count(m, rep, n - m, sig) for rep, size in _orbits(m)
+               if sig is None or is_elementary(m, rep))
+
+
 # cached, like the H count: both conventions count the same n's tables
 @lru_cache(maxsize=None)
 def _projection_count(n: int) -> int:
-    """The median-closed tables on n >= 1 variables, counted from their
-    projections without holding them."""
-    return sum(len(_covering_pairs(n - 1, p)) for p in _projection_family(n - 1))
+    """The median-closed tables on n >= 1 variables, counted from the
+    orbits of their projections without holding them."""
+    return _orbit_sum(n, None)
 
 
 @lru_cache(maxsize=None)
 def _elementary_projection_count(n: int) -> int:
-    """The elementary median-closed tables on n variables.
-
-    A table is elementary iff its projection p is (x_1..x_{n-1} keep their
-    spine and associated pairs), both halves are non-empty (x_n is not
-    fixed), and no literal u is false on all of lo and true on all of hi
-    (x_n is not locked to u).  sig[t] holds the literals t has no model
-    of, and those every model of t satisfies: the first set of lo must
-    miss the second of hi."""
-    if n == 0:
-        return 1    # the constant True on no variables
-    m = n - 1
-    literals = literal_masks(m)
-    sig: dict[int, tuple[int, int]] = {}
-    total = 0
-    for p in _projection_family(m):
-        if not is_elementary(m, p):
-            continue
-        for lo, hi in _covering_pairs(m, p):
-            if lo and hi:
-                for t in (lo, hi):
-                    if t not in sig:
-                        missed = [u for u, x in enumerate(literals) if not t & x]
-                        sig[t] = (sum(1 << u for u in missed), sum(1 << (u ^ 1) for u in missed))
-                total += not sig[lo][0] & sig[hi][1]
-    return total
+    """The elementary median-closed tables on n variables."""
+    return 1 if n == 0 else _orbit_sum(n, {})    # n = 0: the constant True
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +428,11 @@ ENGINES = {
         "clause-sweep": (lambda n: len(_conjunctions(n)), 4),
         # below n = 2 no clause exists: only the empty formula's constant True
         "median-filter": (lambda n: 1 if n < 2 else len(_median_closed_tables(n)), 4),
-        "median-dp": (lambda n: 1 if n < 2 else _projection_count(n), 5),
+        "median-dp": (lambda n: 1 if n < 2 else _projection_count(n), 7),
     },
     "H": {
         "clause-sweep": (lambda n: sum(1 for t in _conjunctions(n) if is_elementary(n, t)), 4),
-        "median-dp": (lambda n: _elementary_projection_count(n), 5),
+        "median-dp": (lambda n: _elementary_projection_count(n), 7),
     },
     "Pn": {
         "order-dfs": (lambda n: sum(1 for _ in strict_orders(2 * n, negation=True)),

@@ -7,16 +7,16 @@ from obtf.boolfn import (
     ParseError,
     all_clauses,
     all_ones,
-    associated_pairs,
     bits,
     is_elementary,
     literal_index,
     literal_masks,
+    orbits,
     parse_formula,
     realize_formula,
     signed_literal,
-    spine,
     truth_table,
+    variable_masks,
 )
 
 
@@ -50,6 +50,67 @@ def format_formula(n, clauses):
     for a, b in sorted(clauses, key=lambda c: (c[0] ^ 1, c[1] ^ 1)):
         lines.append(f"{signed_literal(a)} {signed_literal(b)}")
     return "\n".join(lines) + "\n"
+
+
+def spine(n, t):
+    """The definition is_elementary is checked against: the variables
+    taking one value in every model, as {variable: forced value}.
+    ValueError on the unsatisfiable table, where it is undefined."""
+    if t == 0:
+        raise ValueError("trivial function: spine undefined")
+    forced = {}
+    for i, m in enumerate(variable_masks(n), start=1):
+        if t & ~m == 0:
+            forced[i] = True
+        elif t & m == 0:
+            forced[i] = False
+    return forced
+
+
+def associated_pairs(n, t):
+    """The variable pairs locked together in every model: (i, j, +1) when
+    x_i == x_j everywhere, (i, j, -1) when x_i != x_j, i < j.  ValueError
+    on the unsatisfiable table."""
+    if t == 0:
+        raise ValueError("trivial function: associated pairs undefined")
+    masks = variable_masks(n)
+    pairs = set()
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        diff = masks[i - 1] ^ masks[j - 1]
+        if t & diff == 0:
+            pairs.add((i, j, +1))
+        elif t & ~diff == 0:
+            pairs.add((i, j, -1))
+    return pairs
+
+
+class TestOrbits:
+    def test_subsets_of_three_points_under_their_symmetric_group(self):
+        # swaps (0 1) and (1 2) generate S_3: one orbit per subset size
+        found = orbits(range(8), [(1, 0, 2), (0, 2, 1)])
+        assert sorted(found) == [(0, 1), (1, 3), (3, 3), (7, 1)]
+
+    def test_binary_necklaces_of_length_ten(self):
+        # two bytes per bitset, the second one partly filled: the rotation
+        # of 10 points has 108 orbits on the 1,024 subsets (OEIS A000031)
+        found = orbits(range(1 << 10), [tuple((i + 1) % 10 for i in range(10))])
+        assert len(found) == 108
+        assert sum(size for _, size in found) == 1 << 10
+        assert (0b1111111111, 1) in found and (0b1, 10) in found
+
+    @pytest.mark.parametrize("n,want", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)])
+    def test_graphs_up_to_isomorphism(self, n, want):
+        # the points are the C(n,2) vertex pairs and the generators the
+        # adjacent vertex swaps: the orbits are the unlabelled graphs, OEIS
+        # A000088
+        pairs = list(itertools.combinations(range(n), 2))
+        index = {pair: k for k, pair in enumerate(pairs)}
+        swaps = [tuple(index[tuple(sorted(v + (v == i) - (v == i + 1) for v in pair))]
+                       for pair in pairs) for i in range(n - 1)]
+        assert len(orbits(range(1 << len(pairs)), swaps)) == want
+
+    def test_no_generators_leave_every_member_alone(self):
+        assert orbits([5, 3, 5], []) == [(5, 1), (3, 1)]
 
 
 class TestLiteral:

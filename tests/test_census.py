@@ -37,6 +37,9 @@ B_COUNTS = {1: 1, 2: 3, 3: 23, 4: 393, 5: 13729, 6: 943227}
 
 G_T0_5 = 224716
 H_T0_5 = 138057
+# median-dp's orbit sums; H_T0_7 equals Pn(7) from switching-class fibres
+G_T0_6, H_T0_6 = 24_445_368, 17_221_933
+G_T0_7, H_T0_7 = 5_167_757_614, 4_036_310_797
 PN_5 = 138057
 F_6 = 1474419
 
@@ -82,11 +85,17 @@ class TestFunctionCounts:
         with pytest.raises(ResourceGuardError):
             count("G", 5, "t0", "median-filter")
         with pytest.raises(ResourceGuardError):
-            count("G", 6, "t0", "median-dp")
+            count("G", 8, "t0", "median-dp")
 
     def test_n5_via_dp(self):
         assert count("G", 5, "t0").value == G_T0_5
         assert count("H", 5, "t0").value == H_T0_5
+
+    @pytest.mark.slow
+    def test_n6_and_n7_via_orbit_sums(self):
+        # n = 7 sums two projection levels over MC(5)'s 196 orbits: about 40 s
+        assert (count("G", 6, "t0").value, count("H", 6, "t0").value) == (G_T0_6, H_T0_6)
+        assert (count("G", 7, "t0").value, count("H", 7, "t0").value) == (G_T0_7, H_T0_7)
 
     def test_h_elementary_count_made_once_per_n(self):
         # the t1 record reuses the t0 count of the elementary tables
@@ -96,7 +105,8 @@ class TestFunctionCounts:
         info = census._elementary_projection_count.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
-    def test_decomposition_identity(self):
+    @staticmethod
+    def decomposition(n):
         # independent structural route: a satisfiable function is a spine
         # assignment, a signed partition of the rest, and an elementary
         # core; plus the one unsatisfiable function
@@ -108,14 +118,21 @@ class TestFunctionCounts:
                     tab[i][j] = j * tab[i - 1][j] + tab[i - 1][j - 1]
             return tab[r][m]
 
+        h = {m: count("H", m, "t0").value for m in range(n + 1)}
+        return 1 + sum(
+            comb(n, k) * (1 << k)
+            * sum((1 << (n - k - m)) * stirling2(n - k, m) * h[m]
+                  for m in range(n - k + 1))
+            for k in range(n + 1))
+
+    def test_decomposition_identity(self):
         for n in (2, 3, 4, 5):
-            h = {m: count("H", m, "t0").value for m in range(n + 1)}
-            total = 1 + sum(
-                comb(n, k) * (1 << k)
-                * sum((1 << (n - k - m)) * stirling2(n - k, m) * h[m]
-                      for m in range(n - k + 1))
-                for k in range(n + 1))
-            assert total == count("G", n, "t0").value
+            assert self.decomposition(n) == count("G", n, "t0").value
+
+    @pytest.mark.slow
+    def test_decomposition_identity_at_6_and_7(self):
+        for n in (6, 7):
+            assert self.decomposition(n) == count("G", n, "t0").value
 
 
 def median_closed_sweep(n):
@@ -210,7 +227,8 @@ class TestBbCount:
 class TestEngineTable:
     @pytest.mark.parametrize("quantity,n,method", [
         ("G", 0, "clause-sweep"), ("G", 4, "clause-sweep"), ("G", 5, "median-dp"),
-        ("H", 4, "clause-sweep"), ("H", 5, "median-dp"),
+        ("G", 7, "median-dp"), ("H", 4, "clause-sweep"), ("H", 5, "median-dp"),
+        ("H", 7, "median-dp"),
         ("Pn", 0, "order-dfs"), ("Pn", 5, "order-dfs"),
         ("F", 0, "dfs-prune"), ("F", 7, "dfs-prune"),
         ("B", 0, "component-closed-form"), ("B", 7, "component-closed-form"),
@@ -219,7 +237,7 @@ class TestEngineTable:
         assert default_method(quantity, n) == method
 
     def test_caps(self):
-        assert {q: max_n(q) for q in ENGINES} == {"G": 5, "H": 5, "Pn": 5, "F": 7, "B": 7}
+        assert {q: max_n(q) for q in ENGINES} == {"G": 7, "H": 7, "Pn": 5, "F": 7, "B": 7}
         assert {q: list(e) for q, e in ENGINES.items()} == {
             "G": ["clause-sweep", "median-filter", "median-dp"],
             "H": ["clause-sweep", "median-dp"],
@@ -229,8 +247,8 @@ class TestEngineTable:
         }
 
     def test_beyond_every_cap(self):
-        with pytest.raises(ResourceGuardError, match="largest is 5"):
-            default_method("G", 6)
+        with pytest.raises(ResourceGuardError, match="largest is 7"):
+            default_method("G", 8)
         with pytest.raises(ResourceGuardError, match="largest is 7"):
             count("B", 8)
 

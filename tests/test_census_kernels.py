@@ -1,10 +1,11 @@
 """The fast census kernels against their independent oracles.
 
-G's and H's median-dp engines count the median-closed tables from their
-projections, and F's DFS has no second engine above n = 5, so engine
-agreement alone does not pin either kernel at its cap; these tests
-compare each one with the reference definitions, and the switching-class
-key of F's memo with brute-force switching.
+G's and H's median-dp engines count the median-closed tables from the
+orbits of their projections, and F's DFS has no second engine above
+n = 5, so engine agreement alone does not pin either kernel at its cap;
+these tests compare each one with the reference definitions (the orbit
+sums with the same count over every projection, one table at a time),
+and the switching-class key of F's memo with brute-force switching.
 """
 
 import itertools
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obtf import census
-from obtf.boolfn import associated_pairs, is_elementary, spine
+from obtf.boolfn import bits, is_elementary, literal_masks
+from test_boolfn import associated_pairs, spine
 
 
 def _median_closed(n: int) -> frozenset[int]:
@@ -35,6 +37,76 @@ def test_projection_family_is_every_median_closed_table(n):
 def test_elementary_filter_on_every_family_member(n):
     want = sum(1 for t in _median_closed(n) if is_elementary(n, t))
     assert census._elementary_projection_count(n) == want
+
+
+# the orbits of MC(n) under the 2^n * n! symmetries of the n-cube
+ORBIT_COUNTS = {0: 2, 1: 3, 2: 6, 3: 14, 4: 45, 5: 196}
+
+
+def _image(perm, t):
+    """The table t with each point a moved to perm[a], bit by bit."""
+    return sum(1 << perm[a] for a in bits(t))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_orbits_partition_the_family(n):
+    family = census._projection_family(n)
+    found = census._orbits(n)
+    assert len(found) == ORBIT_COUNTS[n]
+    assert sum(size for _, size in found) == len(family)
+    assert {rep for rep, _ in found} <= family
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_every_orbit_member_is_in_the_family(n):
+    family = census._projection_family(n)
+    generators = census._cube_generators(n)
+    for rep, size in census._orbits(n):
+        orbit = [rep]
+        for t in orbit:
+            orbit += {_image(g, t) for g in generators} - set(orbit)
+        assert len(orbit) == size
+        assert set(orbit) <= family
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_generators_map_the_family_and_the_cubes_onto_themselves(n):
+    generators = census._cube_generators(n)
+    assert len(generators) == n     # n - 1 swaps and x_1's negation
+    cubes = set(census._cubes(n))
+    family = census._projection_family(n) if n < 5 else ()
+    for g in generators:
+        assert sorted(g) == list(range(1 << n))
+        assert {_image(g, c) for c in cubes} == cubes
+        assert {_image(g, t) for t in family} == set(family)
+
+
+def unweighted_count(n: int) -> int:
+    """G_t0(n), n >= 1, as the covering pairs of every median-closed
+    table on n - 1 variables, one table at a time."""
+    return sum(len(census._covering_pairs(n - 1, p)) for p in census._projection_family(n - 1))
+
+
+def unweighted_elementary_count(n: int) -> int:
+    """H_t0(n), n >= 1, the same way: the covering pairs of every
+    elementary projection whose halves are non-empty and where no literal
+    u is false on all of lo while true on all of hi."""
+    m = n - 1
+    literals = literal_masks(m)
+    return sum(1 for p in census._projection_family(m) if is_elementary(m, p)
+               for lo, hi in census._covering_pairs(m, p) if lo and hi and not any(
+                   not lo & x and not hi & literals[u ^ 1] for u, x in enumerate(literals)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_orbit_sum_equals_the_unweighted_count(n):
+    # n = 6 walks the 224,716 tables on 5 variables: about 25 s
+    assert census._projection_count(n) == unweighted_count(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_elementary_orbit_sum_equals_the_unweighted_count(n):
+    assert census._elementary_projection_count(n) == unweighted_elementary_count(n)
 
 
 def test_n5_counts_never_build_the_clause_closure():
