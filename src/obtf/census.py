@@ -45,14 +45,13 @@ import itertools
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import comb
 from operator import getitem, or_
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from . import cgraph, litposet
+from . import litposet
 from .boolfn import (
     QUANTITIES,
     CacheError,
@@ -112,8 +111,7 @@ _FIELD_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     """One exact count.  wall_time is observability metadata; it is the
     only field excluded from the checksum."""
 
@@ -133,7 +131,7 @@ class CensusRecord:
             self.quantity, self.n, self.convention, self.method, self.value)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CensusRecord":
@@ -214,17 +212,22 @@ def _covering_pairs(n: int, p: int) -> list[tuple[int, int]]:
     return [(lo, hi) for lo in s for hi in s if lo | hi == p]
 
 
-@lru_cache(maxsize=None)
-def _projection_family(n: int) -> frozenset[int]:
+def _grown(n: int):
     """Every median-closed table on n variables, each grown once from its
     projection on x_1..x_{n-1}: the projection of a median-closed table
     is median-closed.  Neither the clause closure nor the half-table
     median test is used."""
     if n == 0:
-        return frozenset({0, 1})
+        return (0, 1)
     shift = 1 << (n - 1)
-    return frozenset(lo | hi << shift for p in _projection_family(n - 1)
-                     for lo, hi in _covering_pairs(n - 1, p))
+    return (lo | hi << shift for p in _projection_family(n - 1)
+            for lo, hi in _covering_pairs(n - 1, p))
+
+
+@lru_cache(maxsize=None)
+def _projection_family(n: int) -> frozenset[int]:
+    """MC(n), the median-closed tables on n variables, as one set."""
+    return frozenset(_grown(n))
 
 
 @lru_cache(maxsize=None)
@@ -240,9 +243,10 @@ def _cube_generators(n: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _orbits(n: int) -> list[tuple[int, int]]:
-    """MC(n), the median-closed tables on n variables, as (representative,
-    orbit size) under the symmetries of the n-cube."""
-    return orbits(_projection_family(n), _cube_generators(n))
+    """MC(n) as (representative, orbit size) under the symmetries of the
+    n-cube.  The walk takes the tables as they are grown, so MC(n) is held
+    once, in its seen set, and only MC(n - 1) is kept."""
+    return orbits(_grown(n), _cube_generators(n))
 
 
 def _fibre_count(m: int, p: int, levels: int, sig: Optional[dict]) -> int:
@@ -367,17 +371,26 @@ def _obtf_count_rec(nbr: list[int], blue: list[int], k: int, pairs, memo: dict) 
     return total
 
 
+def _colex_pairs(n: int) -> list[tuple[int, int]]:
+    """The vertex pairs (a, b), a < b, of 0..n-1 in colex order: those of
+    cgraph.pairs_colex less one, built here so F's DFS runs without
+    cgraph."""
+    return [(a, b) for b in range(1, n) for a in range(b)]
+
+
 def _obtf_count(n: int) -> int:
     """F(n): branch over pairs in colex order and cut a branch the moment
     a completed triangle is odd-blue (deleting edges preserves the
     property, so pruning is sound), with one memo per call."""
-    pairs = [(a - 1, b - 1) for a, b in cgraph.pairs_colex(n)]
-    return _obtf_count_rec([0] * n, [0] * n, 0, pairs, {})
+    return _obtf_count_rec([0] * n, [0] * n, 0, _colex_pairs(n), {})
 
 
-def _sweep_count(n: int, keep) -> int:
-    """Test every colored graph on n vertices (the flat-sweep oracles)."""
-    return sum(1 for g in cgraph.enumerate_colored_graphs(n) if keep(g))
+def _obtf_sweep(n: int) -> int:
+    """F(n) by testing every colored graph on n vertices, the flat-sweep
+    oracle.  The two flat sweeps are census's only use of cgraph, so
+    they alone load it."""
+    from . import cgraph
+    return sum(map(cgraph.is_obtf, cgraph.enumerate_colored_graphs(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +423,14 @@ def _bb_closed_form(n: int) -> int:
     return w[n]
 
 
+def _bb_sweep(n: int) -> int:
+    """B(n) by testing every colored graph on n vertices, the flat-sweep
+    oracle; like _obtf_sweep, it loads cgraph only when it runs."""
+    from . import cgraph
+    return sum(cgraph.find_blue_bipartition(g) is not None
+               for g in cgraph.enumerate_colored_graphs(n))
+
+
 def b_benchmark(n: int) -> int:
     """The benchmark count 2^(C(n+1,2)-1); n >= 1."""
     if n < 1:
@@ -440,12 +461,11 @@ ENGINES = {
     },
     "F": {
         "dfs-prune": (lambda n: _obtf_count(n), 7),
-        "flat-sweep": (lambda n: _sweep_count(n, cgraph.is_obtf), 5),
+        "flat-sweep": (_obtf_sweep, 5),
     },
     "B": {
         "component-closed-form": (lambda n: _bb_closed_form(n), 7),
-        "flat-sweep": (lambda n: _sweep_count(
-            n, lambda g: cgraph.find_blue_bipartition(g) is not None), 5),
+        "flat-sweep": (_bb_sweep, 5),
     },
 }
 

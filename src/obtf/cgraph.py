@@ -15,7 +15,7 @@ u < v; the fixed global edge order is colex: (1,2), (1,3), (2,3), (1,4), ...
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator, Optional
 
 from . import litposet
@@ -59,23 +59,25 @@ def pairs_colex(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(2, n + 1) for i in range(1, j)]
 
 
-@dataclass(frozen=True)
-class ColoredGraph:
-    """Edge-colored graph; each present edge is red or blue, never both."""
+class ColoredGraph(namedtuple("ColoredGraph", "n red blue")):
+    """Edge-colored graph; each present edge is red or blue, never both.
+    n is the vertex count, red and blue frozensets of (u, v) pairs with
+    u < v.  Immutable, compared and hashed by value, so graphs can key a
+    memo."""
 
-    n: int
-    red: frozenset[tuple[int, int]]
-    blue: frozenset[tuple[int, int]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __new__(cls, n: int, red: frozenset[tuple[int, int]],
+                blue: frozenset[tuple[int, int]]) -> "ColoredGraph":
+        if n < 0:
             raise ValueError("vertex count must be >= 0")
-        for es in (self.red, self.blue):
+        for es in (red, blue):
             for u, v in es:
-                if not 1 <= u < v <= self.n:
-                    raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
-        if self.red & self.blue:
+                if not 1 <= u < v <= n:
+                    raise ValueError(f"bad edge ({u}, {v}) for n={n}")
+        if red & blue:
             raise ValueError("an edge cannot be both red and blue")
+        return super().__new__(cls, n, red, blue)
 
     @classmethod
     def of(cls, n: int, red=(), blue=()) -> "ColoredGraph":

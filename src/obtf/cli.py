@@ -16,14 +16,15 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from . import cgraph, litposet
+from . import litposet
 from .boolfn import QUANTITIES, CacheError, ParseError
 from .litposet import ResourceGuardError
 
-# census and verify load inside the commands that run them, so analyze
-# and posets start without them; these imports serve annotations only
+# cgraph, census and verify load inside the commands that run them, so
+# each command starts without the others' modules; these imports serve
+# annotations only
 if TYPE_CHECKING:
-    from . import verify
+    from . import cgraph, verify
     from .census import CensusRecord
 
 EXIT_OK = 0
@@ -197,6 +198,7 @@ def cmd_verify(args) -> int:
 
 
 def _analyze(g: cgraph.ColoredGraph) -> dict:
+    from . import cgraph
     info: dict = {"n": g.n, "edges": g.edge_count(), "skipped": []}
     info["obtf"] = cgraph.is_obtf(g)
     w = cgraph.find_blue_bipartition(g)
@@ -268,6 +270,7 @@ def _emit_analysis(info: dict, fmt: str) -> str:
 
 
 def cmd_analyze(args) -> int:
+    from . import cgraph
     g = cgraph.parse_colored_graph(_read_input(args.path))
     sys.stdout.write(_emit_analysis(_analyze(g), args.format))
     return EXIT_OK
@@ -314,6 +317,7 @@ def cmd_posets(args) -> int:
         return EXIT_OK
     if args.n is not None:
         n = args.n
+        from . import cgraph   # the family is enumerated graph by graph
         blocks = [litposet.format_poset(p) for p in cgraph.enumerate_pn(n)]
         if args.format == "json":
             payload = {"n": n, "count": len(blocks),

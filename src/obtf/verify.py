@@ -14,9 +14,8 @@ checks exist to catch.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import comb, factorial
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import census, cgraph, litposet
 from .boolfn import all_clauses, clause_masks, is_elementary, realize_formula, truth_table
@@ -28,8 +27,7 @@ DEFAULT_SEED = 20260809
 # The largest n a verify run takes without --big, and with it.
 RUN_LIMITS = (4, 5)
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     scope: str
     status: str          # PASS / FAIL / INFO

@@ -294,6 +294,10 @@ class TestRecords:
         rec = count("B", 3)
         assert CensusRecord.from_json_dict(rec.to_json_dict()) == rec
 
+    def test_json_dict_keeps_field_order(self):
+        assert list(count("G", 2, "t0").to_json_dict()) == [
+            "quantity", "n", "convention", "value", "method", "wall_time", "checksum"]
+
 
 class TestCache:
     def test_append_then_load(self, tmp_path):
@@ -302,6 +306,19 @@ class TestCache:
         cache.append(rec)
         loaded = cache.load()
         assert loaded[rec.key()] == rec
+
+    def test_older_line_loads_and_reappends_byte_identically(self, tmp_path):
+        # written by an earlier obtf (records were then dataclasses)
+        line = (b'{"checksum": "a8df018c0ff6e287", "convention": "t0", '
+                b'"method": "clause-sweep", "n": 2, "quantity": "G", "value": 16, '
+                b'"wall_time": 2.9e-05}\n')
+        old = tmp_path / "old.jsonl"
+        old.write_bytes(line)
+        [rec] = CensusCache(old).load().values()
+        assert (rec.value, rec.wall_time) == (16, 2.9e-05)
+        assert rec.checksum == count("G", 2, "t0", "clause-sweep").checksum
+        CensusCache(tmp_path / "new.jsonl").append(rec)
+        assert (tmp_path / "new.jsonl").read_bytes() == line
 
     def test_missing_file_is_empty(self, tmp_path):
         assert CensusCache(tmp_path / "absent.jsonl").load() == {}

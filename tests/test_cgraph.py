@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -41,6 +42,42 @@ class TestColoredGraph:
     def test_no_double_color(self):
         with pytest.raises(ValueError):
             ColoredGraph(2, frozenset({(1, 2)}), frozenset({(1, 2)}))
+
+    @pytest.mark.parametrize("n, red, blue, message", [
+        (-1, (), (), "vertex count must be >= 0"),
+        (2, {(2, 1)}, (), "bad edge (2, 1) for n=2"),
+        (2, (), {(1, 3)}, "bad edge (1, 3) for n=2"),
+        (3, {(2, 2)}, (), "bad edge (2, 2) for n=3"),
+        (3, {(0, 1)}, (), "bad edge (0, 1) for n=3"),
+        (3, {(1, 2), (2, 3)}, {(2, 3)}, "an edge cannot be both red and blue"),
+    ])
+    def test_refusals(self, n, red, blue, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ColoredGraph(n, frozenset(red), frozenset(blue))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ColoredGraph(n=n, red=frozenset(red), blue=frozenset(blue))
+
+    def test_equal_graphs_hash_equal(self):
+        g = ColoredGraph.of(4, red=[(2, 1), (3, 4)], blue=[(3, 1)])
+        h = ColoredGraph(4, frozenset({(3, 4), (1, 2)}), frozenset({(1, 3)}))
+        assert g == h and hash(g) == hash(h)
+        assert {g: "memo"}[h] == "memo"
+        assert g != ColoredGraph.of(4, red=[(1, 2)], blue=[(1, 3), (3, 4)])
+        assert g != ColoredGraph.of(5, red=[(1, 2), (3, 4)], blue=[(1, 3)])
+        assert (g.n, g.red, g.blue) == (4, frozenset({(1, 2), (3, 4)}), frozenset({(1, 3)}))
+
+    def test_immutable(self):
+        g = ColoredGraph.of(2, red=[(1, 2)])
+        with pytest.raises(AttributeError):
+            g.n = 3
+        with pytest.raises(AttributeError):
+            g.extra = 1
+
+    def test_without(self):
+        g = ColoredGraph.of(4, red=[(1, 2), (3, 4)], blue=[(1, 3)])
+        assert g.without_vertices([3]) == ColoredGraph.of(4, red=[(1, 2)])
+        assert g.without_edges([(4, 3), (1, 3)]) == ColoredGraph.of(4, red=[(1, 2)])
+        assert g.edge_count() == 3
 
     def test_edges_sorted_colex(self):
         g = ColoredGraph.of(4, red=[(3, 4), (1, 2)], blue=[(1, 3)])

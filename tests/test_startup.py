@@ -2,10 +2,14 @@
 
 Every case starts a fresh interpreter, runs one command through
 `obtf.cli.main` and reports which of the costly modules are then in
-`sys.modules`: the census engines, the verify suites and the process
-pool with the `multiprocessing` package it pulls in.
+`sys.modules`: the census engines, the verify suites, the graph module,
+`dataclasses` (which pulls in `inspect`, `ast`, `dis` and `tokenize`) and
+the process pool with the `multiprocessing` package it pulls in.  Each
+case is measured against a bare interpreter that imports no obtf module,
+so a `site` hook that loads one of them cannot fail it.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -15,20 +19,25 @@ from pathlib import Path
 import obtf
 
 SRC = str(Path(obtf.__file__).resolve().parent.parent)
-COSTLY = ("obtf.census", "obtf.verify", "concurrent.futures.process", "multiprocessing")
+COSTLY = ("obtf.census", "obtf.verify", "obtf.cgraph", "dataclasses",
+          "concurrent.futures.process", "multiprocessing")
 
+# argv null: the bare interpreter; a list: import obtf.cli, then run main
+# on it unless it is empty
 PROBE = f"""
 import contextlib, io, json, sys
-from obtf.cli import main
 argv = json.loads(sys.argv[1])
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(argv) if argv else 0
+code = 0
+if argv is not None:
+    from obtf.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv) if argv else 0
 print(json.dumps({{"code": code,
                   "loaded": [m for m in {COSTLY!r} if m in sys.modules]}}))
 """
 
 
-def run_fresh(argv):
+def _costly_loaded(argv):
     env = dict(os.environ)
     env.pop("OBTF_CACHE", None)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
@@ -40,24 +49,37 @@ def run_fresh(argv):
     return set(report["loaded"])
 
 
+@functools.lru_cache(maxsize=None)
+def bare():
+    return _costly_loaded(None)
+
+
+def run_fresh(argv):
+    """The costly modules the command loads beyond a bare interpreter."""
+    return _costly_loaded(argv) - bare()
+
+
 def test_import_loads_none_of_them():
     assert run_fresh([]) == set()
 
 
-def test_analyze_loads_none_of_them(tmp_path):
+def test_analyze_loads_only_the_graph_module(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("n 4\n1 2 B\n2 3 R\n3 4 R\n1 4 R\n1 3 B\n")
-    assert run_fresh(["analyze", str(path)]) == set()
+    assert run_fresh(["analyze", str(path)]) == {"obtf.cgraph"}
 
 
 def test_census_loads_no_verify_and_no_pool(tmp_path):
-    loaded = run_fresh(["census", "--quantity", "B", "--n", "1..3",
-                        "--cache", str(tmp_path / "c.jsonl")])
-    assert "obtf.census" in loaded
-    assert not loaded & {"obtf.verify", "concurrent.futures.process"}
+    for quantity in ("B", "F"):
+        loaded = run_fresh(["census", "--quantity", quantity, "--n", "1..4",
+                            "--cache", str(tmp_path / "c.jsonl")])
+        assert loaded == {"obtf.census"}, quantity
+
+
+def test_cover_multiplicity_loads_only_the_engines():
+    assert run_fresh(["posets", "--cover-multiplicity", "4"]) == {"obtf.census"}
 
 
 def test_verify_loads_no_pool():
     loaded = run_fresh(["verify", "--range", "1..2"])
-    assert {"obtf.census", "obtf.verify"} <= loaded
-    assert "concurrent.futures.process" not in loaded
+    assert loaded == {"obtf.census", "obtf.verify", "obtf.cgraph"}
