@@ -29,12 +29,17 @@ size: over MC(n - 1) up to n = 6, and at n = 7 over MC(5) again, two
 projection levels deep.
 
 strict_orders adds one point at a time and yields the orders sorted by
-pair-state vector.  It answers the cover-graph multiplicity question, and
-on the 2n literals under negation it is census's only route to Pn: the
-order-dfs engine counts that stream without a membership check, and
-verify compares the same stream, as a set of closure rows, with the
-graph-driven family, whose posets are checked for membership as the
-orientation search finds them.
+pair-state vector.  Grouped by cover graph, it is the tests' oracle for
+the cover-graph multiplicity question, and on the 2n literals under
+negation it is census's only route to Pn: the order-dfs engine counts
+that stream without a membership check, and verify compares the same
+stream, as a set of closure rows, with the graph-driven family, whose
+posets are checked for membership as the orientation search finds them.
+
+posets_per_cover_graph answers the cover-graph question per graph: it
+counts the orientations of each triangle-free graph that make every edge
+a cover, for one graph per orbit under relabelling, found by the same
+orbits walk as median-dp's.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ import os
 import time
 from functools import lru_cache
 from math import comb
-from operator import getitem, or_
+from operator import or_
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -532,7 +537,7 @@ def count(quantity: str, n: int, convention: Optional[str] = None,
 
 
 # ---------------------------------------------------------------------------
-# The order search: the cover-graph multiplicity question, and Pn
+# The order search: Pn, and the cover-graph multiplicity question's oracle
 
 
 def _transpose(rows: tuple) -> list[int]:
@@ -609,64 +614,130 @@ def _grow(level, j: int, negation: bool):
                     for d, u in _extensions(rows, _transpose(rows), True)]
 
 
-def _cover_key_tables(m: int) -> tuple[list, list, list]:
-    """The tables that key a cover graph on m points by one integer, edge
-    {u, v} being bit u*m + v for u < v: key[u][c] holds the edges from u
-    to the points of c; for disjoint s and c among points 0..m-2,
-    cross[s][c] holds the edges between them, and jedge[s] the edges from
-    point m - 1 to s."""
-    key = [[sum(1 << (min(u, v) * m + max(u, v)) for v in bits(c)) for c in range(1 << m)]
-           for u in range(m)]
-    j = m - 1
-    cross = [[sum(key[a][c] for a in bits(s)) for c in range(1 << j)] for s in range(1 << j)]
-    return key, cross, key[j][:1 << j]
+# ---------------------------------------------------------------------------
+# The cover-graph multiplicity question
+#
+# An order's covers are the edges of an orientation of its cover graph
+# with no directed cycle and no edge bridged by a longer directed path,
+# and the order is that orientation's closure.  So the orders whose cover
+# graph is a graph G are G's orientations of that kind, one each.  G has
+# no triangle, as the other two edges of an acyclic triangle bridge the
+# third, and relabelling the points keeps the count.
 
 
-def _child_cover_keys(rows: tuple, below: list[int], extensions, tables: tuple) -> list[int]:
-    """The cover key of each order that grows from rows by point j =
-    len(rows), one per (D, U) of extensions, from the key of rows itself.
+def _triangle_free_graphs(m: int, nbr: tuple = (), graph: int = 0):
+    """Yield every labelled triangle-free graph on points 0..m-1 as a mask
+    over _colex_pairs(m), pair (a, b) being bit C(b, 2) + a: point b
+    joins each graph on 0..b-1 with an independent set s of it as its
+    neighbours, the bits from C(b, 2) on."""
+    b = len(nbr)
+    sets = [0]
+    for v in range(b):
+        sets += [s | 1 << v for s in sets if not nbr[v] & s]
+    shift = b * (b - 1) // 2
+    if b == m - 1:
+        yield from (graph | s << shift for s in sets)
+        return
+    for s in sets:
+        yield from _triangle_free_graphs(
+            m, tuple(r | (s >> v & 1) << b for v, r in enumerate(nbr)) + (s,), graph | s << shift)
 
-    All of D lies below all of U, so a cover a < b of rows with a in D
-    and b in U has a maximal in D and b minimal in U: j splits exactly
-    those covers, and j's own lower and upper covers are the maximal
-    points of D and the minimal points of U."""
-    key, cross, jedge = tables
+
+def _vertex_swaps(m: int) -> list[tuple[int, ...]]:
+    """The m - 1 adjacent point swaps, each as the permutation it makes of
+    the pair indices of _colex_pairs(m): they generate every relabelling."""
+    pairs = _colex_pairs(m)
+    index = {pair: k for k, pair in enumerate(pairs)}
+    return [tuple(index[tuple(sorted(v + (v == i) - (v == i + 1) for v in pair))]
+                  for pair in pairs) for i in range(m - 1)]
+
+
+def _neighbours(m: int, graph: int) -> tuple[int, ...]:
+    """The neighbour rows of a graph given as a mask over _colex_pairs(m)."""
+    nbr, pairs = [0] * m, _colex_pairs(m)
+    for a, b in (pairs[k] for k in bits(graph)):
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
+    return tuple(nbr)
+
+
+def _cover_orders(nbr: tuple, rows: tuple = (), below: tuple = ()):
+    """Yield the closure rows of every strict order on points 0..m-1, m =
+    len(nbr), whose cover graph has the neighbour rows nbr.
+
+    Point j joins the closure of the orientation so far with its
+    neighbours among 0..j-1 split into D, below it, and U, above it:
+    every point under D goes below every point over U, and the result is
+    closed.  It stays acyclic iff no point is both under D and over U,
+    and every edge stays a cover iff D and U are antichains and no edge
+    joins a point under D to one over U, which j would bridge; later
+    points only bridge more."""
     j = len(rows)
-    # top[s] and bot[s], the maximal and minimal points of s, from those of
-    # s less its lowest point x
-    top, bot = [0] * (1 << j), [0] * (1 << j)
-    for s in range(1, 1 << j):
-        x = s & -s
-        i = x.bit_length() - 1
-        rest = s ^ x
-        top[s] = top[rest] & ~below[i] | (0 if rows[i] & rest else x)
-        bot[s] = bot[rest] & ~rows[i] | (0 if below[i] & rest else x)
-    parent = sum(map(getitem, key, litposet.cover_rows(rows)))
-    return [(parent & ~cross[top[d]][bot[u]]) | jedge[top[d]] | jedge[bot[u]]
-            for d, u in extensions]
+    if j == len(nbr):
+        yield rows
+        return
+    bit = 1 << j
+    near = nbr[j] & (bit - 1)
+    d = near
+    while True:
+        u = near ^ d
+        down, up, above, under = d, u, 0, 0
+        for x in bits(d):
+            down |= below[x]
+            above |= rows[x]
+        for x in bits(u):
+            up |= rows[x]
+            under |= below[x]
+        if not (down & up or d & above or u & under or any(nbr[x] & up for x in bits(down))):
+            yield from _cover_orders(
+                nbr,
+                tuple(r | bit | up if down >> x & 1 else r for x, r in enumerate(rows)) + (up,),
+                tuple(r | bit | down if up >> x & 1 else r for x, r in enumerate(below)) + (down,))
+        if not d:
+            return
+        d = (d - 1) & near
+
+
+def _relabellings(m: int, graph: int) -> set[int]:
+    """The graphs that relabel graph, a mask over _colex_pairs(m)."""
+    pairs = _colex_pairs(m)
+    index = {pair: k for k, pair in enumerate(pairs)}
+    edges = [pairs[k] for k in bits(graph)]
+    return {sum(1 << index[min(p[a], p[b]), max(p[a], p[b])] for a, b in edges)
+            for p in itertools.permutations(range(m))}
 
 
 def posets_per_cover_graph(m: int) -> tuple[int, frozenset[tuple[int, int]]]:
     """Over all strict orders on m labelled points, the largest number
     sharing one cover graph, with a witness graph: the first, in
-    strict_orders' order, to reach that number.  The orders on m points
-    are walked as _grow makes them, each order on m - 1 points followed
-    by its extensions, and only the cover keys are built."""
+    strict_orders' order, to reach that number.
+
+    The orders are counted per triangle-free graph, for one graph in each
+    orbit under relabelling.  strict_orders yields the orders sorted by
+    pair-state vector, so a graph with the most orders reaches that
+    number at its largest vector, and the witness is the graph, in a
+    largest orbit, whose largest vector is smallest: only those graphs
+    have their orders listed."""
     if m > COVER_QUESTION_GUARD:
         raise ResourceGuardError(
             f"order enumeration capped at m <= {COVER_QUESTION_GUARD}, got {m}")
     if m < 1:
         raise ValueError("need at least one point")
-    tables = _cover_key_tables(m)
-    groups: dict[int, int] = {}
-    best = (0, 0)
-    for rows in strict_orders(m - 1):
-        below = _transpose(rows)
-        for graph in _child_cover_keys(rows, below, _extensions(rows, below, False), tables):
-            k = groups[graph] = groups.get(graph, 0) + 1
-            if k > best[0]:
-                best = (k, graph)
-    return best[0], frozenset((e // m + 1, e % m + 1) for e in bits(best[1]))
+    counts = [(sum(1 for _ in _cover_orders(_neighbours(m, rep))), rep)
+              for rep, _ in orbits(_triangle_free_graphs(m), _vertex_swaps(m))]
+    most = max(counts)[0]
+    pairs = _colex_pairs(m)
+    candidates = [g for c, rep in counts if c == most for g in _relabellings(m, rep)]
+    best = None     # (largest vector, graph); a graph whose vectors pass it is dropped
+    for g in candidates:
+        top = []
+        for rows in _cover_orders(_neighbours(m, g)):
+            top = max(top, [rows[a] >> b & 1 or (rows[b] >> a & 1) << 1 for a, b in pairs])
+            if best and top > best[0]:
+                break
+        else:
+            best = (top, g)
+    return most, frozenset((pairs[k][0] + 1, pairs[k][1] + 1) for k in bits(best[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obtf import census, cgraph, litposet
+from obtf.boolfn import orbits
 from obtf.census import (
     CacheError,
     CensusCache,
@@ -506,19 +507,40 @@ class TestCoverGraphQuestion:
             list(strict_orders(m, negation))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-    def test_child_cover_keys_are_every_orders_cover_key(self, m):
-        # the keys grown from the orders on m - 1 points, in strict_orders'
-        # order, against each order's cover pairs, edge {u, v} as bit u*m + v
+    def test_orders_per_graph_are_the_oracles_groups(self, m):
+        # every labelled graph, as a mask over the colex pairs, against the
+        # orders strict_orders lists with that cover graph: none for a graph
+        # with a triangle
         from obtf.litposet import cover_pairs
 
-        tables = census._cover_key_tables(m)
-        grown = []
-        for rows in strict_orders(m - 1):
-            below = census._transpose(rows)
-            grown += census._child_cover_keys(rows, below, census._extensions(rows, below, False),
-                                              tables)
-        assert grown == [sum(1 << (u * m + v) for u, v in cover_pairs(rows))
-                         for rows in strict_orders(m)]
+        index = {pair: k for k, pair in enumerate(census._colex_pairs(m))}
+        groups = {}
+        for rows in strict_orders(m):
+            graph = sum(1 << index[pair] for pair in cover_pairs(rows))
+            groups.setdefault(graph, set()).add(rows)
+        free = set(census._triangle_free_graphs(m))
+        for graph in range(1 << len(index)):
+            nbr = census._neighbours(m, graph)
+            triangle = any(nbr[a] & nbr[b] for a, b in index if nbr[a] >> b & 1)
+            found = list(census._cover_orders(nbr))
+            assert (graph in free) != triangle
+            assert len(found) == len(set(found))
+            assert set(found) == groups.get(graph, set())
+            assert bool(found) != triangle    # up to 5 points, at least
+
+    @pytest.mark.parametrize("m,orders,orbit_count", [
+        (1, 1, 1), (2, 3, 2), (3, 19, 3), (4, 219, 7), (5, 4231, 14), (6, 130023, 38)])
+    def test_orbits_of_triangle_free_graphs_count_every_order(self, m, orders, orbit_count):
+        # the unlabelled triangle-free graphs (OEIS A006785), each weighted
+        # by its orbit size, give the strict orders (OEIS A001035)
+        found = orbits(census._triangle_free_graphs(m), census._vertex_swaps(m))
+        assert len(found) == orbit_count
+        assert sum(size * sum(1 for _ in census._cover_orders(census._neighbours(m, rep)))
+                   for rep, size in found) == orders
+
+    def test_six_points_match_the_grouping_oracle(self):
+        # the oracle lists all 130,023 orders; the witness is a 6-cycle
+        assert posets_per_cover_graph(6) == cover_grouping_oracle(6)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_cover_keys_group_as_cover_pair_sets(self, m):

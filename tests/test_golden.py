@@ -3,13 +3,15 @@
 Each digest is the SHA-256 of a command's JSON output with every
 `wall_time` removed, re-serialised with sorted keys; the values were
 taken from the engines before they moved behind `census.ENGINES`.  The
-cover-multiplicity digest pins the order search's yield order, which
-picks the witness graph; it was taken before the search gained its
-negation mode.  The `verify --range 4..5 --big` digest was re-pinned
-when the poset-enumeration-oracle line for n = 5 joined that run; the
-rest of its output is unchanged.  The `verify --range 0..4 --big` digest
-pins the n = 0 lines and the n = 4 oracle line; it was taken before each
-check's sizes moved into its `verify._CHECKS` row.
+cover-multiplicity digest pins the witness graph, the first to reach the
+largest group in the order search's yield order; it was taken from that
+search before it gained its negation mode, and still holds now that the
+question is counted per cover graph.  The `verify --range 4..5 --big`
+digest was re-pinned when the poset-enumeration-oracle line for n = 5
+joined that run; the rest of its output is unchanged.  The `verify
+--range 0..4 --big` digest pins the n = 0 lines and the n = 4 oracle
+line; it was taken before each check's sizes moved into its
+`verify._CHECKS` row.
 """
 
 import hashlib

@@ -1,4 +1,3 @@
-import functools
 import itertools
 
 import pytest
@@ -253,24 +252,18 @@ def test_cover_routine_finds_exactly_the_covers(rows):
     assert cover_pairs(rows) == {(min(u, v), max(u, v)) for u, v in covers}
 
 
-@functools.lru_cache(maxsize=None)
-def cover_key_tables(m):
-    return census._cover_key_tables(m)
-
-
 @settings(max_examples=300, deadline=None)
-@given(child=closed_dags().filter(len))
-def test_child_cover_key_is_the_childs_cover_key(child):
-    # the order grows from its restriction to points 0..j-1 by point j,
-    # with D the points below j and U those above it
-    j = len(child) - 1
-    rows = tuple(r & ~(1 << j) for r in child[:j])
-    d = sum((r >> j & 1) << x for x, r in enumerate(child[:j]))
-    u = child[j]
-    below = census._transpose(rows)
-    assert (d, u) in census._extensions(rows, below, False)
-    assert (census._child_cover_keys(rows, below, [(d, u)], cover_key_tables(j + 1))
-            == [sum(1 << (a * (j + 1) + b) for a, b in cover_pairs(child))])
+@given(rows=closed_dags())
+def test_order_is_among_its_cover_graphs_orders(rows):
+    # the cover-graph question's orientation search, on up to 8 points
+    nbr = [0] * len(rows)
+    for u, v in cover_pairs(rows):
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    found = list(census._cover_orders(tuple(nbr)))
+    assert rows in found
+    assert all(cover_pairs(order) == cover_pairs(rows) for order in found)
+    assert len(set(found)) == len(found)
 
 
 class TestPosetToFunction:
