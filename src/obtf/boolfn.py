@@ -41,6 +41,7 @@ __all__ = [
     "signed_pair",
     "truth_table",
     "variable_masks",
+    "vertex_swaps",
 ]
 
 
@@ -170,6 +171,18 @@ def orbits(members: Iterable[int], point_perms) -> list[tuple[int, int]]:
                     orbit.append(y)
         found.append((t, len(orbit)))
     return found
+
+
+def vertex_swaps(m: int) -> list[tuple[int, ...]]:
+    """The m - 1 adjacent point swaps (i, i + 1) of points 0..m-1, each as
+    the permutation it makes of the indices of the point pairs in colex
+    order, (0, 1), (0, 2), (1, 2), (0, 3), ...  They generate every
+    relabelling, so their orbits on graphs, bitsets over those pairs, are
+    the graphs up to isomorphism."""
+    pairs = [(a, b) for b in range(1, m) for a in range(b)]
+    index = {pair: k for k, pair in enumerate(pairs)}
+    return [tuple(index[tuple(sorted(v + (v == i) - (v == i + 1) for v in pair))]
+                  for pair in pairs) for i in range(m - 1)]
 
 
 @lru_cache(maxsize=None)

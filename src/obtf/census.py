@@ -39,7 +39,7 @@ posets are checked for membership as the orientation search finds them.
 posets_per_cover_graph answers the cover-graph question per graph: it
 counts the orientations of each triangle-free graph that make every edge
 a cover, for one graph per orbit under relabelling, found by the same
-orbits walk as median-dp's.
+orbits walk as median-dp's, generated by boolfn.vertex_swaps.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from .boolfn import (
     literal_masks,
     orbits,
     variable_masks,
+    vertex_swaps,
 )
 from .litposet import ResourceGuardError
 
@@ -643,15 +644,6 @@ def _triangle_free_graphs(m: int, nbr: tuple = (), graph: int = 0):
             m, tuple(r | (s >> v & 1) << b for v, r in enumerate(nbr)) + (s,), graph | s << shift)
 
 
-def _vertex_swaps(m: int) -> list[tuple[int, ...]]:
-    """The m - 1 adjacent point swaps, each as the permutation it makes of
-    the pair indices of _colex_pairs(m): they generate every relabelling."""
-    pairs = _colex_pairs(m)
-    index = {pair: k for k, pair in enumerate(pairs)}
-    return [tuple(index[tuple(sorted(v + (v == i) - (v == i + 1) for v in pair))]
-                  for pair in pairs) for i in range(m - 1)]
-
-
 def _neighbours(m: int, graph: int) -> tuple[int, ...]:
     """The neighbour rows of a graph given as a mask over _colex_pairs(m)."""
     nbr, pairs = [0] * m, _colex_pairs(m)
@@ -724,7 +716,7 @@ def posets_per_cover_graph(m: int) -> tuple[int, frozenset[tuple[int, int]]]:
     if m < 1:
         raise ValueError("need at least one point")
     counts = [(sum(1 for _ in _cover_orders(_neighbours(m, rep))), rep)
-              for rep, _ in orbits(_triangle_free_graphs(m), _vertex_swaps(m))]
+              for rep, _ in orbits(_triangle_free_graphs(m), vertex_swaps(m))]
     most = max(counts)[0]
     pairs = _colex_pairs(m)
     candidates = [g for c, rep in counts if c == most for g in _relabellings(m, rep)]

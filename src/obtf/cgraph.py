@@ -19,7 +19,7 @@ from collections import namedtuple
 from typing import Iterator, Optional
 
 from . import litposet
-from .boolfn import ParseError, parse_lines
+from .boolfn import ParseError, bits, orbits, parse_lines, vertex_swaps
 from .litposet import P_N_GUARD, ResourceGuardError
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "parse_colored_graph",
     "posets_of_graph",
     "triangles",
+    "weighted_colored_graphs",
 ]
 
 KAPPA_GUARD = 12
@@ -115,6 +116,24 @@ def enumerate_colored_graphs(n: int) -> Iterator[ColoredGraph]:
         red = frozenset(p for p, s in zip(pairs, states) if s == 1)
         blue = frozenset(p for p, s in zip(pairs, states) if s == 2)
         yield ColoredGraph(n, red, blue)
+
+
+def weighted_colored_graphs(n: int) -> Iterator[tuple[ColoredGraph, int]]:
+    """(graph, weight) pairs: every colouring of one graph per orbit of
+    the uncoloured graphs on n vertices under relabelling, weighted by
+    the orbit's size.  Each orbit is met at its smallest edge mask over
+    pairs_colex(n), and its colourings come in enumerate_colored_graphs'
+    state order.
+
+    A relabelling maps a graph's colourings one to one onto its image's,
+    so a sum over all 3^C(n,2) coloured graphs of anything relabelling
+    keeps is the sum of weight times value over these pairs."""
+    pairs = pairs_colex(n)
+    for rep, size in orbits(range(1 << len(pairs)), vertex_swaps(n)):
+        edges = [pairs[k] for k in bits(rep)]
+        for colours in itertools.product((False, True), repeat=len(edges)):
+            blue = frozenset(e for e, is_blue in zip(edges, colours) if is_blue)
+            yield ColoredGraph(n, frozenset(edges) - blue, blue), size
 
 
 def triangles(g: ColoredGraph) -> list[tuple[int, int, int]]:

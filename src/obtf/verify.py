@@ -2,6 +2,13 @@
 
 The identity checks compare census values along the paper's counting
 identities, and the property suites walk toy-sized spaces completely.
+The checks that walk coloured graphs, or the posets graph by graph, walk
+one uncoloured graph per orbit under relabelling with all its
+colourings, weighted by the orbit's size (cgraph.weighted_colored_graphs):
+each tests a property that relabelling keeps, or tallies one, so each
+tally is the one over all labelled graphs, and a failure's witness is the
+first failing representative.  poset-enumeration-oracle alone compares
+the labelled family, as a set, with census's order stream.
 Each check(n, run) yields its CheckResult lines at n, sharing one Run
 per verify pass; its row in _CHECKS owns the sizes it runs at, without
 --big and with it, and RUN_LIMITS owns the sizes a run may ask for.
@@ -41,11 +48,11 @@ class CheckResult(NamedTuple):
 
 class Run:
     """What the checks of one verify run share: the seed, the --big flag,
-    and one memo of census values, of each graph's posets and of the
-    poset family per n, so each is computed once per run.  Made per run,
-    never module-wide, and census.count and cgraph.posets_of_graph are
-    looked up at each call, so a patched one is seen; a raise is never
-    stored."""
+    and one memo of census values, of the posets of each graph the
+    weighted walk meets, and of the weighted walk and the poset family
+    per n, so each is computed once per run.  Made per run, never
+    module-wide, and census.count and the cgraph functions are looked up
+    at each call, so a patched one is seen; a raise is never stored."""
 
     def __init__(self, seed: int = DEFAULT_SEED, big: bool = False):
         self.seed, self.big = seed, big
@@ -64,12 +71,32 @@ class Run:
     def rows(self, g: cgraph.ColoredGraph) -> list[tuple[int, ...]]:
         return self._once(("rows", g), lambda: cgraph.posets_of_graph(g))
 
+    def weighted(self, n: int) -> list[tuple[cgraph.ColoredGraph, int]]:
+        """cgraph.weighted_colored_graphs(n), the walk of every check that
+        visits graphs."""
+        return self._once(("weighted", n), lambda: list(cgraph.weighted_colored_graphs(n)))
+
+    def weighted_posets(self, n: int) -> list[tuple[tuple[int, ...], int]]:
+        """The posets of each weighted odd-blue-triangle-free graph, with
+        its weight: a sum over them is the sum over the family."""
+        return [(p, w) for g, w in self.weighted(n) if cgraph.is_obtf(g)
+                for p in self.rows(g)]
+
     def family(self, n: int) -> list[tuple[int, ...]]:
-        """The poset family on n variables in cgraph.enumerate_pn's order:
-        the posets of each odd-blue-triangle-free graph in turn."""
+        """The labelled poset family on n variables in cgraph.enumerate_pn's
+        order, the posets of each odd-blue-triangle-free graph in turn,
+        which only poset-enumeration-oracle compares.  A graph's posets
+        come from the memo when the weighted walk has listed them, and
+        are listed without being kept otherwise: as memo keys, the 16,921
+        labelled graphs at n = 5 raised the peak of verify --range 4..5
+        --big by about 14 MB."""
+        def rows(g):
+            kept = self._memo.get(("rows", g))
+            return cgraph.posets_of_graph(g) if kept is None else kept
+
         return self._once(("family", n), lambda: [
             r for g in cgraph.enumerate_colored_graphs(n) if cgraph.is_obtf(g)
-            for r in self.rows(g)])
+            for r in rows(g)])
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +150,9 @@ def _poset_function_bijection(n: int, run: Run) -> Iterator[CheckResult]:
 def _triangle_connected_two_posets(n: int, run: Run) -> Iterator[CheckResult]:
     """A triangle-connected blue-bipartite graph carries at most 2 posets,
     with a tally of where equality holds."""
-    bad = None
-    two = edgeless = 0
-    short = []
-    for g in cgraph.enumerate_colored_graphs(n):
+    bad = first_short = None
+    two = edgeless = short = 0
+    for g, w in run.weighted(n):
         if cgraph.find_blue_bipartition(g) is None or cgraph.eta(g) > 1:
             continue
         k = len(run.rows(g))
@@ -134,28 +160,29 @@ def _triangle_connected_two_posets(n: int, run: Run) -> Iterator[CheckResult]:
             bad = g
             break
         if k == 2:
-            two += 1
+            two += w
         elif g.edge_count() == 0:
-            edgeless += 1
+            edgeless += w
         else:
-            short.append(g)
+            short += w
+            first_short = first_short or g
     yield CheckResult(
         "triangle-connected-two-posets", f"n={n}", _verdict(bad is None),
         f"graphs with 2 posets: {two}, edgeless (1 poset): {edgeless}, "
-        f"other shortfalls: {len(short)}",
+        f"other shortfalls: {short}",
         witness=cgraph.format_colored_graph(bad) if bad else None)
     yield CheckResult(
         "two-poset-equality-tally", f"n={n}", "INFO",
         f"equality holds at every graph with an edge ({two} graphs)"
         if not short else
-        f"equality fails at {len(short)} non-edgeless graphs, first: "
-        + cgraph.format_colored_graph(short[0]).replace("\n", "; "))
+        f"equality fails at {short} non-edgeless graphs, first: "
+        + cgraph.format_colored_graph(first_short).replace("\n", "; "))
 
 
 def _poset_count_bounds(n: int, run: Run) -> Iterator[CheckResult]:
     """|posets| <= 2^eta <= (2n)! over all graphs."""
     bound_fact = factorial(2 * n)
-    for g in cgraph.enumerate_colored_graphs(n):
+    for g, _ in run.weighted(n):
         k = len(run.rows(g))
         e = 1 << cgraph.eta(g)
         if not k <= e <= bound_fact:
@@ -187,14 +214,14 @@ def _ratio_table(n: int, run: Run) -> Iterator[CheckResult]:
 def check_poset_graph_properties(n: int, run: Run) -> Iterator[CheckResult]:
     """Single color per vertex pair, double cover equal to the cover
     relations, and no odd-blue triangle, for every family poset."""
-    posets = run.family(n)
+    posets = run.weighted_posets(n)
     if not posets:
         # the family always contains the antichain; an empty
         # enumeration means something upstream is broken
         yield CheckResult("poset-graph-properties", f"n={n}", "FAIL",
                           "family enumeration came back empty")
         return
-    for p in posets:
+    for p, _ in posets:
         covers = litposet.cover_pairs(p)
         g = cgraph.graph_of_covers(n, covers)  # raises on two-color demand or odd-blue
         if cgraph.double_cover(g) != covers:
@@ -204,18 +231,18 @@ def check_poset_graph_properties(n: int, run: Run) -> Iterator[CheckResult]:
                 witness=litposet.format_poset(p))
             return
     yield CheckResult("poset-graph-properties", f"n={n}", "PASS",
-                      f"{len(posets)} posets checked")
+                      f"{sum(w for _, w in posets)} posets checked")
 
 
 def check_roundtrip(n: int, run: Run) -> Iterator[CheckResult]:
     """poset -> function -> canonical realizing formula -> implication
     poset returns the original, for every family poset."""
-    posets = run.family(n)
+    posets = run.weighted_posets(n)
     if not posets:
         yield CheckResult("bijection-roundtrip", f"n={n}", "FAIL",
                           "family enumeration came back empty")
         return
-    for p in posets:
+    for p, _ in posets:
         t = litposet.poset_to_function(p)
         if not is_elementary(n, t):
             problem = "poset function is not elementary"
@@ -227,7 +254,7 @@ def check_roundtrip(n: int, run: Run) -> Iterator[CheckResult]:
                           witness=litposet.format_poset(p))
         return
     yield CheckResult("bijection-roundtrip", f"n={n}", "PASS",
-                      f"{len(posets)} posets round-tripped")
+                      f"{sum(w for _, w in posets)} posets round-tripped")
 
 
 def check_formula_independence(n: int, run: Run) -> Iterator[CheckResult]:
@@ -267,7 +294,7 @@ def check_partition_law(n: int, run: Run) -> Iterator[CheckResult]:
     colored graphs matches census's Pn count, made by the order search,
     and every graph with an odd-blue triangle contributes zero."""
     total = 0
-    for g in cgraph.enumerate_colored_graphs(n):
+    for g, w in run.weighted(n):
         k = len(run.rows(g))
         if k and not cgraph.is_obtf(g):
             yield CheckResult(
@@ -275,7 +302,7 @@ def check_partition_law(n: int, run: Run) -> Iterator[CheckResult]:
                 f"odd-blue-triangle graph carries {k} posets",
                 witness=cgraph.format_colored_graph(g))
             return
-        total += k
+        total += w * k
     pn = run.count("Pn", n)
     yield CheckResult("graph-partition-law", f"n={n}", _verdict(total == pn),
                       f"sum over graphs {total}, family count {pn}")
@@ -285,7 +312,7 @@ def check_walks(n: int, run: Run) -> Iterator[CheckResult]:
     """Every graph without an odd-blue triangle has even blue count on all
     short non-simple closed walks."""
     checked = 0
-    for g in cgraph.enumerate_colored_graphs(n):
+    for g, w in run.weighted(n):
         if not cgraph.is_obtf(g):
             continue
         walk = cgraph.find_odd_nonsimple_walk(g)
@@ -295,7 +322,7 @@ def check_walks(n: int, run: Run) -> Iterator[CheckResult]:
                 f"odd-blue non-simple walk {walk}",
                 witness=cgraph.format_colored_graph(g))
             return
-        checked += 1
+        checked += w
     yield CheckResult("short-closed-walks", f"n={n}", "PASS",
                       f"{checked} graphs free of odd short walks")
 
@@ -327,7 +354,7 @@ def check_bb_coherence(n: int, run: Run) -> Iterator[CheckResult]:
     """A bipartition witness exists iff zero vertex deletions suffice iff
     zero edge deletions suffice; witnesses are valid; the propagation
     search matches the brute-force sweep."""
-    for g in cgraph.enumerate_colored_graphs(n):
+    for g, _ in run.weighted(n):
         bp = cgraph.find_blue_bipartition(g)
         if (bp is None) != (cgraph.bipartition_sweep(g) is None):
             problem = "propagation and sweep disagree"

@@ -17,6 +17,7 @@ from obtf.boolfn import (
     signed_literal,
     truth_table,
     variable_masks,
+    vertex_swaps,
 )
 
 
@@ -108,6 +109,17 @@ class TestOrbits:
         swaps = [tuple(index[tuple(sorted(v + (v == i) - (v == i + 1) for v in pair))]
                        for pair in pairs) for i in range(n - 1)]
         assert len(orbits(range(1 << len(pairs)), swaps)) == want
+
+    def test_vertex_swaps_permute_the_colex_pairs(self):
+        # the pairs (0, 1), (0, 2), (1, 2): swapping points 0 and 1 swaps
+        # the last two, swapping points 1 and 2 the first two
+        assert vertex_swaps(3) == [(0, 2, 1), (1, 0, 2)]
+        assert vertex_swaps(2) == [(0,)]
+        assert vertex_swaps(1) == vertex_swaps(0) == []
+
+    @pytest.mark.parametrize("n,want", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)])
+    def test_vertex_swaps_give_graphs_up_to_isomorphism(self, n, want):
+        assert len(orbits(range(1 << n * (n - 1) // 2), vertex_swaps(n))) == want
 
     def test_no_generators_leave_every_member_alone(self):
         assert orbits([5, 3, 5], []) == [(5, 1), (3, 1)]

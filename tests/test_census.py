@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obtf import census, cgraph, litposet
-from obtf.boolfn import orbits
+from obtf.boolfn import orbits, vertex_swaps
 from obtf.census import (
     CacheError,
     CensusCache,
@@ -533,7 +533,7 @@ class TestCoverGraphQuestion:
     def test_orbits_of_triangle_free_graphs_count_every_order(self, m, orders, orbit_count):
         # the unlabelled triangle-free graphs (OEIS A006785), each weighted
         # by its orbit size, give the strict orders (OEIS A001035)
-        found = orbits(census._triangle_free_graphs(m), census._vertex_swaps(m))
+        found = orbits(census._triangle_free_graphs(m), vertex_swaps(m))
         assert len(found) == orbit_count
         assert sum(size * sum(1 for _ in census._cover_orders(census._neighbours(m, rep)))
                    for rep, size in found) == orders

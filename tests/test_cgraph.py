@@ -25,6 +25,7 @@ from obtf.cgraph import (
     parse_colored_graph,
     posets_of_graph,
     triangles,
+    weighted_colored_graphs,
 )
 from obtf.litposet import ResourceGuardError, poset_from_relations
 
@@ -85,6 +86,66 @@ class TestColoredGraph:
 
     def test_enumeration_size(self):
         assert sum(1 for _ in enumerate_colored_graphs(3)) == 27
+
+
+def relabelled(n, edges, perm):
+    """The edge set of the graph on 1..n that perm, a tuple of the images
+    of 1..n, makes of edges."""
+    return frozenset(tuple(sorted((perm[u - 1], perm[v - 1]))) for u, v in edges)
+
+
+class TestWeightedColoredGraphs:
+    """One uncoloured graph per orbit under relabelling, each with all its
+    colourings, weighted by the orbit's size."""
+
+    @pytest.mark.parametrize("n,orbit_count,rep_count", [
+        (0, 1, 1), (1, 1, 1), (2, 2, 3), (3, 4, 15), (4, 11, 163)])
+    def test_orbits_and_representatives(self, n, orbit_count, rep_count):
+        # the orbits are the unlabelled graphs, OEIS A000088
+        found = list(weighted_colored_graphs(n))
+        assert len(found) == rep_count
+        assert len({g.red | g.blue for g, _ in found}) == orbit_count
+
+    @pytest.mark.parametrize("n", [
+        0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+    def test_weights_count_every_labelled_graph(self, n):
+        assert sum(w for _, w in weighted_colored_graphs(n)) == 3 ** (n * (n - 1) // 2)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_weights_are_the_sizes_of_relabelling_classes(self, n):
+        # every permutation of the vertices, against the generated orbits:
+        # the representatives' classes partition the uncoloured graphs,
+        # each class as large as its weight
+        by_edges = {}
+        for g, w in weighted_colored_graphs(n):
+            by_edges.setdefault(g.red | g.blue, set()).add((g, w))
+        met = set()
+        for edges, coloured in by_edges.items():
+            cls = {relabelled(n, edges, p) for p in itertools.permutations(range(1, n + 1))}
+            assert not cls & met
+            met |= cls
+            assert {w for _, w in coloured} == {len(cls)}
+            assert {g for g, _ in coloured} == {
+                ColoredGraph(n, edges - blue, blue)
+                for k in range(len(edges) + 1)
+                for blue in map(frozenset, itertools.combinations(sorted(edges), k))}
+        assert len(met) == 1 << (n * (n - 1) // 2)
+
+    def test_each_orbit_met_at_its_smallest_mask(self):
+        # the first labelled graph of each orbit in mask order over the
+        # colex pairs, with its colourings in the labelled walk's order
+        index = {pair: k for k, pair in enumerate(pairs_colex(4))}
+        mask = lambda es: sum(1 << index[e] for e in es)
+        found = list(weighted_colored_graphs(4))
+        reps = list(dict.fromkeys(g.red | g.blue for g, _ in found))
+        for edges in reps:
+            assert mask(edges) == min(mask(relabelled(4, edges, p))
+                                      for p in itertools.permutations(range(1, 5)))
+        assert [mask(e) for e in reps] == sorted(mask(e) for e in reps)
+        order = {g: k for k, g in enumerate(enumerate_colored_graphs(4))}
+        for edges in reps:
+            ranks = [order[g] for g, _ in found if g.red | g.blue == edges]
+            assert ranks == sorted(ranks)
 
 
 class TestObtf:

@@ -32,7 +32,7 @@ GOLDEN = {
     ("posets", "cover-multiplicity", "6"):
         "63e9da4f0cd76d03643c2f45cc73fba7ff059685e2476b1e54993c3102791910",
 }
-SLOW = {("verify", None, "4..5 --big")}    # about 14 s
+SLOW = {("verify", None, "4..5 --big")}    # about 7 s
 
 
 def _strip_wall_time(obj):

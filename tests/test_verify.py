@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from math import factorial
 
 import pytest
 
@@ -112,6 +113,66 @@ def test_crashing_check_prints_fail_lines(monkeypatch, capsys, module, name, fai
     assert "[PASS] short-closed-walks n=2: 3 graphs free of odd short walks" in lines
 
 
+def labelled_lines(n):
+    """The lines of the seven checks that walk the weighted graphs, at n,
+    recounted over every labelled coloured graph: the walk they replaced,
+    kept here as their oracle."""
+    two = edgeless = short = total = checked = walks = 0
+    bounds = coherent = True
+    for g in cgraph.enumerate_colored_graphs(n):
+        rows = cgraph.posets_of_graph(g)
+        bp = cgraph.find_blue_bipartition(g)
+        if bp is not None and cgraph.eta(g) <= 1:
+            if len(rows) == 2:
+                two += 1
+            elif g.edge_count() == 0:
+                edgeless += 1
+            else:
+                short += 1
+        bounds &= len(rows) <= 1 << cgraph.eta(g) <= factorial(2 * n)
+        total += len(rows)
+        if cgraph.is_obtf(g):
+            checked += len(rows)
+            walks += cgraph.find_odd_nonsimple_walk(g) is None
+        coherent &= ((bp is None) == (cgraph.bipartition_sweep(g) is None)
+                     == (cgraph.kappa(g)[0] > 0) == (cgraph.gamma(g)[0] > 0))
+    assert bounds and coherent and short == 0
+    return [
+        ("triangle-connected-two-posets", "PASS",
+         f"graphs with 2 posets: {two}, edgeless (1 poset): {edgeless}, other shortfalls: 0"),
+        ("two-poset-equality-tally", "INFO",
+         f"equality holds at every graph with an edge ({two} graphs)"),
+        ("poset-count-bounds", "PASS", f"all graphs within 2^eta <= {factorial(2 * n)}"),
+        ("poset-graph-properties", "PASS", f"{checked} posets checked"),
+        ("bijection-roundtrip", "PASS", f"{checked} posets round-tripped"),
+        ("graph-partition-law", "PASS", f"sum over graphs {total}, family count {total}"),
+        ("short-closed-walks", "PASS", f"{walks} graphs free of odd short walks"),
+        ("bb-coherence", "PASS", "witness/kappa/gamma/sweep all coherent"),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_weighted_tallies_equal_the_labelled_recount(n):
+    run = verify.Run()
+    lines = [c for check in (verify._triangle_connected_two_posets, verify._poset_count_bounds,
+                             verify.check_poset_graph_properties, verify.check_roundtrip,
+                             verify.check_partition_law, verify.check_walks,
+                             verify.check_bb_coherence)
+             for c in check(n, run)]
+    assert [(c.name, c.status, c.detail) for c in lines] == labelled_lines(n)
+
+
+def test_a_fail_names_the_first_failing_representative(monkeypatch):
+    # a walk "found" on every graph with two blue edges: the first such
+    # representative on 3 vertices is the blue path, not the first such
+    # labelled graph, whose blue edges are (1, 3) and (2, 3)
+    real = cgraph.find_odd_nonsimple_walk
+    monkeypatch.setattr(cgraph, "find_odd_nonsimple_walk",
+                        lambda g: [1, 2, 1] if len(g.blue) > 1 else real(g))
+    [check] = verify.check_walks(3, verify.Run())
+    assert (check.status, check.witness) == ("FAIL", "n 3\n1 2 B\n1 3 B\n")
+
+
 def test_each_value_counted_once(monkeypatch, capsys):
     counted = Counter()
     real = census.count
@@ -143,7 +204,14 @@ def test_each_graph_listed_once(monkeypatch, capsys):
     monkeypatch.delenv("OBTF_CACHE", raising=False)
     assert cli.main(["verify", "--range", "1..4", "--format", "json"]) == 0
     capsys.readouterr()
-    assert len(listed) == 1 + 3 + 27 + 729              # every graph on 1..4 vertices
+    # every colouring of one graph per orbit on 1..4 vertices, and the
+    # labelled odd-blue-triangle-free graphs of the oracle's family at
+    # n <= 3: at n = 3 these two make up all 27 graphs
+    reps = {g for n in range(1, 5) for g, _ in cgraph.weighted_colored_graphs(n)}
+    labelled = {g for n in range(1, 4) for g in cgraph.enumerate_colored_graphs(n)
+                if cgraph.is_obtf(g)}
+    assert set(listed) == reps | labelled
+    assert len(listed) == 1 + 3 + 27 + 163
     assert set(listed.values()) == {1}
 
 
@@ -191,15 +259,19 @@ def made(monkeypatch):
 
 
 def test_each_family_poset_made_once(made):
+    reps4 = {rows for g, _ in cgraph.weighted_colored_graphs(4) if cgraph.is_obtf(g)
+             for rows in cgraph.posets_of_graph(g)}
+    made.clear()
     assert not [c for c in verify.run_suites(range(1, 5)) if c.failed]
-    # each poset of P4 is checked once as the orientation search finds it
-    # for the memoized family, and again as the roundtrip's implication
-    # poset; nothing else checks one, neither the Pn engine's count nor
-    # the oracle's order stream
+    # at n = 4 only the representatives' posets are made: each is checked
+    # once as the orientation search finds it for the run's memo, and
+    # again as the roundtrip's implication poset; nothing else checks
+    # one, neither the Pn engine's count nor the oracle's order stream
     family4 = {rows for rows in made if len(rows) == 8}
-    assert len(family4) == 2153
+    assert family4 == reps4
+    assert len(family4) == 349
     assert {made[rows] for rows in family4} == {2}
-    assert sum(made.values()) == 4798
+    assert sum(made.values()) == 1150
 
 
 def test_pn_oracle_checks_no_poset(made):
