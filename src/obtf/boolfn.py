@@ -30,6 +30,7 @@ __all__ = [
     "all_ones",
     "bits",
     "clause_masks",
+    "colex_pairs",
     "is_elementary",
     "literal_index",
     "literal_masks",
@@ -173,13 +174,19 @@ def orbits(members: Iterable[int], point_perms) -> list[tuple[int, int]]:
     return found
 
 
+def colex_pairs(m: int) -> list[tuple[int, int]]:
+    """The point pairs (a, b), a < b, of points 0..m-1 in colex order,
+    (0, 1), (0, 2), (1, 2), (0, 3), ...: pair (a, b) has index
+    b(b - 1)/2 + a."""
+    return [(a, b) for b in range(1, m) for a in range(b)]
+
+
 def vertex_swaps(m: int) -> list[tuple[int, ...]]:
     """The m - 1 adjacent point swaps (i, i + 1) of points 0..m-1, each as
-    the permutation it makes of the indices of the point pairs in colex
-    order, (0, 1), (0, 2), (1, 2), (0, 3), ...  They generate every
-    relabelling, so their orbits on graphs, bitsets over those pairs, are
-    the graphs up to isomorphism."""
-    pairs = [(a, b) for b in range(1, m) for a in range(b)]
+    the permutation it makes of the indices of the colex_pairs(m).  They
+    generate every relabelling, so their orbits on graphs, bitsets over
+    those pairs, are the graphs up to isomorphism."""
+    pairs = colex_pairs(m)
     index = {pair: k for k, pair in enumerate(pairs)}
     return [tuple(index[tuple(sorted(v + (v == i) - (v == i + 1) for v in pair))]
                   for pair in pairs) for i in range(m - 1)]
@@ -190,7 +197,7 @@ def all_clauses(n: int) -> tuple[tuple[int, int], ...]:
     """Every clause on n variables: variable pairs in colex order, each
     with the polarities (+,+), (+,-), (-,+), (-,-)."""
     return tuple((2 * i + p, 2 * j + q)
-                 for j in range(n) for i in range(j) for p in (0, 1) for q in (0, 1))
+                 for i, j in colex_pairs(n) for p in (0, 1) for q in (0, 1))
 
 
 @lru_cache(maxsize=None)

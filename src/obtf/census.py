@@ -39,7 +39,8 @@ posets are checked for membership as the orientation search finds them.
 posets_per_cover_graph answers the cover-graph question per graph: it
 counts the orientations of each triangle-free graph that make every edge
 a cover, for one graph per orbit under relabelling, found by the same
-orbits walk as median-dp's, generated by boolfn.vertex_swaps.
+orbits walk as median-dp's, generated by boolfn.vertex_swaps, with
+litposet.cover_orders, the search that lists cgraph's posets too.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .boolfn import (
     all_ones,
     bits,
     clause_masks,
+    colex_pairs,
     is_elementary,
     literal_masks,
     orbits,
@@ -377,18 +379,11 @@ def _obtf_count_rec(nbr: list[int], blue: list[int], k: int, pairs, memo: dict) 
     return total
 
 
-def _colex_pairs(n: int) -> list[tuple[int, int]]:
-    """The vertex pairs (a, b), a < b, of 0..n-1 in colex order: those of
-    cgraph.pairs_colex less one, built here so F's DFS runs without
-    cgraph."""
-    return [(a, b) for b in range(1, n) for a in range(b)]
-
-
 def _obtf_count(n: int) -> int:
     """F(n): branch over pairs in colex order and cut a branch the moment
     a completed triangle is odd-blue (deleting edges preserves the
     property, so pruning is sound), with one memo per call."""
-    return _obtf_count_rec([0] * n, [0] * n, 0, _colex_pairs(n), {})
+    return _obtf_count_rec([0] * n, [0] * n, 0, colex_pairs(n), {})
 
 
 def _obtf_sweep(n: int) -> int:
@@ -623,12 +618,13 @@ def _grow(level, j: int, negation: bool):
 # and the order is that orientation's closure.  So the orders whose cover
 # graph is a graph G are G's orientations of that kind, one each.  G has
 # no triangle, as the other two edges of an acyclic triangle bridge the
-# third, and relabelling the points keeps the count.
+# third, and relabelling the points keeps the count.  litposet.cover_orders
+# lists them, as it lists a colored graph's posets for cgraph.
 
 
 def _triangle_free_graphs(m: int, nbr: tuple = (), graph: int = 0):
     """Yield every labelled triangle-free graph on points 0..m-1 as a mask
-    over _colex_pairs(m), pair (a, b) being bit C(b, 2) + a: point b
+    over colex_pairs(m), pair (a, b) being bit C(b, 2) + a: point b
     joins each graph on 0..b-1 with an independent set s of it as its
     neighbours, the bits from C(b, 2) on."""
     b = len(nbr)
@@ -645,54 +641,26 @@ def _triangle_free_graphs(m: int, nbr: tuple = (), graph: int = 0):
 
 
 def _neighbours(m: int, graph: int) -> tuple[int, ...]:
-    """The neighbour rows of a graph given as a mask over _colex_pairs(m)."""
-    nbr, pairs = [0] * m, _colex_pairs(m)
+    """The neighbour rows of a graph given as a mask over colex_pairs(m)."""
+    nbr, pairs = [0] * m, colex_pairs(m)
     for a, b in (pairs[k] for k in bits(graph)):
         nbr[a] |= 1 << b
         nbr[b] |= 1 << a
     return tuple(nbr)
 
 
-def _cover_orders(nbr: tuple, rows: tuple = (), below: tuple = ()):
-    """Yield the closure rows of every strict order on points 0..m-1, m =
-    len(nbr), whose cover graph has the neighbour rows nbr.
-
-    Point j joins the closure of the orientation so far with its
-    neighbours among 0..j-1 split into D, below it, and U, above it:
-    every point under D goes below every point over U, and the result is
-    closed.  It stays acyclic iff no point is both under D and over U,
-    and every edge stays a cover iff D and U are antichains and no edge
-    joins a point under D to one over U, which j would bridge; later
-    points only bridge more."""
-    j = len(rows)
-    if j == len(nbr):
-        yield rows
-        return
-    bit = 1 << j
-    near = nbr[j] & (bit - 1)
-    d = near
-    while True:
-        u = near ^ d
-        down, up, above, under = d, u, 0, 0
-        for x in bits(d):
-            down |= below[x]
-            above |= rows[x]
-        for x in bits(u):
-            up |= rows[x]
-            under |= below[x]
-        if not (down & up or d & above or u & under or any(nbr[x] & up for x in bits(down))):
-            yield from _cover_orders(
-                nbr,
-                tuple(r | bit | up if down >> x & 1 else r for x, r in enumerate(rows)) + (up,),
-                tuple(r | bit | down if up >> x & 1 else r for x, r in enumerate(below)) + (down,))
-        if not d:
-            return
-        d = (d - 1) & near
+def _cover_orders(nbr: tuple) -> list[tuple[int, ...]]:
+    """The closure rows of every strict order on points 0..m-1, m =
+    len(nbr), whose cover graph has the neighbour rows nbr: each edge
+    (a, b), in colex order, taken as a < b or as b < a."""
+    seeds = [(((a, b),), ((b, a),))
+             for b, row in enumerate(nbr) for a in bits(row & ((1 << b) - 1))]
+    return litposet.cover_orders(len(nbr), seeds, 0)
 
 
 def _relabellings(m: int, graph: int) -> set[int]:
-    """The graphs that relabel graph, a mask over _colex_pairs(m)."""
-    pairs = _colex_pairs(m)
+    """The graphs that relabel graph, a mask over colex_pairs(m)."""
+    pairs = colex_pairs(m)
     index = {pair: k for k, pair in enumerate(pairs)}
     edges = [pairs[k] for k in bits(graph)]
     return {sum(1 << index[min(p[a], p[b]), max(p[a], p[b])] for a, b in edges)
@@ -715,10 +683,10 @@ def posets_per_cover_graph(m: int) -> tuple[int, frozenset[tuple[int, int]]]:
             f"order enumeration capped at m <= {COVER_QUESTION_GUARD}, got {m}")
     if m < 1:
         raise ValueError("need at least one point")
-    counts = [(sum(1 for _ in _cover_orders(_neighbours(m, rep))), rep)
+    counts = [(len(_cover_orders(_neighbours(m, rep))), rep)
               for rep, _ in orbits(_triangle_free_graphs(m), vertex_swaps(m))]
     most = max(counts)[0]
-    pairs = _colex_pairs(m)
+    pairs = colex_pairs(m)
     candidates = [g for c, rep in counts if c == most for g in _relabellings(m, rep)]
     best = None     # (largest vector, graph); a graph whose vectors pass it is dropped
     for g in candidates:

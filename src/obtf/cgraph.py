@@ -5,8 +5,8 @@ blue-bipartitions (balance of the associated signed graph), the minimum
 vertex/edge deletions to reach blue-bipartiteness, triangle components,
 the literal-level double cover, and the exact set of literal posets whose
 cover structure matches a given graph, graph by graph the poset family.
-A poset is its closure rows, as in litposet; the orientation search
-(posets_of_graph) checks the membership of each one it finds.
+A poset is its closure rows, as in litposet; posets_of_graph finds them
+with litposet.cover_orders, shared with census, and checks each one.
 
 Vertices are labelled 1..n.  Edges are unordered (u, v) pairs stored with
 u < v; the fixed global edge order is colex: (1,2), (1,3), (2,3), (1,4), ...
@@ -19,7 +19,7 @@ from collections import namedtuple
 from typing import Iterator, Optional
 
 from . import litposet
-from .boolfn import ParseError, bits, orbits, parse_lines, vertex_swaps
+from .boolfn import ParseError, bits, colex_pairs, orbits, parse_lines, vertex_swaps
 from .litposet import P_N_GUARD, ResourceGuardError
 
 __all__ = [
@@ -56,8 +56,9 @@ _BIPARTITION_SWEEP_GUARD = 6
 
 
 def pairs_colex(n: int) -> list[tuple[int, int]]:
-    """All vertex pairs in colex order; fixes DFS branch order and checksums."""
-    return [(i, j) for j in range(2, n + 1) for i in range(1, j)]
+    """All vertex pairs in colex order, boolfn.colex_pairs on vertices
+    1..n; fixes DFS branch order and checksums."""
+    return [(a + 1, b + 1) for a, b in colex_pairs(n)]
 
 
 class ColoredGraph(namedtuple("ColoredGraph", "n red blue")):
@@ -372,78 +373,21 @@ def double_cover(g: ColoredGraph) -> frozenset[tuple[int, int]]:
 
 
 def posets_of_graph(g: ColoredGraph) -> list[tuple[int, ...]]:
-    """Exactly the family posets whose colored graph is g, in row order.
-
-    Depth-first search over the edges in `_lifted_edges` order: each
-    level orients one edge's literal pair (a, b), first as a < b and then
-    as b < a, adding that relation and its negation dual (not-b < not-a,
-    or not-a < not-b) to a transitively closed relation kept up to date
-    together with its predecessor rows.  A branch is pruned as soon as
-      - the new relation a < b, or its reverse, is already in the
-        closure: either a cycle forms, or a < b is implied and cannot be
-        a cover;
-      - some literal becomes comparable to its own negation;
-      - a relation seeded earlier stops being a cover (something now
-        lies strictly between its ends).
-    Adding relations only ever makes these events true, never false, so
-    every pruned branch holds no member, and a branch that orients every
-    edge is a member whose cover pairs are exactly the lifted edge set.
-    Each such poset's membership is checked as it is found; a non-member
-    raises AssertionError, since it signals a bug.
-    """
+    """Exactly the family posets whose colored graph is g, in row order:
+    litposet.cover_orders on the 2n literals with the positive ones as
+    pos, each edge's literal pair (a, b), in `_lifted_edges` order, taken
+    as a < b or as b < a together with its negation dual.  A non-member
+    found raises AssertionError, since it signals a bug."""
     m = g.edge_count()
     if m > EDGE_SWEEP_GUARD:
         raise ResourceGuardError(f"orientation sweep capped at |E| <= {EDGE_SWEEP_GUARD}, got {m}")
     size = 2 * g.n
     pos = sum(1 << u for u in range(0, size, 2))   # the positive literals
     seeds = [(((a, b), (b ^ 1, a ^ 1)), ((b, a), (a ^ 1, b ^ 1))) for a, b in _lifted_edges(g)]
-    rows = [0] * size      # rows[u]: literals above u
-    preds = [0] * size     # preds[v]: literals below v
-    chosen: list[tuple[int, int]] = []
-    found = []
-
-    def add(a: int, b: int) -> bool:
-        """Close under a < b; False if the branch must be pruned."""
-        if (rows[a] >> b) & 1 or (rows[b] >> a) & 1:
-            return False
-        below = preds[a] | (1 << a)
-        above = rows[b] | (1 << b)
-        negated = ((below & pos) << 1) | ((below >> 1) & pos)
-        if negated & above:
-            return False        # some u <= a has not-u >= b
-        bits = below
-        while bits:
-            low = bits & -bits
-            rows[low.bit_length() - 1] |= above
-            bits ^= low
-        bits = above
-        while bits:
-            low = bits & -bits
-            preds[low.bit_length() - 1] |= below
-            bits ^= low
-        chosen.append((a, b))
-        return True
-
-    def extend(k: int) -> None:
-        if k == m:
-            poset = tuple(rows)
-            if not litposet.is_pn_member(poset):
-                raise AssertionError("orientation search found a non-member")
-            found.append(poset)
-            return
-        saved_rows, saved_preds, depth = rows[:], preds[:], len(chosen)
-        for (a, b), (a2, b2) in seeds[k]:
-            if add(a, b) and add(a2, b2):
-                for x, y in chosen:
-                    if rows[x] & preds[y]:
-                        break
-                else:
-                    extend(k + 1)
-            rows[:] = saved_rows
-            preds[:] = saved_preds
-            del chosen[depth:]
-
-    extend(0)
+    found = litposet.cover_orders(size, seeds, pos)
+    for poset in found:
+        if not litposet.is_pn_member(poset):
+            raise AssertionError("orientation search found a non-member")
     found.sort()
     return found
 

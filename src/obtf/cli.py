@@ -14,7 +14,7 @@ import io
 import json
 import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from . import litposet
 from .boolfn import QUANTITIES, CacheError, ParseError
@@ -76,6 +76,18 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _relations(block: str) -> list[str]:
+    """The relation lines of a formatted poset, without its `n` line."""
+    return block.rstrip("\n").splitlines()[1:]
+
+
+def _numbered_posets(blocks: list[str]) -> Iterator[str]:
+    """Each formatted poset as a `poset i:` line and its lines indented."""
+    for i, block in enumerate(blocks, start=1):
+        yield f"poset {i}:"
+        yield from ("  " + ln for ln in block.rstrip("\n").splitlines())
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +273,7 @@ def _emit_analysis(info: dict, fmt: str) -> str:
     lines.append(f"triangle-connected: {str(info['triangle_connected']).lower()}")
     if "poset_count" in info:
         lines.append(f"posets: {info['poset_count']}")
-        for i, block in enumerate(info["posets"], start=1):
-            lines.append(f"poset {i}:")
-            lines.extend("  " + ln for ln in block.rstrip("\n").splitlines())
+        lines += _numbered_posets(info["posets"])
     if info["skipped"]:
         lines.append("skipped (size guards): " + ", ".join(info["skipped"]))
     return "\n".join(lines) + "\n"
@@ -284,7 +294,7 @@ def _posets_csv(blocks: list[str]) -> str:
     """One poset,below,above row per relation of each formatted poset."""
     rows = []
     for i, b in enumerate(blocks, start=1):
-        relations = [line.split() for line in b.rstrip("\n").splitlines()[1:]]
+        relations = [line.split() for line in _relations(b)]
         # the antichain has no relations and still gets a row
         rows += [[i, a, bb] for a, bb in relations] or [[i, "", ""]]
     return _csv_text(["poset", "below", "above"], rows)
@@ -309,7 +319,7 @@ def cmd_posets(args) -> int:
             raise UserError(str(exc)) from exc
         if args.format == "json":
             sys.stdout.write(_canonical_json(
-                {"n": n, "relations": block.rstrip("\n").splitlines()[1:]}))
+                {"n": n, "relations": _relations(block)}))
         elif args.format == "csv":
             sys.stdout.write(_posets_csv([block]))
         else:
@@ -321,15 +331,12 @@ def cmd_posets(args) -> int:
         blocks = [litposet.format_poset(p) for p in cgraph.enumerate_pn(n)]
         if args.format == "json":
             payload = {"n": n, "count": len(blocks),
-                       "posets": [b.rstrip("\n").splitlines()[1:] for b in blocks]}
+                       "posets": [_relations(b) for b in blocks]}
             sys.stdout.write(_canonical_json(payload))
         elif args.format == "csv":
             sys.stdout.write(_posets_csv(blocks))
         else:
-            out = [f"count: {len(blocks)}"]
-            for i, b in enumerate(blocks, start=1):
-                out.append(f"poset {i}:")
-                out.extend("  " + ln for ln in b.rstrip("\n").splitlines())
+            out = [f"count: {len(blocks)}", *_numbered_posets(blocks)]
             sys.stdout.write("\n".join(out) + "\n")
         return EXIT_OK
     m = args.cover_multiplicity

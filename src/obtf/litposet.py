@@ -6,10 +6,12 @@ not-v < not-u.  A poset is the tuple of its 2n transitively closed
 bitmask rows, one per literal in the literal layout of boolfn
 (literal_index), bit v of rows[u] meaning u < v; n is len(rows) // 2.
 Membership in the family (is_pn_member) is checked where a poset is
-made: poset_from_relations here, and the order and orientation searches
-of census and cgraph.  A poset's cover graph is the frozenset of its
-covering pairs of literal indices (cover_pairs), and its function the
-int truth table of boolfn (poset_to_function).
+made: poset_from_relations here, and cgraph.posets_of_graph on each one
+cover_orders finds.  cover_orders is the one search for the orders with
+a given cover graph; census also runs it on plain graphs.  A poset's cover
+graph is the frozenset of its covering pairs of literal indices
+(cover_pairs), and its function the int truth table of boolfn
+(poset_to_function).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "IMPLICATION_GUARD",
     "P_N_GUARD",
     "ResourceGuardError",
+    "cover_orders",
     "cover_pairs",
     "cover_rows",
     "format_poset",
@@ -142,6 +145,74 @@ def cover_pairs(rows: tuple[int, ...]) -> frozenset[tuple[int, int]]:
     family member this set is its cover graph on the 2n literals."""
     return frozenset((min(u, v), max(u, v))
                      for u, row in enumerate(cover_rows(rows)) for v in bits(row))
+
+
+def cover_orders(size: int, seeds, pos: int) -> list[tuple[int, ...]]:
+    """The closure rows of every strict order on points 0..size-1 whose
+    covers are exactly one choice from each seeds[k]: a tuple of
+    relations (a, b), meaning a < b, for each orientation of edge k.
+    pos is the mask of the even points x whose negation is x + 1, or 0
+    when the points have no negation; no point may become comparable to
+    its negation.
+
+    Depth-first search over the seeds, adding each choice's relations to
+    a transitively closed relation kept with its predecessor rows.  A
+    branch is pruned as soon as a new relation or its reverse is already
+    in the closure (a cycle, or an implied relation, which is no cover),
+    a point becomes comparable to its negation, or a relation chosen
+    earlier stops being a cover.  Adding relations never undoes these
+    events, so no pruned branch holds such an order.
+    """
+    rows = [0] * size      # rows[u]: points above u
+    preds = [0] * size     # preds[v]: points below v
+    chosen: list[tuple[int, int]] = []
+    found = []
+    m = len(seeds)
+
+    def add(a: int, b: int) -> bool:
+        """Close under a < b; False if the branch must be pruned."""
+        if (rows[a] >> b) & 1 or (rows[b] >> a) & 1:
+            return False
+        below = preds[a] | (1 << a)
+        above = rows[b] | (1 << b)
+        negated = ((below & pos) << 1) | ((below >> 1) & pos)
+        if negated & above:
+            return False        # some u <= a has not-u >= b
+        rest = below
+        while rest:
+            low = rest & -rest
+            rows[low.bit_length() - 1] |= above
+            rest ^= low
+        rest = above
+        while rest:
+            low = rest & -rest
+            preds[low.bit_length() - 1] |= below
+            rest ^= low
+        chosen.append((a, b))
+        return True
+
+    def extend(k: int) -> None:
+        if k == m:
+            found.append(tuple(rows))
+            return
+        saved_rows, saved_preds, depth = rows[:], preds[:], len(chosen)
+        for choice in seeds[k]:
+            # a loop: all() over the relations was about 10% slower
+            for a, b in choice:
+                if not add(a, b):
+                    break
+            else:
+                for x, y in chosen:
+                    if rows[x] & preds[y]:
+                        break
+                else:
+                    extend(k + 1)
+            rows[:] = saved_rows
+            preds[:] = saved_preds
+            del chosen[depth:]
+
+    extend(0)
+    return found
 
 
 def poset_to_function(rows: tuple[int, ...]) -> int:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obtf import census, cgraph, litposet
-from obtf.boolfn import orbits, vertex_swaps
+from obtf.boolfn import colex_pairs, orbits, vertex_swaps
 from obtf.census import (
     CacheError,
     CensusCache,
@@ -513,7 +513,7 @@ class TestCoverGraphQuestion:
         # with a triangle
         from obtf.litposet import cover_pairs
 
-        index = {pair: k for k, pair in enumerate(census._colex_pairs(m))}
+        index = {pair: k for k, pair in enumerate(colex_pairs(m))}
         groups = {}
         for rows in strict_orders(m):
             graph = sum(1 << index[pair] for pair in cover_pairs(rows))

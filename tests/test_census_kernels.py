@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obtf import census, cgraph
-from obtf.boolfn import bits, is_elementary, literal_masks
+from obtf.boolfn import bits, colex_pairs, is_elementary, literal_masks
 from test_boolfn import associated_pairs, spine
 
 
@@ -37,7 +37,7 @@ def test_projection_family_is_every_median_closed_table(n):
 def test_dfs_pairs_are_the_colex_pairs(n):
     """F's DFS branches over cgraph's colex pairs, 0-based: its order fixes
     the branch order."""
-    assert census._colex_pairs(n) == [(a - 1, b - 1) for a, b in cgraph.pairs_colex(n)]
+    assert colex_pairs(n) == [(a - 1, b - 1) for a, b in cgraph.pairs_colex(n)]
 
 
 @pytest.mark.parametrize("n", range(6))

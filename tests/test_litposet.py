@@ -15,9 +15,10 @@ from obtf.boolfn import (
     truth_table,
 )
 from obtf.census import strict_orders
-from obtf.cgraph import enumerate_pn, graph_of_covers
+from obtf.cgraph import ColoredGraph, enumerate_pn, graph_of_covers, posets_of_graph
 from obtf.litposet import (
     ResourceGuardError,
+    cover_orders,
     cover_pairs,
     cover_rows,
     format_poset,
@@ -264,6 +265,49 @@ def test_order_is_among_its_cover_graphs_orders(rows):
     assert rows in found
     assert all(cover_pairs(order) == cover_pairs(rows) for order in found)
     assert len(set(found)) == len(found)
+
+
+def orientations(*edges):
+    """Plain seeds: each edge (a, b) taken as a < b or as b < a."""
+    return [(((a, b),), ((b, a),)) for a, b in edges]
+
+
+def lifted(*pairs):
+    """Literal seeds: each literal pair (a, b) taken as a < b or as b < a,
+    each with its negation dual."""
+    return [(((a, b), (b ^ 1, a ^ 1)), ((b, a), (a ^ 1, b ^ 1))) for a, b in pairs]
+
+
+class TestCoverOrders:
+    def test_three_point_path_has_four_orders(self):
+        # the chains 0 < 1 < 2 and 2 < 1 < 0, and 1 as the top or the bottom
+        found = cover_orders(3, orientations((0, 1), (1, 2)), 0)
+        assert sorted(found) == [(0, 0b001, 0b011), (0, 0b101, 0),
+                                 (0b010, 0, 0b010), (0b110, 0b100, 0)]
+
+    def test_triangle_has_none(self):
+        assert cover_orders(3, orientations((0, 1), (0, 2), (1, 2)), 0) == []
+
+    def test_single_blue_edge_lifts_to_two_posets(self):
+        # the blue edge {1, 2} lifts to the literals x1 = 0 and x2 = 2:
+        # x1 < x2 with not-x2 < not-x1, or the reverse
+        found = cover_orders(4, lifted((0, 2)), 0b0101)
+        assert sorted(found) == [(0, 1 << NX2, 1 << X1, 0), (1 << X2, 0, 0, 1 << NX1)]
+        assert sorted(found) == posets_of_graph(ColoredGraph.of(2, blue=[(1, 2)]))
+
+    def test_pos_keeps_literals_apart_from_their_negations(self):
+        # blue 1-2 and 1-3, red 2-3: without pos, x1 < x2 < not-x3 < not-x1
+        # is kept, with x1 below its own negation (one edge alone, as in
+        # the test above, cannot join a literal to its negation)
+        seeds = lifted((X1, X2), (X1, X3), (X2, NX3))
+        members = cover_orders(6, seeds, 0b010101)
+        assert sorted(members) == posets_of_graph(
+            ColoredGraph.of(3, blue=[(1, 2), (1, 3)], red=[(2, 3)]))
+        assert len(members) == 2 and all(is_pn_member(p) for p in members)
+        unchecked = cover_orders(6, seeds, 0)
+        assert set(members) < set(unchecked)
+        assert any(p[u] >> (u ^ 1) & 1 for p in unchecked for u in range(6))
+        assert not all(is_pn_member(p) for p in unchecked)
 
 
 class TestPosetToFunction:
