@@ -151,14 +151,16 @@ def _byte_images(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
                  for k in range((len(perm) + 7) // 8))
 
 
-def orbits(members: Iterable[int], point_perms) -> list[tuple[int, int]]:
-    """(representative, orbit size) for each orbit of members, bitsets on
-    the points that point_perms permute (perm[i] the image of point i),
-    under the group they generate: every member's orbit is walked from
-    the first member met in it, one byte lookup per byte and generator."""
+def orbits(members: Iterable[int], point_perms) -> Iterator[list[int]]:
+    """Yield each orbit of members, bitsets on the points that point_perms
+    permute (perm[i] the image of point i), under the group they
+    generate, as the list of its members: the first member met leads, as
+    the orbit's representative, and the rest follow in the order the
+    walk from it reaches them, one byte lookup per byte and generator.
+    The walk is lazy, so a caller that keeps only the orbits' lengths
+    holds the members once, in the walk's seen set."""
     tables = [_byte_images(tuple(perm)) for perm in point_perms]
     seen: set[int] = set()
-    found = []
     for t in members:
         if t in seen:
             continue
@@ -170,8 +172,7 @@ def orbits(members: Iterable[int], point_perms) -> list[tuple[int, int]]:
                 if y not in seen:
                     seen.add(y)
                     orbit.append(y)
-        found.append((t, len(orbit)))
-    return found
+        yield orbit
 
 
 def colex_pairs(m: int) -> list[tuple[int, int]]:

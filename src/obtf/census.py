@@ -40,7 +40,9 @@ posets_per_cover_graph answers the cover-graph question per graph: it
 counts the orientations of each triangle-free graph that make every edge
 a cover, for one graph per orbit under relabelling, found by the same
 orbits walk as median-dp's, generated by boolfn.vertex_swaps, with
-litposet.cover_orders, the search that lists cgraph's posets too.
+litposet.cover_orders, the search that lists cgraph's posets too.  The
+members of the largest orbits, as that walk lists them, are the witness
+candidates; boolfn.orbits is the only code that builds an orbit.
 """
 
 from __future__ import annotations
@@ -254,7 +256,7 @@ def _orbits(n: int) -> list[tuple[int, int]]:
     """MC(n) as (representative, orbit size) under the symmetries of the
     n-cube.  The walk takes the tables as they are grown, so MC(n) is held
     once, in its seen set, and only MC(n - 1) is kept."""
-    return orbits(_grown(n), _cube_generators(n))
+    return [(orbit[0], len(orbit)) for orbit in orbits(_grown(n), _cube_generators(n))]
 
 
 def _fibre_count(m: int, p: int, levels: int, sig: Optional[dict]) -> int:
@@ -619,7 +621,9 @@ def _grow(level, j: int, negation: bool):
 # graph is a graph G are G's orientations of that kind, one each.  G has
 # no triangle, as the other two edges of an acyclic triangle bridge the
 # third, and relabelling the points keeps the count.  litposet.cover_orders
-# lists them, as it lists a colored graph's posets for cgraph.
+# lists them, as it lists a colored graph's posets for cgraph.  A graph
+# stays a mask over colex_pairs(m) throughout: the orbit walk permutes
+# its bits, and its set bits, in order, are its edges in colex order.
 
 
 def _triangle_free_graphs(m: int, nbr: tuple = (), graph: int = 0):
@@ -640,31 +644,13 @@ def _triangle_free_graphs(m: int, nbr: tuple = (), graph: int = 0):
             m, tuple(r | (s >> v & 1) << b for v, r in enumerate(nbr)) + (s,), graph | s << shift)
 
 
-def _neighbours(m: int, graph: int) -> tuple[int, ...]:
-    """The neighbour rows of a graph given as a mask over colex_pairs(m)."""
-    nbr, pairs = [0] * m, colex_pairs(m)
-    for a, b in (pairs[k] for k in bits(graph)):
-        nbr[a] |= 1 << b
-        nbr[b] |= 1 << a
-    return tuple(nbr)
-
-
-def _cover_orders(nbr: tuple) -> list[tuple[int, ...]]:
-    """The closure rows of every strict order on points 0..m-1, m =
-    len(nbr), whose cover graph has the neighbour rows nbr: each edge
-    (a, b), in colex order, taken as a < b or as b < a."""
-    seeds = [(((a, b),), ((b, a),))
-             for b, row in enumerate(nbr) for a in bits(row & ((1 << b) - 1))]
-    return litposet.cover_orders(len(nbr), seeds, 0)
-
-
-def _relabellings(m: int, graph: int) -> set[int]:
-    """The graphs that relabel graph, a mask over colex_pairs(m)."""
+def _cover_orders(m: int, graph: int) -> list[tuple[int, ...]]:
+    """The closure rows of every strict order on points 0..m-1 whose cover
+    graph is graph, a mask over colex_pairs(m): each edge (a, b), in bit
+    order, which is colex order, taken as a < b or as b < a."""
     pairs = colex_pairs(m)
-    index = {pair: k for k, pair in enumerate(pairs)}
-    edges = [pairs[k] for k in bits(graph)]
-    return {sum(1 << index[min(p[a], p[b]), max(p[a], p[b])] for a, b in edges)
-            for p in itertools.permutations(range(m))}
+    seeds = [(((a, b),), ((b, a),)) for a, b in (pairs[k] for k in bits(graph))]
+    return litposet.cover_orders(m, seeds, 0)
 
 
 def posets_per_cover_graph(m: int) -> tuple[int, frozenset[tuple[int, int]]]:
@@ -675,23 +661,29 @@ def posets_per_cover_graph(m: int) -> tuple[int, frozenset[tuple[int, int]]]:
     The orders are counted per triangle-free graph, for one graph in each
     orbit under relabelling.  strict_orders yields the orders sorted by
     pair-state vector, so a graph with the most orders reaches that
-    number at its largest vector, and the witness is the graph, in a
-    largest orbit, whose largest vector is smallest: only those graphs
-    have their orders listed."""
+    number at its largest vector, and the witness is the member of a
+    largest orbit whose largest vector is smallest: only those members,
+    as the orbit walk met them, have their orders listed.  An order's
+    vector fixes the order and so its cover graph, so no two members
+    share a vector and the order they are met in cannot change the
+    witness."""
     if m > COVER_QUESTION_GUARD:
         raise ResourceGuardError(
             f"order enumeration capped at m <= {COVER_QUESTION_GUARD}, got {m}")
     if m < 1:
         raise ValueError("need at least one point")
-    counts = [(len(_cover_orders(_neighbours(m, rep))), rep)
-              for rep, _ in orbits(_triangle_free_graphs(m), vertex_swaps(m))]
-    most = max(counts)[0]
+    most, candidates = 0, []
+    for orbit in orbits(_triangle_free_graphs(m), vertex_swaps(m)):
+        found = len(_cover_orders(m, orbit[0]))
+        if found > most:
+            most, candidates = found, []
+        if found == most:
+            candidates += orbit
     pairs = colex_pairs(m)
-    candidates = [g for c, rep in counts if c == most for g in _relabellings(m, rep)]
     best = None     # (largest vector, graph); a graph whose vectors pass it is dropped
     for g in candidates:
         top = []
-        for rows in _cover_orders(_neighbours(m, g)):
+        for rows in _cover_orders(m, g):
             top = max(top, [rows[a] >> b & 1 or (rows[b] >> a & 1) << 1 for a, b in pairs])
             if best and top > best[0]:
                 break

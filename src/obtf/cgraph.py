@@ -130,8 +130,8 @@ def weighted_colored_graphs(n: int) -> Iterator[tuple[ColoredGraph, int]]:
     so a sum over all 3^C(n,2) coloured graphs of anything relabelling
     keeps is the sum of weight times value over these pairs."""
     pairs = pairs_colex(n)
-    for rep, size in orbits(range(1 << len(pairs)), vertex_swaps(n)):
-        edges = [pairs[k] for k in bits(rep)]
+    for orbit in orbits(range(1 << len(pairs)), vertex_swaps(n)):
+        edges, size = [pairs[k] for k in bits(orbit[0])], len(orbit)
         for colours in itertools.product((False, True), repeat=len(edges)):
             blue = frozenset(e for e, is_blue in zip(edges, colours) if is_blue)
             yield ColoredGraph(n, frozenset(edges) - blue, blue), size

@@ -233,7 +233,8 @@ def _analyze(g: cgraph.ColoredGraph) -> dict:
     info["eta"] = cgraph.eta(g)
     info["triangle_connected"] = info["eta"] <= 1
     try:
-        posets = cgraph.posets_of_graph(g)
+        # an odd-blue triangle carries no poset, past the edge guard too
+        posets = cgraph.posets_of_graph(g) if info["obtf"] else []
         info["poset_count"] = len(posets)
         info["posets"] = [litposet.format_poset(p) for p in posets]
     except ResourceGuardError:

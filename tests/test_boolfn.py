@@ -8,6 +8,7 @@ from obtf.boolfn import (
     all_clauses,
     all_ones,
     bits,
+    colex_pairs,
     is_elementary,
     literal_index,
     literal_masks,
@@ -87,17 +88,19 @@ def associated_pairs(n, t):
 
 class TestOrbits:
     def test_subsets_of_three_points_under_their_symmetric_group(self):
-        # swaps (0 1) and (1 2) generate S_3: one orbit per subset size
-        found = orbits(range(8), [(1, 0, 2), (0, 2, 1)])
-        assert sorted(found) == [(0, 1), (1, 3), (3, 3), (7, 1)]
+        # swaps (0 1) and (1 2) generate S_3: one orbit per subset size,
+        # each led by its first member and listed in the walk's order
+        found = list(orbits(range(8), [(1, 0, 2), (0, 2, 1)]))
+        assert found == [[0], [1, 2, 4], [3, 5, 6], [7]]
 
     def test_binary_necklaces_of_length_ten(self):
         # two bytes per bitset, the second one partly filled: the rotation
         # of 10 points has 108 orbits on the 1,024 subsets (OEIS A000031)
-        found = orbits(range(1 << 10), [tuple((i + 1) % 10 for i in range(10))])
+        found = list(orbits(range(1 << 10), [tuple((i + 1) % 10 for i in range(10))]))
         assert len(found) == 108
-        assert sum(size for _, size in found) == 1 << 10
-        assert (0b1111111111, 1) in found and (0b1, 10) in found
+        assert sum(len(orbit) for orbit in found) == 1 << 10
+        assert [0b1111111111] in found
+        assert found[1] == [1 << i for i in range(10)]    # the orbit of 0b1, met second
 
     @pytest.mark.parametrize("n,want", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)])
     def test_graphs_up_to_isomorphism(self, n, want):
@@ -108,7 +111,7 @@ class TestOrbits:
         index = {pair: k for k, pair in enumerate(pairs)}
         swaps = [tuple(index[tuple(sorted(v + (v == i) - (v == i + 1) for v in pair))]
                        for pair in pairs) for i in range(n - 1)]
-        assert len(orbits(range(1 << len(pairs)), swaps)) == want
+        assert len(list(orbits(range(1 << len(pairs)), swaps))) == want
 
     def test_vertex_swaps_permute_the_colex_pairs(self):
         # the pairs (0, 1), (0, 2), (1, 2): swapping points 0 and 1 swaps
@@ -119,10 +122,24 @@ class TestOrbits:
 
     @pytest.mark.parametrize("n,want", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)])
     def test_vertex_swaps_give_graphs_up_to_isomorphism(self, n, want):
-        assert len(orbits(range(1 << n * (n - 1) // 2), vertex_swaps(n))) == want
+        masks = range(1 << n * (n - 1) // 2)
+        found = list(orbits(masks, vertex_swaps(n)))
+        assert len(found) == want
+        # the orbits partition the labelled graphs, and up to 5 vertices
+        # each is every relabelling of its first member, by brute force
+        assert sorted(g for orbit in found for g in orbit) == list(masks)
+        if n <= 5:
+            pairs = colex_pairs(n)
+            index = {pair: k for k, pair in enumerate(pairs)}
+            for orbit in found:
+                edges = [pairs[k] for k in bits(orbit[0])]
+                assert set(orbit) == {
+                    sum(1 << index[min(p[a], p[b]), max(p[a], p[b])] for a, b in edges)
+                    for p in itertools.permutations(range(n))}
+        assert list(orbits([], vertex_swaps(n))) == []
 
     def test_no_generators_leave_every_member_alone(self):
-        assert orbits([5, 3, 5], []) == [(5, 1), (3, 1)]
+        assert list(orbits([5, 3, 5], [])) == [[5], [3]]
 
 
 class TestLiteral:

@@ -511,6 +511,8 @@ class TestCoverGraphQuestion:
         # every labelled graph, as a mask over the colex pairs, against the
         # orders strict_orders lists with that cover graph: none for a graph
         # with a triangle
+        import itertools
+
         from obtf.litposet import cover_pairs
 
         index = {pair: k for k, pair in enumerate(colex_pairs(m))}
@@ -520,9 +522,9 @@ class TestCoverGraphQuestion:
             groups.setdefault(graph, set()).add(rows)
         free = set(census._triangle_free_graphs(m))
         for graph in range(1 << len(index)):
-            nbr = census._neighbours(m, graph)
-            triangle = any(nbr[a] & nbr[b] for a, b in index if nbr[a] >> b & 1)
-            found = list(census._cover_orders(nbr))
+            triangle = any(graph >> index[a, b] & graph >> index[a, c] & graph >> index[b, c] & 1
+                           for a, b, c in itertools.combinations(range(m), 3))
+            found = list(census._cover_orders(m, graph))
             assert (graph in free) != triangle
             assert len(found) == len(set(found))
             assert set(found) == groups.get(graph, set())
@@ -533,10 +535,10 @@ class TestCoverGraphQuestion:
     def test_orbits_of_triangle_free_graphs_count_every_order(self, m, orders, orbit_count):
         # the unlabelled triangle-free graphs (OEIS A006785), each weighted
         # by its orbit size, give the strict orders (OEIS A001035)
-        found = orbits(census._triangle_free_graphs(m), vertex_swaps(m))
+        found = list(orbits(census._triangle_free_graphs(m), vertex_swaps(m)))
         assert len(found) == orbit_count
-        assert sum(size * sum(1 for _ in census._cover_orders(census._neighbours(m, rep)))
-                   for rep, size in found) == orders
+        assert sum(len(orbit) * sum(1 for _ in census._cover_orders(m, orbit[0]))
+                   for orbit in found) == orders
 
     def test_six_points_match_the_grouping_oracle(self):
         # the oracle lists all 130,023 orders; the witness is a 6-cycle

@@ -277,10 +277,11 @@ class TestAnalyzeCommand:
 
     def test_searches_past_their_guards_are_skipped(self, capsys, tmp_path):
         # 13 vertices is past kappa's guard, 21 edges past gamma's and the
-        # poset listing's
+        # poset listing's; all red, the graph has no odd-blue triangle, so
+        # its posets are searched for
         edges = [(v, v + 1) for v in range(1, 13)] + [(v, v + 2) for v in range(1, 10)]
         path = tmp_path / "g.txt"
-        path.write_text("n 13\n" + "".join(f"{u} {v} B\n" for u, v in edges))
+        path.write_text("n 13\n" + "".join(f"{u} {v} R\n" for u, v in edges))
         code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
         assert code == 0
         info = json.loads(out)
@@ -290,6 +291,23 @@ class TestAnalyzeCommand:
         code, out, _ = run(capsys, "analyze", str(path))
         assert code == 0
         assert out.endswith("\nskipped (size guards): kappa, gamma, posets\n")
+
+    def test_odd_blue_triangle_past_the_edge_guard_has_no_posets(self, capsys, tmp_path):
+        # K7 all blue: 21 edges, past gamma's guard, but its odd-blue
+        # triangles settle the poset count without a search
+        path = tmp_path / "k7.txt"
+        path.write_text("n 7\n" + "".join(f"{u} {v} B\n" for v in range(2, 8)
+                                            for u in range(1, v)))
+        code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
+        assert code == 0
+        info = json.loads(out)
+        assert (info["edges"], info["obtf"]) == (21, False)
+        assert (info["poset_count"], info["posets"]) == (0, [])
+        assert info["skipped"] == ["gamma"]
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == 0
+        assert "\nposets: 0\n" in out
+        assert out.endswith("\nskipped (size guards): gamma\n")
 
     def test_parse_error_exits_2(self, capsys, tmp_path):
         path = tmp_path / "g.txt"
