@@ -14,7 +14,7 @@ import io
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import litposet
 from .boolfn import QUANTITIES, CacheError, ParseError
@@ -83,11 +83,11 @@ def _relations(block: str) -> list[str]:
     return block.rstrip("\n").splitlines()[1:]
 
 
-def _numbered_posets(blocks: list[str]) -> Iterator[str]:
-    """Each formatted poset as a `poset i:` line and its lines indented."""
+def _numbered_posets(blocks: Iterable[str]) -> Iterator[str]:
+    """Each formatted poset as a `poset i:` line and its lines indented,
+    one text per poset, so a listing is written as it is formatted."""
     for i, block in enumerate(blocks, start=1):
-        yield f"poset {i}:"
-        yield from ("  " + ln for ln in block.rstrip("\n").splitlines())
+        yield f"poset {i}:\n" + "".join(f"  {ln}\n" for ln in block.rstrip("\n").splitlines())
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,9 @@ def cmd_verify(args) -> int:
 # analyze
 
 
-def _analyze(g: cgraph.ColoredGraph) -> dict:
+def _analyze(g: cgraph.ColoredGraph) -> tuple[dict, list[tuple[int, ...]]]:
+    """The analysis fields, and the posets of g apart from them, so that
+    the table can list them as it formats them."""
     from . import cgraph
     info: dict = {"n": g.n, "edges": g.edge_count(), "skipped": []}
     info["obtf"] = cgraph.is_obtf(g)
@@ -232,19 +234,24 @@ def _analyze(g: cgraph.ColoredGraph) -> dict:
         info["skipped"].append("gamma")
     info["eta"] = cgraph.eta(g)
     info["triangle_connected"] = info["eta"] <= 1
+    posets = []
     try:
         # an odd-blue triangle carries no poset, past the edge guard too
         posets = cgraph.posets_of_graph(g) if info["obtf"] else []
         info["poset_count"] = len(posets)
-        info["posets"] = [litposet.format_poset(p) for p in posets]
     except ResourceGuardError:
         info["skipped"].append("posets")
-    return info
+    return info, posets
 
 
-def _emit_analysis(info: dict, fmt: str) -> str:
+def _write_analysis(info: dict, posets: list[tuple[int, ...]], fmt: str) -> None:
+    """The table writes each poset as it formats it; json formats them
+    all into the payload first, to print it in one piece."""
     if fmt == "json":
-        return _canonical_json(info)
+        if "poset_count" in info:
+            info["posets"] = [litposet.format_poset(p) for p in posets]
+        sys.stdout.write(_canonical_json(info))
+        return
     if fmt == "csv":
         header = ["n", "edges", "obtf", "blue_bipartite", "kappa", "gamma",
                   "eta", "triangle_connected", "poset_count"]
@@ -254,7 +261,8 @@ def _emit_analysis(info: dict, fmt: str) -> str:
                info.get("gamma", {}).get("value", ""),
                info["eta"], info["triangle_connected"],
                info.get("poset_count", "")]
-        return _csv_text(header, [row])
+        sys.stdout.write(_csv_text(header, [row]))
+        return
     lines = [f"n: {info['n']}", f"edges: {info['edges']}",
              f"odd-blue-triangle-free: {str(info['obtf']).lower()}"]
     bp = info["blue_bipartition"]
@@ -274,16 +282,16 @@ def _emit_analysis(info: dict, fmt: str) -> str:
     lines.append(f"triangle-connected: {str(info['triangle_connected']).lower()}")
     if "poset_count" in info:
         lines.append(f"posets: {info['poset_count']}")
-        lines += _numbered_posets(info["posets"])
+    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.writelines(_numbered_posets(map(litposet.format_poset, posets)))
     if info["skipped"]:
-        lines.append("skipped (size guards): " + ", ".join(info["skipped"]))
-    return "\n".join(lines) + "\n"
+        sys.stdout.write("skipped (size guards): " + ", ".join(info["skipped"]) + "\n")
 
 
 def cmd_analyze(args) -> int:
     from . import cgraph
     g = cgraph.parse_colored_graph(_read_input(args.path))
-    sys.stdout.write(_emit_analysis(_analyze(g), args.format))
+    _write_analysis(*_analyze(g), args.format)
     return EXIT_OK
 
 
@@ -291,14 +299,15 @@ def cmd_analyze(args) -> int:
 # posets
 
 
-def _posets_csv(blocks: list[str]) -> str:
-    """One poset,below,above row per relation of each formatted poset."""
-    rows = []
+def _write_posets_csv(blocks: Iterable[str]) -> None:
+    """One poset,below,above row per relation of each formatted poset,
+    written as each poset comes."""
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["poset", "below", "above"])
     for i, b in enumerate(blocks, start=1):
         relations = [line.split() for line in _relations(b)]
         # the antichain has no relations and still gets a row
-        rows += [[i, a, bb] for a, bb in relations] or [[i, "", ""]]
-    return _csv_text(["poset", "below", "above"], rows)
+        writer.writerows([[i, a, bb] for a, bb in relations] or [[i, "", ""]])
 
 
 def cmd_posets(args) -> int:
@@ -322,23 +331,27 @@ def cmd_posets(args) -> int:
             sys.stdout.write(_canonical_json(
                 {"n": n, "relations": _relations(block)}))
         elif args.format == "csv":
-            sys.stdout.write(_posets_csv([block]))
+            _write_posets_csv([block])
         else:
             sys.stdout.write(block)
         return EXIT_OK
     if args.n is not None:
         n = args.n
         from . import cgraph   # the family is enumerated graph by graph
-        blocks = [litposet.format_poset(p) for p in cgraph.enumerate_pn(n)]
-        if args.format == "json":
-            payload = {"n": n, "count": len(blocks),
-                       "posets": [_relations(b) for b in blocks]}
-            sys.stdout.write(_canonical_json(payload))
-        elif args.format == "csv":
-            sys.stdout.write(_posets_csv(blocks))
+        if args.format == "json":    # one payload, built in memory
+            relations = [_relations(litposet.format_poset(p)) for p in cgraph.enumerate_pn(n)]
+            sys.stdout.write(_canonical_json(
+                {"n": n, "count": len(relations), "posets": relations}))
+            return EXIT_OK
+        # listed as closure rows before anything is written: the count
+        # comes first, and a guard refusal must leave stdout empty
+        posets = list(cgraph.enumerate_pn(n))
+        blocks = map(litposet.format_poset, posets)
+        if args.format == "csv":
+            _write_posets_csv(blocks)
         else:
-            out = [f"count: {len(blocks)}", *_numbered_posets(blocks)]
-            sys.stdout.write("\n".join(out) + "\n")
+            sys.stdout.write(f"count: {len(posets)}\n")
+            sys.stdout.writelines(_numbered_posets(blocks))
         return EXIT_OK
     m = args.cover_multiplicity
     from . import census   # the cover-multiplicity question is a census search

@@ -3,12 +3,14 @@
 The identity checks compare census values along the paper's counting
 identities, and the property suites walk toy-sized spaces completely.
 The checks that walk coloured graphs, or the posets graph by graph, walk
-one uncoloured graph per orbit under relabelling with all its
-colourings, weighted by the orbit's size (cgraph.weighted_colored_graphs):
-each tests a property that relabelling keeps, or tallies one, so each
-tally is the one over all labelled graphs, and a failure's witness is the
-first failing representative.  poset-enumeration-oracle alone compares
-the labelled family, as a set, with census's order stream.
+the switching classes of one uncoloured graph per orbit under
+relabelling, one colouring per class, weighted by the orbit's size times
+the class's (cgraph.weighted_colored_graphs): 24 graphs at n = 4 and 220
+at n = 5.  Each tests a property that relabelling and switching keep, or
+tallies one, so each tally is the one over all labelled graphs, and a
+failure's witness is the first failing switching representative.
+poset-enumeration-oracle alone compares the labelled family, as a set,
+with census's order stream.
 Each check(n, run) yields its CheckResult lines at n, sharing one Run
 per verify pass; its row in _CHECKS owns the sizes it runs at, without
 --big and with it, and RUN_LIMITS owns the sizes a run may ask for.

@@ -3,8 +3,8 @@ import re
 
 import pytest
 
-from obtf import litposet
-from obtf.boolfn import ParseError, bits
+from obtf import census, litposet
+from obtf.boolfn import ParseError, bits, orbits, vertex_swaps
 from obtf.census import strict_orders
 from obtf.cgraph import (
     EDGE_GUARD,
@@ -94,42 +94,82 @@ def relabelled(n, edges, perm):
     return frozenset(tuple(sorted((perm[u - 1], perm[v - 1]))) for u, v in edges)
 
 
+def switched(g, side):
+    """g switched at every vertex of side: each edge with one end in side
+    changes colour."""
+    cut = {e for e in g.red | g.blue if (e[0] in side) != (e[1] in side)}
+    return ColoredGraph(g.n, g.red ^ cut, g.blue ^ cut)
+
+
+def relabelling_walk(n):
+    """Every colouring of one graph per orbit under relabelling, weighted
+    by the orbit's size: the walk weighted_colored_graphs replaced, kept
+    as its oracle."""
+    pairs = pairs_colex(n)
+    for orbit in orbits(range(1 << len(pairs)), vertex_swaps(n)):
+        edges, size = [pairs[k] for k in bits(orbit[0])], len(orbit)
+        for colours in itertools.product((False, True), repeat=len(edges)):
+            blue = frozenset(e for e, is_blue in zip(edges, colours) if is_blue)
+            yield ColoredGraph(n, frozenset(edges) - blue, blue), size
+
+
 class TestWeightedColoredGraphs:
-    """One uncoloured graph per orbit under relabelling, each with all its
-    colourings, weighted by the orbit's size."""
+    """One colouring per switching class of one uncoloured graph per
+    orbit under relabelling, weighted by the orbit's size times the
+    class's, 2^(n - c)."""
 
     @pytest.mark.parametrize("n,orbit_count,rep_count", [
-        (0, 1, 1), (1, 1, 1), (2, 2, 3), (3, 4, 15), (4, 11, 163)])
+        (0, 1, 1), (1, 1, 1), (2, 2, 2), (3, 4, 5), (4, 11, 24), (5, 34, 220)])
     def test_orbits_and_representatives(self, n, orbit_count, rep_count):
         # the orbits are the unlabelled graphs, OEIS A000088
         found = list(weighted_colored_graphs(n))
         assert len(found) == rep_count
         assert len({g.red | g.blue for g, _ in found}) == orbit_count
 
-    @pytest.mark.parametrize("n", [
-        0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
     def test_weights_count_every_labelled_graph(self, n):
         assert sum(w for _, w in weighted_colored_graphs(n)) == 3 ** (n * (n - 1) // 2)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
     def test_weights_are_the_sizes_of_relabelling_classes(self, n):
-        # every permutation of the vertices, against the generated orbits:
-        # the representatives' classes partition the uncoloured graphs,
-        # each class as large as its weight
-        by_edges = {}
-        for g, w in weighted_colored_graphs(n):
-            by_edges.setdefault(g.red | g.blue, set()).add((g, w))
+        # every permutation of the vertices and every switching, against
+        # the generated representatives: carried to each labelled copy of
+        # its graph by one permutation, each representative's switchings
+        # make a class as large as its weight, and the classes partition
+        # the labelled coloured graphs
+        vertices = range(1, n + 1)
+        sides = [set(side) for k in range(n + 1) for side in itertools.combinations(vertices, k)]
         met = set()
-        for edges, coloured in by_edges.items():
-            cls = {relabelled(n, edges, p) for p in itertools.permutations(range(1, n + 1))}
+        for g, w in weighted_colored_graphs(n):
+            copies = {}
+            for p in itertools.permutations(vertices):
+                copies.setdefault(relabelled(n, g.red | g.blue, p), p)
+            cls = {ColoredGraph(n, relabelled(n, h.red, p), relabelled(n, h.blue, p))
+                   for h in {switched(g, side) for side in sides} for p in copies.values()}
             assert not cls & met
             met |= cls
-            assert {w for _, w in coloured} == {len(cls)}
-            assert {g for g, _ in coloured} == {
-                ColoredGraph(n, edges - blue, blue)
-                for k in range(len(edges) + 1)
-                for blue in map(frozenset, itertools.combinations(sorted(edges), k))}
-        assert len(met) == 1 << (n * (n - 1) // 2)
+            assert len(cls) == w
+        assert len(met) == 3 ** (n * (n - 1) // 2)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+    def test_tallies_equal_the_relabelling_walk(self, n):
+        # the weighted tallies of odd-blue-triangle-free graphs, of
+        # blue-bipartite ones, of their posets and of eta, over the
+        # switching classes and over every colouring, are F, B and Pn
+        def tallies(walk):
+            out = dict.fromkeys(("F", "B", "Pn", "eta"), 0)
+            for g, w in walk:
+                if is_obtf(g):
+                    out["F"] += w
+                    out["Pn"] += w * len(posets_of_graph(g))
+                out["B"] += w * (find_blue_bipartition(g) is not None)
+                out["eta"] += w * eta(g)
+            return out
+
+        found = tallies(weighted_colored_graphs(n))
+        assert found == tallies(relabelling_walk(n))
+        assert {q: found[q] for q in ("F", "B", "Pn")} == {
+            q: census.count(q, n).value for q in ("F", "B", "Pn")}
 
     def test_each_orbit_met_at_its_smallest_mask(self):
         # the first labelled graph of each orbit in mask order over the

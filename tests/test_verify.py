@@ -163,14 +163,14 @@ def test_weighted_tallies_equal_the_labelled_recount(n):
 
 
 def test_a_fail_names_the_first_failing_representative(monkeypatch):
-    # a walk "found" on every graph with two blue edges: the first such
-    # representative on 3 vertices is the blue path, not the first such
-    # labelled graph, whose blue edges are (1, 3) and (2, 3)
+    # a walk "found" on every graph with two red edges: the first such
+    # representative on 3 vertices is the red path through vertex 1, not
+    # the first such labelled graph, whose red edges are (1, 3) and (2, 3)
     real = cgraph.find_odd_nonsimple_walk
     monkeypatch.setattr(cgraph, "find_odd_nonsimple_walk",
-                        lambda g: [1, 2, 1] if len(g.blue) > 1 else real(g))
+                        lambda g: [1, 2, 1] if len(g.red) > 1 else real(g))
     [check] = verify.check_walks(3, verify.Run())
-    assert (check.status, check.witness) == ("FAIL", "n 3\n1 2 B\n1 3 B\n")
+    assert (check.status, check.witness) == ("FAIL", "n 3\n1 2 R\n1 3 R\n")
 
 
 def test_each_value_counted_once(monkeypatch, capsys):
@@ -204,14 +204,15 @@ def test_each_graph_listed_once(monkeypatch, capsys):
     monkeypatch.delenv("OBTF_CACHE", raising=False)
     assert cli.main(["verify", "--range", "1..4", "--format", "json"]) == 0
     capsys.readouterr()
-    # every colouring of one graph per orbit on 1..4 vertices, and the
-    # labelled odd-blue-triangle-free graphs of the oracle's family at
-    # n <= 3: at n = 3 these two make up all 27 graphs
+    # one colouring per switching class of one graph per orbit on 1..4
+    # vertices, and the labelled odd-blue-triangle-free graphs of the
+    # oracle's family at n <= 3: at n = 3 these two are the 23 labelled
+    # ones and the representative triangle with one blue edge
     reps = {g for n in range(1, 5) for g, _ in cgraph.weighted_colored_graphs(n)}
     labelled = {g for n in range(1, 4) for g in cgraph.enumerate_colored_graphs(n)
                 if cgraph.is_obtf(g)}
     assert set(listed) == reps | labelled
-    assert len(listed) == 1 + 3 + 27 + 163
+    assert len(listed) == 1 + 3 + 24 + 24
     assert set(listed.values()) == {1}
 
 
@@ -269,9 +270,9 @@ def test_each_family_poset_made_once(made):
     # one, neither the Pn engine's count nor the oracle's order stream
     family4 = {rows for rows in made if len(rows) == 8}
     assert family4 == reps4
-    assert len(family4) == 349
+    assert len(family4) == 51
     assert {made[rows] for rows in family4} == {2}
-    assert sum(made.values()) == 1150
+    assert sum(made.values()) == 532
 
 
 def test_pn_oracle_checks_no_poset(made):
