@@ -42,7 +42,7 @@ __all__ = [
     "signed_pair",
     "truth_table",
     "variable_masks",
-    "vertex_swaps",
+    "vertex_generators",
 ]
 
 
@@ -157,8 +157,10 @@ def orbits(members: Iterable[int], point_perms) -> Iterator[list[int]]:
     generate, as the list of its members: the first member met leads, as
     the orbit's representative, and the rest follow in the order the
     walk from it reaches them, one byte lookup per byte and generator.
-    The walk is lazy, so a caller that keeps only the orbits' lengths
-    holds the members once, in the walk's seen set."""
+    Every member meets every generator, so the fewer generators the
+    faster the walk: vertex_generators and census's cube generators are
+    two each.  The walk is lazy, so a caller that keeps only the orbits'
+    lengths holds the members once, in the walk's seen set."""
     tables = [_byte_images(tuple(perm)) for perm in point_perms]
     seen: set[int] = set()
     for t in members:
@@ -182,15 +184,19 @@ def colex_pairs(m: int) -> list[tuple[int, int]]:
     return [(a, b) for b in range(1, m) for a in range(b)]
 
 
-def vertex_swaps(m: int) -> list[tuple[int, ...]]:
-    """The m - 1 adjacent point swaps (i, i + 1) of points 0..m-1, each as
-    the permutation it makes of the indices of the colex_pairs(m).  They
-    generate every relabelling, so their orbits on graphs, bitsets over
-    those pairs, are the graphs up to isomorphism."""
+def vertex_generators(m: int) -> list[tuple[int, ...]]:
+    """The swap (0 1) and the cycle (0 1 ... m-1) of points 0..m-1, each
+    as the permutation it makes of the indices of the colex_pairs(m): at
+    m = 2 the two are one, the swap alone, and below that there is none.
+    They generate every relabelling (Coxeter and Moser, "Generators and
+    Relations for Discrete Groups", 1957), so their orbits on graphs,
+    bitsets over those pairs, are the graphs up to isomorphism."""
     pairs = colex_pairs(m)
     index = {pair: k for k, pair in enumerate(pairs)}
-    return [tuple(index[tuple(sorted(v + (v == i) - (v == i + 1) for v in pair))]
-                  for pair in pairs) for i in range(m - 1)]
+    swap, cycle = (1, 0, *range(2, m)), (*range(1, m), 0)
+    point_perms = [swap, cycle] if m > 2 else [swap] if m == 2 else []
+    return [tuple(index[min(p[a], p[b]), max(p[a], p[b])] for a, b in pairs)
+            for p in point_perms]
 
 
 @lru_cache(maxsize=None)

@@ -26,7 +26,8 @@ which permutes and negates variables, maps the tables over a projection
 one-to-one onto those over its image, so median-dp counts them for one
 representative per orbit of the projections and weights it by the orbit
 size: over MC(n - 1) up to n = 6, and at n = 7 over MC(5) again, two
-projection levels deep.
+projection levels deep.  The orbits are walked under two generators of
+the cube's symmetries, a signed cycle of the variables and a swap.
 
 strict_orders adds one point at a time and yields the orders sorted by
 pair-state vector.  Grouped by cover graph, it is the tests' oracle for
@@ -39,7 +40,7 @@ posets are checked for membership as the orientation search finds them.
 posets_per_cover_graph answers the cover-graph question per graph: it
 counts the orientations of each triangle-free graph that make every edge
 a cover, for one graph per orbit under relabelling, found by the same
-orbits walk as median-dp's, generated by boolfn.vertex_swaps, with
+orbits walk as median-dp's, generated by boolfn.vertex_generators, with
 litposet.cover_orders, the search that lists cgraph's posets too.  The
 members of the largest orbits, as that walk lists them, are the witness
 candidates; boolfn.orbits is the only code that builds an orbit.
@@ -48,7 +49,6 @@ candidates; boolfn.orbits is the only code that builds an orbit.
 from __future__ import annotations
 
 import fcntl
-import hashlib
 import itertools
 import json
 import os
@@ -71,9 +71,19 @@ from .boolfn import (
     literal_masks,
     orbits,
     variable_masks,
-    vertex_swaps,
+    vertex_generators,
 )
 from .litposet import ResourceGuardError
+
+# the builtin SHA-256, as random takes its _sha512: hashlib would load
+# OpenSSL's _hashlib for one checksum per record
+try:
+    from _sha2 import sha256            # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256      # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "CacheError",
@@ -106,7 +116,7 @@ def conventions(quantity: str) -> tuple:
 def record_checksum(quantity: str, n: int, convention: Optional[str],
                     method: str, value: int) -> str:
     payload = "|".join([quantity, str(n), convention or "-", method, ORDER_SEED, str(value)])
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
+    return sha256(payload.encode("ascii")).hexdigest()[:16]
 
 
 # field -> (the types a cache record may hold there, their name in errors)
@@ -169,6 +179,13 @@ def _conjunctions(n: int) -> frozenset[int]:
     for m in clause_masks(n):
         acc |= {v & m for v in acc}
     return frozenset(acc)
+
+
+# cached, like every G and H count: both conventions count the same n's tables
+@lru_cache(maxsize=None)
+def _elementary_conjunction_count(n: int) -> int:
+    """The elementary tables among the conjunctions."""
+    return sum(1 for t in _conjunctions(n) if is_elementary(n, t))
 
 
 @lru_cache(maxsize=None)
@@ -242,13 +259,18 @@ def _projection_family(n: int) -> frozenset[int]:
 
 @lru_cache(maxsize=None)
 def _cube_generators(n: int) -> tuple[tuple[int, ...], ...]:
-    """The n - 1 adjacent variable swaps and the negation of x_1, each as
-    the permutation it makes of the 2^n assignments: they generate the
-    2^n * n! symmetries of the n-cube."""
+    """The signed cycle x_i -> x_{i+1}, x_n -> not x_1 and the swap
+    x_1 <-> x_2, each as the permutation it makes of the 2^n assignments:
+    they generate the 2^n * n! symmetries of the n-cube (Coxeter and
+    Moser 1957).  At n = 1 the cycle is the negation of x_1 and there is
+    no swap, and at n = 0 there is nothing to generate."""
+    if n == 0:
+        return ()
     points = range(1 << n)
-    swaps = [tuple(a ^ ((a >> i ^ a >> (i + 1)) & 1) * (3 << i) for a in points)
-             for i in range(n - 1)]
-    return (*swaps, tuple(a ^ 1 for a in points)) if n else ()
+    # x_i's value moves to x_{i+1}, and x_n's, negated, to x_1
+    cycle = tuple((a << 1 & (1 << n) - 1) | (a >> (n - 1) ^ 1) for a in points)
+    swap = tuple(a ^ ((a ^ a >> 1) & 1) * 3 for a in points)
+    return (cycle, swap) if n > 1 else (cycle,)
 
 
 @lru_cache(maxsize=None)
@@ -455,7 +477,7 @@ ENGINES = {
         "median-dp": (lambda n: 1 if n < 2 else _projection_count(n), 7),
     },
     "H": {
-        "clause-sweep": (lambda n: sum(1 for t in _conjunctions(n) if is_elementary(n, t)), 4),
+        "clause-sweep": (_elementary_conjunction_count, 4),
         "median-dp": (lambda n: _elementary_projection_count(n), 7),
     },
     "Pn": {
@@ -673,7 +695,7 @@ def posets_per_cover_graph(m: int) -> tuple[int, frozenset[tuple[int, int]]]:
     if m < 1:
         raise ValueError("need at least one point")
     most, candidates = 0, []
-    for orbit in orbits(_triangle_free_graphs(m), vertex_swaps(m)):
+    for orbit in orbits(_triangle_free_graphs(m), vertex_generators(m)):
         found = len(_cover_orders(m, orbit[0]))
         if found > most:
             most, candidates = found, []

@@ -19,7 +19,7 @@ from collections import namedtuple
 from typing import Iterator, Optional
 
 from . import litposet
-from .boolfn import ParseError, bits, colex_pairs, orbits, parse_lines, vertex_swaps
+from .boolfn import ParseError, bits, colex_pairs, orbits, parse_lines, vertex_generators
 from .litposet import P_N_GUARD, ResourceGuardError
 
 __all__ = [
@@ -131,7 +131,7 @@ def weighted_colored_graphs(n: int) -> Iterator[tuple[ColoredGraph, int]]:
     forest red, so a sum over all 3^C(n,2) coloured graphs of anything
     relabelling and switching keep is the sum of weight times value."""
     pairs = pairs_colex(n)
-    for orbit in orbits(range(1 << len(pairs)), vertex_swaps(n)):
+    for orbit in orbits(range(1 << len(pairs)), vertex_generators(n)):
         edges = [pairs[k] for k in bits(orbit[0])]
         reach = [1 << v for v in range(n + 1)]    # each vertex's component
         free = []

@@ -1,4 +1,5 @@
 import itertools
+from math import factorial
 
 import pytest
 
@@ -18,7 +19,7 @@ from obtf.boolfn import (
     signed_literal,
     truth_table,
     variable_masks,
-    vertex_swaps,
+    vertex_generators,
 )
 
 
@@ -86,6 +87,45 @@ def associated_pairs(n, t):
     return pairs
 
 
+def adjacent_swaps(m):
+    """The m - 1 adjacent point swaps (i, i + 1) of points 0..m-1, each as
+    the permutation it makes of the colex_pairs(m): a second generating
+    set of the relabellings, the oracle of vertex_generators' orbits."""
+    pairs = colex_pairs(m)
+    index = {pair: k for k, pair in enumerate(pairs)}
+    return [tuple(index[tuple(sorted(v + (v == i) - (v == i + 1) for v in pair))]
+                  for pair in pairs) for i in range(m - 1)]
+
+
+def variable_swaps_and_negation(n):
+    """The n - 1 adjacent variable swaps and the negation of x_1, each as
+    the permutation it makes of the 2^n assignments: a second generating
+    set of the n-cube's symmetries, the oracle of census's cube
+    generators."""
+    points = range(1 << n)
+    swaps = [tuple(a ^ ((a >> i ^ a >> (i + 1)) & 1) * (3 << i) for a in points)
+             for i in range(n - 1)]
+    return [*swaps, tuple(a ^ 1 for a in points)] if n else []
+
+
+def closure(perms, size):
+    """Every permutation of range(size) that perms generate, as tuples."""
+    group = [tuple(range(size))]
+    seen = set(group)
+    for g in group:
+        for p in perms:
+            h = tuple(p[x] for x in g)
+            if h not in seen:
+                seen.add(h)
+                group.append(h)
+    return seen
+
+
+def orbit_sizes(members, point_perms):
+    """The walk's orbits as (representative, size) pairs."""
+    return [(orbit[0], len(orbit)) for orbit in orbits(members, point_perms)]
+
+
 class TestOrbits:
     def test_subsets_of_three_points_under_their_symmetric_group(self):
         # swaps (0 1) and (1 2) generate S_3: one orbit per subset size,
@@ -115,16 +155,26 @@ class TestOrbits:
 
     def test_vertex_swaps_permute_the_colex_pairs(self):
         # the pairs (0, 1), (0, 2), (1, 2): swapping points 0 and 1 swaps
-        # the last two, swapping points 1 and 2 the first two
-        assert vertex_swaps(3) == [(0, 2, 1), (1, 0, 2)]
-        assert vertex_swaps(2) == [(0,)]
-        assert vertex_swaps(1) == vertex_swaps(0) == []
+        # the last two, and the cycle 0 -> 1 -> 2 -> 0 takes (0, 1) to
+        # (1, 2), (0, 2) to (0, 1) and (1, 2) to (0, 2)
+        assert vertex_generators(3) == [(0, 2, 1), (2, 0, 1)]
+        assert vertex_generators(2) == [(0,)]
+        assert vertex_generators(1) == vertex_generators(0) == []
+
+    @pytest.mark.parametrize("m", range(7))
+    def test_vertex_generators_generate_every_relabelling(self, m):
+        # two points have one pair, which every relabelling keeps
+        group = closure(vertex_generators(m), m * (m - 1) // 2)
+        assert len(group) == (1 if m == 2 else factorial(m))
+        assert group == closure(adjacent_swaps(m), m * (m - 1) // 2)
 
     @pytest.mark.parametrize("n,want", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)])
     def test_vertex_swaps_give_graphs_up_to_isomorphism(self, n, want):
         masks = range(1 << n * (n - 1) // 2)
-        found = list(orbits(masks, vertex_swaps(n)))
+        found = list(orbits(masks, vertex_generators(n)))
         assert len(found) == want
+        # the same representatives and sizes as under the adjacent swaps
+        assert [(orbit[0], len(orbit)) for orbit in found] == orbit_sizes(masks, adjacent_swaps(n))
         # the orbits partition the labelled graphs, and up to 5 vertices
         # each is every relabelling of its first member, by brute force
         assert sorted(g for orbit in found for g in orbit) == list(masks)
@@ -136,7 +186,7 @@ class TestOrbits:
                 assert set(orbit) == {
                     sum(1 << index[min(p[a], p[b]), max(p[a], p[b])] for a, b in edges)
                     for p in itertools.permutations(range(n))}
-        assert list(orbits([], vertex_swaps(n))) == []
+        assert list(orbits([], vertex_generators(n))) == []
 
     def test_no_generators_leave_every_member_alone(self):
         assert list(orbits([5, 3, 5], [])) == [[5], [3]]

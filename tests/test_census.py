@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from math import comb
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obtf import census, cgraph, litposet
-from obtf.boolfn import colex_pairs, orbits, vertex_swaps
+from obtf.boolfn import colex_pairs, orbits, vertex_generators
 from obtf.census import (
     CacheError,
     CensusCache,
@@ -23,7 +24,7 @@ from obtf.census import (
 )
 from obtf.litposet import ResourceGuardError
 from obtf.verify import run_suites
-from test_boolfn import is_2sat_definable, is_median_closed
+from test_boolfn import adjacent_swaps, is_2sat_definable, is_median_closed, orbit_sizes
 
 # Values below were first computed by the flat-sweep oracles (and by hand
 # where feasible: B via the component recurrence, the family counts via
@@ -71,14 +72,16 @@ class TestFunctionCounts:
         assert count("H", n, "t1").value == H_T1[n]
 
     def test_g_and_h_engines_build_one_closure_per_n(self):
-        # only clause-sweep reads the clause closure; median-dp projects
+        # only clause-sweep reads the clause closure; median-dp projects.
+        # H's t1 record reuses its cached t0 count and reads nothing
         census._conjunctions.cache_clear()
+        census._elementary_conjunction_count.cache_clear()
         for quantity in ("G", "H"):
             for conv in ("t0", "t1"):
                 for method in ("clause-sweep", "median-dp"):
                     count(quantity, 4, conv, method)
         info = census._conjunctions.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
     def test_guards(self):
         with pytest.raises(ResourceGuardError):
@@ -105,6 +108,14 @@ class TestFunctionCounts:
         count("H", 5, "t1")
         info = census._elementary_projection_count.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+    def test_h_clause_sweep_tests_each_table_once_per_n(self, monkeypatch):
+        # the t1 record reuses the t0 count, so it classifies no table
+        count("H", 4, "t0", "clause-sweep")
+        calls = []
+        monkeypatch.setattr(census, "is_elementary", lambda n, t: calls.append(t))
+        assert count("H", 4, "t1", "clause-sweep").value == H_T1[4]
+        assert calls == []
 
     @staticmethod
     def decomposition(n):
@@ -284,6 +295,17 @@ class TestRecords:
         b = count("F", 3)
         assert (a.value, a.checksum) == (b.value, b.checksum)
         assert a.key() == b.key()
+
+    @pytest.mark.parametrize("fields", [
+        ("G", 2, "t0", "clause-sweep", 16), ("F", 7, None, "dfs-prune", 266919023),
+        ("B", -1, None, "component-closed-form", 1)])
+    def test_checksum_is_sha256_of_the_payload(self, fields):
+        # the builtin SHA-256 census takes is hashlib's hash
+        quantity, n, convention, method, value = fields
+        payload = "|".join([quantity, str(n), convention or "-", method, census.ORDER_SEED,
+                            str(value)])
+        want = hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
+        assert record_checksum(*fields) == want
 
     def test_checksum_detects_value_change(self):
         rec = count("F", 3)
@@ -535,8 +557,11 @@ class TestCoverGraphQuestion:
     def test_orbits_of_triangle_free_graphs_count_every_order(self, m, orders, orbit_count):
         # the unlabelled triangle-free graphs (OEIS A006785), each weighted
         # by its orbit size, give the strict orders (OEIS A001035)
-        found = list(orbits(census._triangle_free_graphs(m), vertex_swaps(m)))
+        found = list(orbits(census._triangle_free_graphs(m), vertex_generators(m)))
         assert len(found) == orbit_count
+        # the same representatives and sizes as under the adjacent swaps
+        assert [(orbit[0], len(orbit)) for orbit in found] == orbit_sizes(
+            census._triangle_free_graphs(m), adjacent_swaps(m))
         assert sum(len(orbit) * sum(1 for _ in census._cover_orders(m, orbit[0]))
                    for orbit in found) == orders
 

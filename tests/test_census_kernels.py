@@ -9,6 +9,7 @@ and the switching-class key of F's memo with brute-force switching.
 """
 
 import itertools
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,13 @@ from hypothesis import strategies as st
 
 from obtf import census, cgraph
 from obtf.boolfn import bits, colex_pairs, is_elementary, literal_masks
-from test_boolfn import associated_pairs, spine
+from test_boolfn import (
+    associated_pairs,
+    closure,
+    orbit_sizes,
+    spine,
+    variable_swaps_and_negation,
+)
 
 
 def _median_closed(n: int) -> frozenset[int]:
@@ -79,13 +86,25 @@ def test_every_orbit_member_is_in_the_family(n):
 @pytest.mark.parametrize("n", range(6))
 def test_generators_map_the_family_and_the_cubes_onto_themselves(n):
     generators = census._cube_generators(n)
-    assert len(generators) == n     # n - 1 swaps and x_1's negation
+    assert len(generators) == min(n, 2)     # the signed cycle, and the swap from n = 2
     cubes = set(census._cubes(n))
     family = census._projection_family(n) if n < 5 else ()
     for g in generators:
         assert sorted(g) == list(range(1 << n))
         assert {_image(g, c) for c in cubes} == cubes
         assert {_image(g, t) for t in family} == set(family)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_cube_generators_generate_every_symmetry(n):
+    group = closure(census._cube_generators(n), 1 << n)
+    assert len(group) == (1 << n) * factorial(n)
+    assert group == closure(variable_swaps_and_negation(n), 1 << n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_orbits_match_the_swaps_and_negation(n):
+    assert census._orbits(n) == orbit_sizes(census._grown(n), variable_swaps_and_negation(n))
 
 
 def unweighted_count(n: int) -> int:

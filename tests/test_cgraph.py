@@ -4,7 +4,7 @@ import re
 import pytest
 
 from obtf import census, litposet
-from obtf.boolfn import ParseError, bits, orbits, vertex_swaps
+from obtf.boolfn import ParseError, bits, orbits
 from obtf.census import strict_orders
 from obtf.cgraph import (
     EDGE_GUARD,
@@ -28,6 +28,7 @@ from obtf.cgraph import (
     weighted_colored_graphs,
 )
 from obtf.litposet import ResourceGuardError, poset_from_relations
+from test_boolfn import adjacent_swaps
 
 G_BLUE = ColoredGraph.of(2, blue=[(1, 2)])
 G_RED = ColoredGraph.of(2, red=[(1, 2)])
@@ -104,9 +105,10 @@ def switched(g, side):
 def relabelling_walk(n):
     """Every colouring of one graph per orbit under relabelling, weighted
     by the orbit's size: the walk weighted_colored_graphs replaced, kept
-    as its oracle."""
+    as its oracle, under the adjacent swaps rather than the engine's
+    generators."""
     pairs = pairs_colex(n)
-    for orbit in orbits(range(1 << len(pairs)), vertex_swaps(n)):
+    for orbit in orbits(range(1 << len(pairs)), adjacent_swaps(n)):
         edges, size = [pairs[k] for k in bits(orbit[0])], len(orbit)
         for colours in itertools.product((False, True), repeat=len(edges)):
             blue = frozenset(e for e, is_blue in zip(edges, colours) if is_blue)

@@ -3,13 +3,16 @@
 Every case starts a fresh interpreter, runs one command through
 `obtf.cli.main` and reports which of the costly modules are then in
 `sys.modules`: the census engines, the verify suites, the graph module,
-`dataclasses` (which pulls in `inspect`, `ast`, `dis` and `tokenize`) and
-the process pool with the `multiprocessing` package it pulls in.  Each
+`dataclasses` (which pulls in `inspect`, `ast`, `dis` and `tokenize`),
+the process pool with the `multiprocessing` package it pulls in, and
+OpenSSL's `_hashlib`, which census's checksum avoids wherever the
+interpreter has a builtin SHA-256.  Each
 case is measured against a bare interpreter that imports no obtf module,
 so a `site` hook that loads one of them cannot fail it.
 """
 
 import functools
+import importlib.util
 import json
 import os
 import subprocess
@@ -19,8 +22,11 @@ from pathlib import Path
 import obtf
 
 SRC = str(Path(obtf.__file__).resolve().parent.parent)
+# without a builtin SHA-256, census falls back to hashlib and its OpenSSL
+LEAN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
 COSTLY = ("obtf.census", "obtf.verify", "obtf.cgraph", "dataclasses",
-          "concurrent.futures.process", "multiprocessing")
+          "concurrent.futures.process", "multiprocessing",
+          *(("_hashlib",) if LEAN_SHA256 else ()))
 
 # argv null: the bare interpreter; a list: import obtf.cli, then run main
 # on it unless it is empty
