@@ -37,13 +37,14 @@ that stream without a membership check, and verify compares the same
 stream, as a set of closure rows, with the graph-driven family, whose
 posets are checked for membership as the orientation search finds them.
 
-posets_per_cover_graph answers the cover-graph question per graph: it
-counts the orientations of each triangle-free graph that make every edge
-a cover, for one graph per orbit under relabelling, found by the same
-orbits walk as median-dp's, generated by boolfn.vertex_generators, with
-litposet.cover_orders, the search that lists cgraph's posets too.  The
-members of the largest orbits, as that walk lists them, are the witness
-candidates; boolfn.orbits is the only code that builds an orbit.
+posets_per_cover_graph answers the cover-graph question per graph: for
+one triangle-free graph per orbit under relabelling, found by the same
+orbits walk as median-dp's, generated by boolfn.vertex_generators, it
+counts the orientations that make every edge a cover as
+litposet.cover_orders, the search that lists cgraph's posets too, yields
+them, with no list built.  The members of the largest orbits, as that
+walk lists them, are the witness candidates; boolfn.orbits is the only
+code that builds an orbit.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from functools import lru_cache
 from math import comb
 from operator import or_
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import litposet
 from .boolfn import (
@@ -643,7 +644,7 @@ def _grow(level, j: int, negation: bool):
 # graph is a graph G are G's orientations of that kind, one each.  G has
 # no triangle, as the other two edges of an acyclic triangle bridge the
 # third, and relabelling the points keeps the count.  litposet.cover_orders
-# lists them, as it lists a colored graph's posets for cgraph.  A graph
+# yields them, as it yields a colored graph's posets for cgraph.  A graph
 # stays a mask over colex_pairs(m) throughout: the orbit walk permutes
 # its bits, and its set bits, in order, are its edges in colex order.
 
@@ -666,10 +667,11 @@ def _triangle_free_graphs(m: int, nbr: tuple = (), graph: int = 0):
             m, tuple(r | (s >> v & 1) << b for v, r in enumerate(nbr)) + (s,), graph | s << shift)
 
 
-def _cover_orders(m: int, graph: int) -> list[tuple[int, ...]]:
-    """The closure rows of every strict order on points 0..m-1 whose cover
-    graph is graph, a mask over colex_pairs(m): each edge (a, b), in bit
-    order, which is colex order, taken as a < b or as b < a."""
+def _cover_orders(m: int, graph: int) -> Iterator[tuple[int, ...]]:
+    """An iterator over the closure rows of every strict order on points
+    0..m-1 whose cover graph is graph, a mask over colex_pairs(m): each
+    edge (a, b), in bit order, which is colex order, taken as a < b or as
+    b < a."""
     pairs = colex_pairs(m)
     seeds = [(((a, b),), ((b, a),)) for a, b in (pairs[k] for k in bits(graph))]
     return litposet.cover_orders(m, seeds, 0)
@@ -685,10 +687,10 @@ def posets_per_cover_graph(m: int) -> tuple[int, frozenset[tuple[int, int]]]:
     pair-state vector, so a graph with the most orders reaches that
     number at its largest vector, and the witness is the member of a
     largest orbit whose largest vector is smallest: only those members,
-    as the orbit walk met them, have their orders listed.  An order's
-    vector fixes the order and so its cover graph, so no two members
-    share a vector and the order they are met in cannot change the
-    witness."""
+    as the orbit walk met them, are searched again, each only until its
+    vectors pass the best so far.  An order's vector fixes the order and
+    so its cover graph, so no two members share a vector and the order
+    they are met in cannot change the witness."""
     if m > COVER_QUESTION_GUARD:
         raise ResourceGuardError(
             f"order enumeration capped at m <= {COVER_QUESTION_GUARD}, got {m}")
@@ -696,7 +698,7 @@ def posets_per_cover_graph(m: int) -> tuple[int, frozenset[tuple[int, int]]]:
         raise ValueError("need at least one point")
     most, candidates = 0, []
     for orbit in orbits(_triangle_free_graphs(m), vertex_generators(m)):
-        found = len(_cover_orders(m, orbit[0]))
+        found = sum(1 for _ in _cover_orders(m, orbit[0]))
         if found > most:
             most, candidates = found, []
         if found == most:

@@ -387,19 +387,19 @@ def posets_of_graph(g: ColoredGraph) -> list[tuple[int, ...]]:
     """Exactly the family posets whose colored graph is g, in row order:
     litposet.cover_orders on the 2n literals with the positive ones as
     pos, each edge's literal pair (a, b), in `_lifted_edges` order, taken
-    as a < b or as b < a together with its negation dual.  A non-member
-    found raises AssertionError, since it signals a bug."""
+    as a < b or as b < a together with its negation dual.  The search's
+    stream is sorted, then each poset is checked; a non-member raises
+    AssertionError, since it signals a bug."""
     m = g.edge_count()
     if m > EDGE_SWEEP_GUARD:
-        raise ResourceGuardError(f"orientation sweep capped at |E| <= {EDGE_SWEEP_GUARD}, got {m}")
+        raise ResourceGuardError(f"orientation search capped at |E| <= {EDGE_SWEEP_GUARD}, got {m}")
     size = 2 * g.n
     pos = sum(1 << u for u in range(0, size, 2))   # the positive literals
     seeds = [(((a, b), (b ^ 1, a ^ 1)), ((b, a), (a ^ 1, b ^ 1))) for a, b in _lifted_edges(g)]
-    found = litposet.cover_orders(size, seeds, pos)
+    found = sorted(litposet.cover_orders(size, seeds, pos))
     for poset in found:
         if not litposet.is_pn_member(poset):
             raise AssertionError("orientation search found a non-member")
-    found.sort()
     return found
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -66,16 +65,18 @@ def _read_input(path: str) -> str:
         raise UserError(f"cannot read {path}: {exc}") from exc
 
 
-def _canonical_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write_json(payload) -> None:
+    """Every command's JSON: sorted keys, two-space indent.  The text is
+    built in memory and written in one piece; json.dump's many small
+    writes would hold less but take longer."""
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _write_csv(header: list[str], rows: Iterable[list]) -> None:
+    """Every command's CSV: the header, then each row as it comes."""
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _relations(block: str) -> list[str]:
@@ -94,21 +95,21 @@ def _numbered_posets(blocks: Iterable[str]) -> Iterator[str]:
 # census
 
 
-def _emit_records(records: list[CensusRecord], fmt: str) -> str:
+def _write_records(records: list[CensusRecord], fmt: str) -> None:
     records = sorted(records, key=lambda r: (r.quantity, r.n, r.convention or ""))
     if fmt == "json":
-        return _canonical_json([r.to_json_dict() for r in records])
+        _write_json([r.to_json_dict() for r in records])
+        return
     header = ["quantity", "n", "convention", "value", "method", "wall_time", "checksum"]
     rows = [[r.quantity, r.n, r.convention or "-", r.value, r.method,
              f"{r.wall_time:.6f}", r.checksum] for r in records]
     if fmt == "csv":
-        return _csv_text(header, rows)
+        _write_csv(header, rows)
+        return
     widths = [max(len(str(x)) for x in [h] + [row[i] for row in rows])
               for i, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for row in rows:
-        lines.append("  ".join(str(x).ljust(w) for x, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
+    sys.stdout.writelines("  ".join(str(x).ljust(w) for x, w in zip(row, widths)) + "\n"
+                          for row in [header] + rows)
 
 
 def cmd_census(args) -> int:
@@ -136,7 +137,7 @@ def cmd_census(args) -> int:
                 cache.append(rec)
                 known[key] = rec
             records.append(rec)
-    sys.stdout.write(_emit_records(records, args.format))
+    _write_records(records, args.format)
     return EXIT_OK
 
 
@@ -167,26 +168,25 @@ def _cache_consistency(path: str) -> list[verify.CheckResult]:
     return out
 
 
-def _emit_checks(checks: list[verify.CheckResult], fmt: str) -> str:
+def _write_checks(checks: list[verify.CheckResult], fmt: str) -> None:
     if fmt == "json":
-        payload = [{"name": c.name, "scope": c.scope, "status": c.status,
-                    "detail": c.detail, "witness": c.witness} for c in checks]
-        return _canonical_json(payload)
+        _write_json([{"name": c.name, "scope": c.scope, "status": c.status,
+                      "detail": c.detail, "witness": c.witness} for c in checks])
+        return
     if fmt == "csv":
-        rows = [[c.name, c.scope, c.status, c.detail, c.witness or ""] for c in checks]
-        return _csv_text(["name", "scope", "status", "detail", "witness"], rows)
-    lines = []
+        _write_csv(["name", "scope", "status", "detail", "witness"],
+                   [[c.name, c.scope, c.status, c.detail, c.witness or ""] for c in checks])
+        return
     for c in checks:
         tag = {"PASS": "[PASS]", "FAIL": "[FAIL]", "INFO": "[info]"}[c.status]
-        lines.append(f"{tag} {c.name} {c.scope}: {c.detail}")
+        sys.stdout.write(f"{tag} {c.name} {c.scope}: {c.detail}\n")
         if c.witness:
-            for wline in c.witness.rstrip("\n").splitlines():
-                lines.append(f"         | {wline}")
+            sys.stdout.writelines(f"         | {wline}\n"
+                                  for wline in c.witness.rstrip("\n").splitlines())
     failed = sum(1 for c in checks if c.failed)
     passed = sum(1 for c in checks if c.status == "PASS")
-    lines.append(f"{passed} passed, {failed} failed, "
-                 f"{len(checks) - passed - failed} informational")
-    return "\n".join(lines) + "\n"
+    sys.stdout.write(f"{passed} passed, {failed} failed, "
+                     f"{len(checks) - passed - failed} informational\n")
 
 
 def cmd_verify(args) -> int:
@@ -201,7 +201,7 @@ def cmd_verify(args) -> int:
     checks = verify.run_suites(ns, seed=seed, big=args.big)
     if args.cache:
         checks += _cache_consistency(args.cache)
-    sys.stdout.write(_emit_checks(checks, args.format))
+    _write_checks(checks, args.format)
     return EXIT_VERIFY if any(c.failed for c in checks) else EXIT_OK
 
 
@@ -250,7 +250,7 @@ def _write_analysis(info: dict, posets: list[tuple[int, ...]], fmt: str) -> None
     if fmt == "json":
         if "poset_count" in info:
             info["posets"] = [litposet.format_poset(p) for p in posets]
-        sys.stdout.write(_canonical_json(info))
+        _write_json(info)
         return
     if fmt == "csv":
         header = ["n", "edges", "obtf", "blue_bipartite", "kappa", "gamma",
@@ -261,7 +261,7 @@ def _write_analysis(info: dict, posets: list[tuple[int, ...]], fmt: str) -> None
                info.get("gamma", {}).get("value", ""),
                info["eta"], info["triangle_connected"],
                info.get("poset_count", "")]
-        sys.stdout.write(_csv_text(header, [row]))
+        _write_csv(header, [row])
         return
     lines = [f"n: {info['n']}", f"edges: {info['edges']}",
              f"odd-blue-triangle-free: {str(info['obtf']).lower()}"]
@@ -302,12 +302,11 @@ def cmd_analyze(args) -> int:
 def _write_posets_csv(blocks: Iterable[str]) -> None:
     """One poset,below,above row per relation of each formatted poset,
     written as each poset comes."""
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["poset", "below", "above"])
-    for i, b in enumerate(blocks, start=1):
-        relations = [line.split() for line in _relations(b)]
-        # the antichain has no relations and still gets a row
-        writer.writerows([[i, a, bb] for a, bb in relations] or [[i, "", ""]])
+    def rows():
+        for i, b in enumerate(blocks, start=1):
+            # the antichain has no relations and still gets a row
+            yield from [[i, *line.split()] for line in _relations(b)] or [[i, "", ""]]
+    _write_csv(["poset", "below", "above"], rows())
 
 
 def cmd_posets(args) -> int:
@@ -328,8 +327,7 @@ def cmd_posets(args) -> int:
         except ValueError as exc:
             raise UserError(str(exc)) from exc
         if args.format == "json":
-            sys.stdout.write(_canonical_json(
-                {"n": n, "relations": _relations(block)}))
+            _write_json({"n": n, "relations": _relations(block)})
         elif args.format == "csv":
             _write_posets_csv([block])
         else:
@@ -340,8 +338,7 @@ def cmd_posets(args) -> int:
         from . import cgraph   # the family is enumerated graph by graph
         if args.format == "json":    # one payload, built in memory
             relations = [_relations(litposet.format_poset(p)) for p in cgraph.enumerate_pn(n)]
-            sys.stdout.write(_canonical_json(
-                {"n": n, "count": len(relations), "posets": relations}))
+            _write_json({"n": n, "count": len(relations), "posets": relations})
             return EXIT_OK
         # listed as closure rows before anything is written: the count
         # comes first, and a guard refusal must leave stdout empty
@@ -358,12 +355,11 @@ def cmd_posets(args) -> int:
     mult, witness = census.posets_per_cover_graph(m)
     edges = sorted(witness)
     if args.format == "json":
-        sys.stdout.write(_canonical_json(
-            {"points": m, "max_multiplicity": mult,
-             "witness_cover_graph": [list(e) for e in edges]}))
+        _write_json({"points": m, "max_multiplicity": mult,
+                     "witness_cover_graph": [list(e) for e in edges]})
     elif args.format == "csv":
-        rows = [[m, mult, u, v] for u, v in edges] or [[m, mult, "", ""]]
-        sys.stdout.write(_csv_text(["points", "max_multiplicity", "u", "v"], rows))
+        _write_csv(["points", "max_multiplicity", "u", "v"],
+                   [[m, mult, u, v] for u, v in edges] or [[m, mult, "", ""]])
     else:
         lines = [f"points: {m}", f"max posets per cover graph: {mult}",
                  "witness cover graph:"]

@@ -16,7 +16,7 @@ graph is the frozenset of its covering pairs of literal indices
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .boolfn import (
     ParseError,
@@ -147,26 +147,27 @@ def cover_pairs(rows: tuple[int, ...]) -> frozenset[tuple[int, int]]:
                      for u, row in enumerate(cover_rows(rows)) for v in bits(row))
 
 
-def cover_orders(size: int, seeds, pos: int) -> list[tuple[int, ...]]:
-    """The closure rows of every strict order on points 0..size-1 whose
-    covers are exactly one choice from each seeds[k]: a tuple of
-    relations (a, b), meaning a < b, for each orientation of edge k.
-    pos is the mask of the even points x whose negation is x + 1, or 0
-    when the points have no negation; no point may become comparable to
-    its negation.
+def cover_orders(size: int, seeds, pos: int) -> Iterator[tuple[int, ...]]:
+    """An iterator over the closure rows of every strict order on points
+    0..size-1 whose covers are exactly one choice from each seeds[k]: a
+    tuple of relations (a, b), meaning a < b, for each orientation of
+    edge k.  pos is the mask of the even points x whose negation is
+    x + 1, or 0 when the points have no negation; no point may become
+    comparable to its negation.
 
     Depth-first search over the seeds, adding each choice's relations to
-    a transitively closed relation kept with its predecessor rows.  A
-    branch is pruned as soon as a new relation or its reverse is already
-    in the closure (a cycle, or an implied relation, which is no cover),
-    a point becomes comparable to its negation, or a relation chosen
-    earlier stops being a cover.  Adding relations never undoes these
-    events, so no pruned branch holds such an order.
+    a transitively closed relation kept with its predecessor rows; each
+    order is yielded as the search reaches it, so a caller that counts
+    holds no list and one that stops early stops the search.  A branch
+    is pruned as soon as a new relation or its reverse is already in the
+    closure (a cycle, or an implied relation, which is no cover), a point
+    becomes comparable to its negation, or a relation chosen earlier
+    stops being a cover.  Adding relations never undoes these events, so
+    no pruned branch holds such an order.
     """
     rows = [0] * size      # rows[u]: points above u
     preds = [0] * size     # preds[v]: points below v
     chosen: list[tuple[int, int]] = []
-    found = []
     m = len(seeds)
 
     def add(a: int, b: int) -> bool:
@@ -191,9 +192,9 @@ def cover_orders(size: int, seeds, pos: int) -> list[tuple[int, ...]]:
         chosen.append((a, b))
         return True
 
-    def extend(k: int) -> None:
+    def extend(k: int) -> Iterator[tuple[int, ...]]:
         if k == m:
-            found.append(tuple(rows))
+            yield tuple(rows)
             return
         saved_rows, saved_preds, depth = rows[:], preds[:], len(chosen)
         for choice in seeds[k]:
@@ -206,13 +207,12 @@ def cover_orders(size: int, seeds, pos: int) -> list[tuple[int, ...]]:
                     if rows[x] & preds[y]:
                         break
                 else:
-                    extend(k + 1)
+                    yield from extend(k + 1)
             rows[:] = saved_rows
             preds[:] = saved_preds
             del chosen[depth:]
 
-    extend(0)
-    return found
+    return extend(0)
 
 
 def poset_to_function(rows: tuple[int, ...]) -> int:

@@ -276,6 +276,13 @@ def lifted(*pairs):
 
 
 class TestCoverOrders:
+    def test_orders_are_yielded_not_listed(self):
+        found = cover_orders(3, orientations((0, 1), (1, 2)), 0)
+        assert iter(found) is found
+        assert not isinstance(found, list)
+        assert next(found) in {(0, 0b001, 0b011), (0, 0b101, 0),
+                               (0b010, 0, 0b010), (0b110, 0b100, 0)}
+
     def test_three_point_path_has_four_orders(self):
         # the chains 0 < 1 < 2 and 2 < 1 < 0, and 1 as the top or the bottom
         found = cover_orders(3, orientations((0, 1), (1, 2)), 0)
@@ -283,12 +290,12 @@ class TestCoverOrders:
                                  (0b010, 0, 0b010), (0b110, 0b100, 0)]
 
     def test_triangle_has_none(self):
-        assert cover_orders(3, orientations((0, 1), (0, 2), (1, 2)), 0) == []
+        assert list(cover_orders(3, orientations((0, 1), (0, 2), (1, 2)), 0)) == []
 
     def test_single_blue_edge_lifts_to_two_posets(self):
         # the blue edge {1, 2} lifts to the literals x1 = 0 and x2 = 2:
         # x1 < x2 with not-x2 < not-x1, or the reverse
-        found = cover_orders(4, lifted((0, 2)), 0b0101)
+        found = list(cover_orders(4, lifted((0, 2)), 0b0101))
         assert sorted(found) == [(0, 1 << NX2, 1 << X1, 0), (1 << X2, 0, 0, 1 << NX1)]
         assert sorted(found) == posets_of_graph(ColoredGraph.of(2, blue=[(1, 2)]))
 
@@ -297,11 +304,11 @@ class TestCoverOrders:
         # is kept, with x1 below its own negation (one edge alone, as in
         # the test above, cannot join a literal to its negation)
         seeds = lifted((X1, X2), (X1, X3), (X2, NX3))
-        members = cover_orders(6, seeds, 0b010101)
+        members = list(cover_orders(6, seeds, 0b010101))
         assert sorted(members) == posets_of_graph(
             ColoredGraph.of(3, blue=[(1, 2), (1, 3)], red=[(2, 3)]))
         assert len(members) == 2 and all(is_pn_member(p) for p in members)
-        unchecked = cover_orders(6, seeds, 0)
+        unchecked = list(cover_orders(6, seeds, 0))
         assert set(members) < set(unchecked)
         assert any(p[u] >> (u ^ 1) & 1 for p in unchecked for u in range(6))
         assert not all(is_pn_member(p) for p in unchecked)
