@@ -19,7 +19,6 @@ conjunction.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import getitem
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -145,10 +144,16 @@ def is_elementary(n: int, t: int) -> bool:
 @lru_cache(maxsize=None)
 def _byte_images(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """images[k][v]: the image under perm of the points 8k..8k+7 that byte
-    v holds, so a bitset's image is the sum over its bytes."""
-    return tuple(tuple(sum(1 << perm[8 * k + i] for i in bits(v) if 8 * k + i < len(perm))
-                       for v in range(256))
-                 for k in range((len(perm) + 7) // 8))
+    v holds, built by doubling: point 8k + i appends the first 2^i entries
+    with its image set, and a point past the perm sets nothing."""
+    tables = []
+    for k in range(0, len(perm), 8):
+        images = [0]
+        for i in range(k, k + 8):
+            bit = 1 << perm[i] if i < len(perm) else 0
+            images += [y | bit for y in images]
+        tables.append(tuple(images))
+    return tuple(tables)
 
 
 def orbits(members: Iterable[int], point_perms) -> Iterator[list[int]]:
@@ -156,12 +161,13 @@ def orbits(members: Iterable[int], point_perms) -> Iterator[list[int]]:
     permute (perm[i] the image of point i), under the group they
     generate, as the list of its members: the first member met leads, as
     the orbit's representative, and the rest follow in the order the
-    walk from it reaches them, one byte lookup per byte and generator.
+    walk from it reaches them, one lookup and OR per byte and generator.
     Every member meets every generator, so the fewer generators the
     faster the walk: vertex_generators and census's cube generators are
     two each.  The walk is lazy, so a caller that keeps only the orbits'
     lengths holds the members once, in the walk's seen set."""
-    tables = [_byte_images(tuple(perm)) for perm in point_perms]
+    steps = [[(8 * k, images) for k, images in enumerate(_byte_images(tuple(perm)))]
+             for perm in point_perms]
     seen: set[int] = set()
     for t in members:
         if t in seen:
@@ -169,8 +175,10 @@ def orbits(members: Iterable[int], point_perms) -> Iterator[list[int]]:
         seen.add(t)
         orbit = [t]
         for x in orbit:
-            for images in tables:
-                y = sum(map(getitem, images, x.to_bytes(len(images), "little")))
+            for step in steps:
+                y = 0
+                for shift, images in step:
+                    y |= images[x >> shift & 255]
                 if y not in seen:
                     seen.add(y)
                     orbit.append(y)

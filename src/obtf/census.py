@@ -721,10 +721,10 @@ def _triangle_free_graphs(m: int, nbr: tuple = (), graph: int = 0):
 def _cover_orders(m: int, graph: int) -> Iterator[tuple[int, ...]]:
     """An iterator over the closure rows of every strict order on points
     0..m-1 whose cover graph is graph, a mask over colex_pairs(m): each
-    edge (a, b), in bit order, which is colex order, taken as a < b or as
-    b < a."""
+    edge (a, b), in bit order, which is colex order, taken first as b < a,
+    pair state 2, so the large pair-state vectors come early, then a < b."""
     pairs = colex_pairs(m)
-    seeds = [(((a, b),), ((b, a),)) for a, b in (pairs[k] for k in bits(graph))]
+    seeds = [(((b, a),), ((a, b),)) for a, b in (pairs[k] for k in bits(graph))]
     return litposet.cover_orders(m, seeds, 0)
 
 
@@ -739,9 +739,11 @@ def posets_per_cover_graph(m: int) -> tuple[int, frozenset[tuple[int, int]]]:
     number at its largest vector, and the witness is the member of a
     largest orbit whose largest vector is smallest: only those members,
     as the orbit walk met them, are searched again, each only until its
-    vectors pass the best so far.  An order's vector fixes the order and
-    so its cover graph, so no two members share a vector and the order
-    they are met in cannot change the witness."""
+    vectors pass the best so far, which _cover_orders, trying b < a
+    first, reaches early.  An order's vector fixes the order and so its
+    cover graph, so no two members share a vector, and neither the order
+    the members are met in nor the order their orders are yielded in can
+    change the witness or the count."""
     if m > COVER_QUESTION_GUARD:
         raise ResourceGuardError(
             f"order enumeration capped at m <= {COVER_QUESTION_GUARD}, got {m}")

@@ -1,11 +1,15 @@
+import functools
 import itertools
+import random
 from math import factorial
+from operator import getitem
 
 import pytest
 
 from obtf import census
 from obtf.boolfn import (
     ParseError,
+    _byte_images,
     all_clauses,
     all_ones,
     bits,
@@ -121,6 +125,50 @@ def closure(perms, size):
     return seen
 
 
+def byte_images_by_entry(perm):
+    """The per-entry definition of boolfn._byte_images: entry v of byte k
+    is the sum of the images of the points 8k + i, i a set bit of v, that
+    perm has."""
+    return tuple(tuple(sum(1 << perm[8 * k + i] for i in bits(v) if 8 * k + i < len(perm))
+                       for v in range(256))
+                 for k in range((len(perm) + 7) // 8))
+
+
+def orbits_by_byte_sums(members, point_perms):
+    """The orbit walk with each image the sum of its bytes' entries, read
+    through to_bytes: the reference for boolfn.orbits' lists."""
+    tables = [byte_images_by_entry(tuple(perm)) for perm in point_perms]
+    seen = set()
+    for t in members:
+        if t in seen:
+            continue
+        seen.add(t)
+        orbit = [t]
+        for x in orbit:
+            for images in tables:
+                y = sum(map(getitem, images, x.to_bytes(len(images), "little")))
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        yield orbit
+
+
+def random_cyclic_walk(size):
+    """200 random bitsets on size points, and a random perm p with its
+    square: they generate a cyclic group, so every orbit is small."""
+    rng = random.Random(size)
+    p = rng.sample(range(size), size)
+    return [rng.getrandbits(size) for _ in range(200)], [p, [p[i] for i in p]]
+
+
+# the members and generators of walks over 2 to 4 bytes
+WALKS = {
+    "MC(4)": lambda: (list(census._grown(4)), census._cube_generators(4)),
+    "triangle-free(6)": lambda: (list(census._triangle_free_graphs(6)), vertex_generators(6)),
+    **{f"random({size})": functools.partial(random_cyclic_walk, size) for size in (10, 21, 32)},
+}
+
+
 def orbit_sizes(members, point_perms):
     """The walk's orbits as (representative, size) pairs."""
     return [(orbit[0], len(orbit)) for orbit in orbits(members, point_perms)]
@@ -190,6 +238,20 @@ class TestOrbits:
 
     def test_no_generators_leave_every_member_alone(self):
         assert list(orbits([5, 3, 5], [])) == [[5], [3]]
+
+    def test_byte_images_match_the_per_entry_definition(self):
+        # every size from none to five bytes, the last byte partly filled
+        # unless the size is a multiple of 8
+        rng = random.Random(33)
+        for size in range(34):
+            perm = tuple(rng.sample(range(size), size))
+            assert _byte_images(perm) == byte_images_by_entry(perm), size
+
+    @pytest.mark.parametrize("case", WALKS)
+    def test_walk_lists_match_the_byte_sum_walk(self, case):
+        # the same representatives, sizes and member order
+        members, perms = WALKS[case]()
+        assert list(orbits(members, perms)) == list(orbits_by_byte_sums(members, perms))
 
 
 class TestLiteral:

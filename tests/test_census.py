@@ -569,6 +569,23 @@ class TestCoverGraphQuestion:
         # the oracle lists all 130,023 orders; the witness is a 6-cycle
         assert posets_per_cover_graph(6) == cover_grouping_oracle(6)
 
+    def test_witness_pass_stops_early(self, monkeypatch):
+        # counting the 38 representatives draws 715 orders; with b < a
+        # tried first, each 6-cycle's large vectors come early and the
+        # witness pass draws 834 more (2,016 with a < b first)
+        drawn = []
+        search = census._cover_orders
+
+        def spy(m, graph):
+            for rows in search(m, graph):
+                drawn.append(graph)
+                yield rows
+
+        monkeypatch.setattr(census, "_cover_orders", spy)
+        assert posets_per_cover_graph(6) == (50, frozenset(
+            {(1, 2), (1, 3), (2, 4), (3, 6), (4, 5), (5, 6)}))
+        assert len(drawn) < 1600
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_cover_keys_group_as_cover_pair_sets(self, m):
         assert posets_per_cover_graph(m) == cover_grouping_oracle(m)
