@@ -18,6 +18,11 @@ in: the default method is the first whose cap admits n, and every method
 whose cap admits n must return the same value (verify checks this and
 the identities between quantities).
 
+F and B each have a flat-sweep engine, the oracle verify compares with
+the fast one: every colouring of every graph on n vertices, an edge mask
+and a blue submask of it over colex_pairs(n), tested by its definition.
+They make no graph object, so census loads cgraph nowhere.
+
 G and H count median-closed tables, the sets a 2-CNF defines (Schaefer
 1978), by three routes: clause-sweep closes the clause masks under AND,
 median-filter pairs median-closed half-tables, and median-dp grows each
@@ -33,7 +38,9 @@ strict_orders adds one point at a time and yields the orders sorted by
 pair-state vector.  Grouped by cover graph, it is the tests' oracle for
 the cover-graph multiplicity question, and on the 2n literals under
 negation it is census's only route to Pn: the order-dfs engine counts
-that stream without a membership check, and verify compares the same
+that stream without a membership check, growing the orders on all but
+the last point and adding each one's extensions by it, so the last and
+largest level is never built; verify compares the same
 stream, as a set of closure rows, with the graph-driven family, whose
 posets are checked for membership as the orientation search finds them.
 
@@ -464,10 +471,23 @@ def _obtf_count(n: int) -> int:
 
 def _obtf_sweep(n: int) -> int:
     """F(n) by testing every colored graph on n vertices, the flat-sweep
-    oracle.  The two flat sweeps are census's only use of cgraph, so
-    they alone load it."""
-    from . import cgraph
-    return sum(map(cgraph.is_obtf, cgraph.enumerate_colored_graphs(n)))
+    oracle: every edge mask over colex_pairs(n), with every blue submask
+    of it down to the all-red 0, kept when each triangle the edges hold
+    has an even blue count.  No pruning, memo or star table is shared
+    with dfs-prune."""
+    index = {pair: k for k, pair in enumerate(colex_pairs(n))}
+    triangles = [1 << index[a, b] | 1 << index[a, c] | 1 << index[b, c]
+                 for a, b, c in itertools.combinations(range(n), 3)]
+    total = 0
+    for edges in range(1 << len(index)):
+        held = [t for t in triangles if t & edges == t]
+        blue = edges
+        while True:
+            total += not any((blue & t).bit_count() & 1 for t in held)
+            if not blue:
+                break
+            blue = (blue - 1) & edges
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +522,15 @@ def _bb_closed_form(n: int) -> int:
 
 def _bb_sweep(n: int) -> int:
     """B(n) by testing every colored graph on n vertices, the flat-sweep
-    oracle; like _obtf_sweep, it loads cgraph only when it runs."""
-    from . import cgraph
-    return sum(cgraph.find_blue_bipartition(g) is not None
-               for g in cgraph.enumerate_colored_graphs(n))
+    oracle.  A colouring is blue-bipartite iff some split S of the
+    vertices has the blue edges crossing it and the red ones not, i.e.
+    its blue set is edges & crossing[S], crossing[S] the pairs S
+    separates; so each edge mask adds its number of distinct such sets.
+    No component count or recurrence is shared with the closed form."""
+    pairs = colex_pairs(n)
+    crossing = [sum(((s >> a ^ s >> b) & 1) << k for k, (a, b) in enumerate(pairs))
+                for s in range(1 << n)]
+    return sum(len({edges & x for x in crossing}) for edges in range(1 << len(pairs)))
 
 
 def b_benchmark(n: int) -> int:
@@ -533,8 +558,7 @@ ENGINES = {
         "median-dp": (lambda n: _elementary_projection_count(n), 7),
     },
     "Pn": {
-        "order-dfs": (lambda n: sum(1 for _ in strict_orders(2 * n, negation=True)),
-                      litposet.P_N_GUARD),
+        "order-dfs": (lambda n: _order_count(2 * n, negation=True), litposet.P_N_GUARD),
     },
     "F": {
         "dfs-prune": (lambda n: _obtf_count(n), 7),
@@ -659,14 +683,33 @@ def strict_orders(m: int, negation: bool = False):
     Each order on points 0..j-1 grows by point j with a down-set D below
     and an up-set U above (Brinkmann and McKay, "Posets on up to 16
     points", Order 19, 2002); under negation j^1 comes with j."""
+    level, last = _orders_before_last(m, negation)
+    yield from level if last is None else _grow(level, last, negation)
+
+
+def _order_count(m: int, negation: bool = False) -> int:
+    """len(strict_orders(m, negation)), the order-dfs engine: the orders
+    before the last point, each adding its number of extensions by it,
+    so the last level is never built."""
+    level, last = _orders_before_last(m, negation)
+    if last is None:
+        return 1
+    return sum(len(_extensions(rows, _transpose(rows), negation)) for rows in level)
+
+
+def _orders_before_last(m: int, negation: bool):
+    """The orders strict_orders grows its last point (or pair) from, and
+    that point, None for m = 0; ValueError for m < 0, or odd m under
+    negation."""
     if m < 0:
         raise ValueError(f"need m >= 0 points, got {m}")
     if negation and m % 2:
         raise ValueError(f"negation needs an even number of literals, got {m}")
+    step = 2 if negation else 1
     level = [()]
-    for j in range(0, m, 2 if negation else 1):
+    for j in range(0, m - step, step):
         level = _grow(level, j, negation)
-    yield from level
+    return level, (m - step if m else None)
 
 
 def _grow(level, j: int, negation: bool):

@@ -9,7 +9,6 @@ the whole stream to the machine form, never a mix.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -73,7 +72,9 @@ def _write_json(payload) -> None:
 
 
 def _write_csv(header: list[str], rows: Iterable[list]) -> None:
-    """Every command's CSV: the header, then each row as it comes."""
+    """Every command's CSV: the header, then each row as it comes.  csv
+    loads here, so no JSON or table command pays for it."""
+    import csv
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)

@@ -7,7 +7,9 @@ these tests compare each one with the reference definitions (the orbit
 sums with the same count over every projection, one table at a time),
 the switching-class key of F's memo with brute-force switching, and the
 star tables F's last vertex is counted from with every star, triangle by
-triangle.
+triangle.  The mask sweeps that verify compares with F's DFS and B's
+closed form are compared with cgraph's tests of every colored graph, and
+order-dfs's count of the last level with the orders strict_orders lists.
 """
 
 import itertools
@@ -256,3 +258,37 @@ def test_star_states_on_every_graph(b):
 def test_star_states_on_sampled_graphs(case):
     b, states = case
     assert _unruled_stars(b, states) == _even_stars(b, states)
+
+
+# The reference sweeps: each colored graph built by cgraph and tested
+# whole, by the checks analyze and verify use
+
+
+def _obtf_graph_sweep(n: int) -> int:
+    return sum(map(cgraph.is_obtf, cgraph.enumerate_colored_graphs(n)))
+
+
+def _bb_graph_sweep(n: int) -> int:
+    return sum(cgraph.find_blue_bipartition(g) is not None
+               for g in cgraph.enumerate_colored_graphs(n))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_mask_sweeps_equal_the_graph_sweeps(n):
+    assert census._obtf_sweep(n) == _obtf_graph_sweep(n)
+    assert census._bb_sweep(n) == _bb_graph_sweep(n)
+
+
+@pytest.mark.parametrize("m,negation", [*((m, False) for m in range(7)),
+                                        *((m, True) for m in range(0, 9, 2))])
+def test_order_count_is_the_streams_length(m, negation):
+    assert census._order_count(m, negation) == sum(1 for _ in census.strict_orders(m, negation))
+
+
+@pytest.mark.parametrize("m,negation", [(-1, False), (-2, True), (1, True), (3, True)])
+def test_order_count_refuses_what_strict_orders_refuses(m, negation):
+    with pytest.raises(ValueError) as counted:
+        census._order_count(m, negation)
+    with pytest.raises(ValueError) as listed:
+        list(census.strict_orders(m, negation))
+    assert str(counted.value) == str(listed.value)

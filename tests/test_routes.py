@@ -105,7 +105,11 @@ def test_every_agreeing_quantity_is_traced(called):
     for routes in called.values():
         assert all(names - HELPERS for names in routes.values())
     assert "census._star_states" in called["F"]["dfs-prune"]
-    assert "cgraph.is_obtf" in called["F"]["flat-sweep"]
+    assert "census._obtf_sweep" in called["F"]["flat-sweep"]
+    assert "census._bb_sweep" in called["B"]["flat-sweep"]
+    # the flat sweeps count on masks, with nothing of the graph module
+    assert not any(name.startswith("cgraph.")
+                   for q in "FB" for name in called[q]["flat-sweep"])
 
 
 @pytest.mark.parametrize("quantity", ["G", "H", "F", "B"])

@@ -4,10 +4,10 @@ Every case starts a fresh interpreter, runs one command through
 `obtf.cli.main` and reports which of the costly modules are then in
 `sys.modules`: the census engines, the verify suites, the graph module,
 `dataclasses` (which pulls in `inspect`, `ast`, `dis` and `tokenize`),
-the process pool with the `multiprocessing` package it pulls in, and
-OpenSSL's `_hashlib`, which census's checksum avoids wherever the
-interpreter has a builtin SHA-256.  Each
-case is measured against a bare interpreter that imports no obtf module,
+`csv`, which only a CSV writer needs, the process pool with the
+`multiprocessing` package it pulls in, and OpenSSL's `_hashlib`, which
+census's checksum avoids wherever the interpreter has a builtin SHA-256.
+Each case is measured against a bare interpreter that imports no obtf module,
 so a `site` hook that loads one of them cannot fail it.
 """
 
@@ -24,17 +24,19 @@ import obtf
 SRC = str(Path(obtf.__file__).resolve().parent.parent)
 # without a builtin SHA-256, census falls back to hashlib and its OpenSSL
 LEAN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
-COSTLY = ("obtf.census", "obtf.verify", "obtf.cgraph", "dataclasses",
+COSTLY = ("obtf.census", "obtf.verify", "obtf.cgraph", "dataclasses", "csv",
           "concurrent.futures.process", "multiprocessing",
           *(("_hashlib",) if LEAN_SHA256 else ()))
 
-# argv null: the bare interpreter; a list: import obtf.cli, then run main
-# on it unless it is empty
+# argv null: the bare interpreter; a string: Python source, run as it is;
+# a list: import obtf.cli, then run main on it unless it is empty
 PROBE = f"""
 import contextlib, io, json, sys
 argv = json.loads(sys.argv[1])
 code = 0
-if argv is not None:
+if isinstance(argv, str):
+    exec(argv)
+elif argv is not None:
     from obtf.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv) if argv else 0
@@ -80,6 +82,21 @@ def test_census_loads_no_verify_and_no_pool(tmp_path):
         loaded = run_fresh(["census", "--quantity", quantity, "--n", "1..4",
                             "--cache", str(tmp_path / "c.jsonl")])
         assert loaded == {"obtf.census"}, quantity
+
+
+def test_flat_sweeps_load_no_graph_module():
+    # F's and B's second routes count on plain masks, not on cgraph's graphs
+    loaded = run_fresh("from obtf import census\n"
+                       "assert census.count('F', 4, method='flat-sweep').value == 417\n"
+                       "assert census.count('B', 4, method='flat-sweep').value == 393\n")
+    assert loaded == {"obtf.census"}
+
+
+def test_csv_loads_for_csv_output(tmp_path):
+    # the other commands here write tables, and show it unloaded there
+    assert run_fresh(["census", "--quantity", "B", "--n", "3",
+                      "--cache", str(tmp_path / "c.jsonl"), "--format", "csv"]) == {
+        "obtf.census", "csv"}
 
 
 def test_cover_multiplicity_loads_only_the_engines():
