@@ -24,9 +24,11 @@ and a blue submask of it over colex_pairs(n), tested by its definition.
 They make no graph object, so census loads cgraph nowhere.
 
 G and H count median-closed tables, the sets a 2-CNF defines (Schaefer
-1978), by three routes: clause-sweep closes the clause masks under AND,
-median-filter pairs median-closed half-tables, and median-dp grows each
-table from its projection on x_1..x_{n-1}.  A symmetry of the cube,
+1978), by three routes: clause-sweep closes the clause masks under AND
+(for H it drops, all tables at once, those missing a side of a variable
+or of an x_i xor x_j mask), median-filter joins each median-closed
+half-table with those inside the points it keeps, and median-dp grows
+each table from its projection on x_1..x_{n-1}.  A symmetry of the cube,
 which permutes and negates variables, maps the tables over a projection
 one-to-one onto those over its image, so median-dp counts them for one
 representative per orbit of the projections and weights it by the orbit
@@ -61,7 +63,7 @@ import itertools
 import json
 import os
 import time
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
 from operator import or_
 from pathlib import Path
@@ -192,8 +194,19 @@ def _conjunctions(n: int) -> frozenset[int]:
 # cached, like every G and H count: both conventions count the same n's tables
 @lru_cache(maxsize=None)
 def _elementary_conjunction_count(n: int) -> int:
-    """The elementary tables among the conjunctions."""
-    return sum(1 for t in _conjunctions(n) if is_elementary(n, t))
+    """The elementary tables among the conjunctions: those meeting both
+    sides of every variable's mask (none is fixed) and of x_i xor x_j for
+    every pair (none is locked).  Each mask tests all tables at once, as
+    fields of one int with a guard bit each: adding all-ones to a field
+    carries into its guard iff the field is not zero."""
+    width, tables = (1 << n) // 8 + 1, _conjunctions(n)     # bytes per field, its guard included
+    packed = int.from_bytes(b"".join(t.to_bytes(width, "little") for t in tables), "little")
+    every = int.from_bytes((b"\x01" + bytes(width - 1)) * len(tables), "little")    # 1 in each field
+    ones, kept, x = all_ones(n) * every, (1 << (1 << n)) * every, variable_masks(n)
+    for m in (*x, *(a ^ b for a, b in itertools.combinations(x, 2))):
+        m *= every
+        kept &= ((packed & m) + ones) & ((packed & (ones ^ m)) + ones)
+    return kept.bit_count()
 
 
 @lru_cache(maxsize=None)
@@ -205,20 +218,30 @@ def _median_closed_tables(n: int) -> frozenset[int]:
     and hi are and every triple across the halves has its median inside:
     a, b in lo and c in hi have median (a&b)|(c&(a|b)) in lo, and the
     same with the halves swapped.  keeps[t] holds the points c whose
-    median with any two points of t stays in t, so the cross triples of
-    (lo, hi) are two mask tests.  Only the median-majority definition is
-    used: no clause masks, no conjunction closure.
+    median with any two points of t stays in t: t's own, and each c that
+    lies between no two points of t (else it is their median) and whose
+    union with t is median-closed.  So lo is joined only with the
+    half-tables inside keeps[lo]: itself, and its submasks above lo, each
+    with its mirror (hi, lo).  Only the median-majority definition is used.
     """
     if n == 0:
         return frozenset({0, 1})
     half = _median_closed_tables(n - 1)
     points = 1 << (n - 1)
-    keeps = {t: sum(1 << c for c in range(points)
-                    if all((t >> ((a & b) | (c & (a | b)))) & 1
-                           for a, b in itertools.combinations(bits(t), 2)))
-             for t in half}
-    return frozenset(lo | hi << points for lo in half for hi in half
-                     if not hi & ~keeps[lo] and not lo & ~keeps[hi])
+    span = [[sum(1 << c for c in range(points) if not (a ^ c) & (b ^ c))    # c between a and b
+             for b in range(points)] for a in range(points)]
+    keeps = {}
+    for t in half:
+        between = reduce(or_, (span[a][b] for a, b in itertools.combinations(bits(t), 2)), t)
+        keeps[t] = t | sum(1 << c for c in bits(~between & (1 << points) - 1) if t | 1 << c in half)
+    tables = [t | t << points for t in half]
+    for lo, k in keeps.items():
+        hi = k
+        while hi > lo:      # the submasks of k above lo, largest first
+            if hi in keeps and not lo & ~keeps[hi]:
+                tables += lo | hi << points, hi | lo << points
+            hi = hi - 1 & k
+    return frozenset(tables)
 
 
 @lru_cache(maxsize=None)

@@ -50,11 +50,11 @@ class CheckResult(NamedTuple):
 
 class Run:
     """What the checks of one verify run share: the seed, the --big flag,
-    and one memo of census values, of the posets of each graph the
-    weighted walk meets, and of the weighted walk and the poset family
-    per n, so each is computed once per run.  Made per run, never
-    module-wide, and census.count and the cgraph functions are looked up
-    at each call, so a patched one is seen; a raise is never stored."""
+    and one memo, so that each census value, each weighted walk and its
+    posets, and each answer cgraph gives about one graph are computed once
+    per run.  Made per run, never module-wide, and census.count and the
+    cgraph functions are looked up at each call, so a patched one is seen;
+    a raise is never stored."""
 
     def __init__(self, seed: int = DEFAULT_SEED, big: bool = False):
         self.seed, self.big = seed, big
@@ -70,8 +70,9 @@ class Run:
         key = (quantity, n, convention, method or census.default_method(quantity, n))
         return self._once(key, lambda: census.count(*key).value)
 
-    def rows(self, g: cgraph.ColoredGraph) -> list[tuple[int, ...]]:
-        return self._once(("rows", g), lambda: cgraph.posets_of_graph(g))
+    def answer(self, name: str, g: cgraph.ColoredGraph):
+        """cgraph.<name>(g), for name posets_of_graph, is_obtf, eta and the like."""
+        return self._once((name, g), lambda: getattr(cgraph, name)(g))
 
     def weighted(self, n: int) -> list[tuple[cgraph.ColoredGraph, int]]:
         """cgraph.weighted_colored_graphs(n), the walk of every check that
@@ -81,24 +82,25 @@ class Run:
     def weighted_posets(self, n: int) -> list[tuple[tuple[int, ...], int]]:
         """The posets of each weighted odd-blue-triangle-free graph, with
         its weight: a sum over them is the sum over the family."""
-        return [(p, w) for g, w in self.weighted(n) if cgraph.is_obtf(g)
-                for p in self.rows(g)]
+        return self._once(("weighted_posets", n), lambda: [
+            (p, w) for g, w in self.weighted(n) if self.answer("is_obtf", g)
+            for p in self.answer("posets_of_graph", g)])
 
     def family(self, n: int) -> list[tuple[int, ...]]:
         """The labelled poset family on n variables in cgraph.enumerate_pn's
         order, the posets of each odd-blue-triangle-free graph in turn,
-        which only poset-enumeration-oracle compares.  A graph's posets
-        come from the memo when the weighted walk has listed them, and
-        are listed without being kept otherwise: as memo keys, the 16,921
+        which only poset-enumeration-oracle compares.  A graph's answers
+        come from the memo when the weighted walk has asked for them, and
+        are computed without being kept otherwise: as memo keys, the 16,921
         labelled graphs at n = 5 raised the peak of verify --range 4..5
         --big by about 14 MB."""
-        def rows(g):
-            kept = self._memo.get(("rows", g))
-            return cgraph.posets_of_graph(g) if kept is None else kept
+        def known(name, g):
+            key = (name, g)
+            return self._memo[key] if key in self._memo else getattr(cgraph, name)(g)
 
         return self._once(("family", n), lambda: [
-            r for g in cgraph.enumerate_colored_graphs(n) if cgraph.is_obtf(g)
-            for r in rows(g)])
+            r for g in cgraph.enumerate_colored_graphs(n) if known("is_obtf", g)
+            for r in known("posets_of_graph", g)])
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +157,9 @@ def _triangle_connected_two_posets(n: int, run: Run) -> Iterator[CheckResult]:
     bad = first_short = None
     two = edgeless = short = 0
     for g, w in run.weighted(n):
-        if cgraph.find_blue_bipartition(g) is None or cgraph.eta(g) > 1:
+        if run.answer("find_blue_bipartition", g) is None or run.answer("eta", g) > 1:
             continue
-        k = len(run.rows(g))
+        k = len(run.answer("posets_of_graph", g))
         if k > 2:
             bad = g
             break
@@ -185,8 +187,8 @@ def _poset_count_bounds(n: int, run: Run) -> Iterator[CheckResult]:
     """|posets| <= 2^eta <= (2n)! over all graphs."""
     bound_fact = factorial(2 * n)
     for g, _ in run.weighted(n):
-        k = len(run.rows(g))
-        e = 1 << cgraph.eta(g)
+        k = len(run.answer("posets_of_graph", g))
+        e = 1 << run.answer("eta", g)
         if not k <= e <= bound_fact:
             yield CheckResult("poset-count-bounds", f"n={n}", "FAIL",
                               f"|posets|={k} 2^eta={e} (2n)!={bound_fact}",
@@ -297,8 +299,8 @@ def check_partition_law(n: int, run: Run) -> Iterator[CheckResult]:
     and every graph with an odd-blue triangle contributes zero."""
     total = 0
     for g, w in run.weighted(n):
-        k = len(run.rows(g))
-        if k and not cgraph.is_obtf(g):
+        k = len(run.answer("posets_of_graph", g))
+        if k and not run.answer("is_obtf", g):
             yield CheckResult(
                 "graph-partition-law", f"n={n}", "FAIL",
                 f"odd-blue-triangle graph carries {k} posets",
@@ -315,7 +317,7 @@ def check_walks(n: int, run: Run) -> Iterator[CheckResult]:
     short non-simple closed walks."""
     checked = 0
     for g, w in run.weighted(n):
-        if not cgraph.is_obtf(g):
+        if not run.answer("is_obtf", g):
             continue
         walk = cgraph.find_odd_nonsimple_walk(g)
         if walk is not None:
@@ -357,7 +359,7 @@ def check_bb_coherence(n: int, run: Run) -> Iterator[CheckResult]:
     zero edge deletions suffice; witnesses are valid; the propagation
     search matches the brute-force sweep."""
     for g, _ in run.weighted(n):
-        bp = cgraph.find_blue_bipartition(g)
+        bp = run.answer("find_blue_bipartition", g)
         if (bp is None) != (cgraph.bipartition_sweep(g) is None):
             problem = "propagation and sweep disagree"
         elif bp is not None and not cgraph.is_valid_bipartition(g, bp):
@@ -367,9 +369,9 @@ def check_bb_coherence(n: int, run: Run) -> Iterator[CheckResult]:
             gv, gw = cgraph.gamma(g)
             if ((bp is not None) != (kv == 0)) or ((bp is not None) != (gv == 0)):
                 problem = f"witness/kappa/gamma mismatch: kappa={kv} gamma={gv}"
-            elif cgraph.find_blue_bipartition(g.without_vertices(kw)) is None:
+            elif run.answer("find_blue_bipartition", g.without_vertices(kw)) is None:
                 problem = "kappa witness does not work"
-            elif cgraph.find_blue_bipartition(g.without_edges(gw)) is None:
+            elif run.answer("find_blue_bipartition", g.without_edges(gw)) is None:
                 problem = "gamma witness does not work"
             else:
                 continue

@@ -57,6 +57,13 @@ def test_elementary_filter_on_every_family_member(n):
     assert census._elementary_projection_count(n) == want
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_clause_sweep_h_is_the_elementary_conjunctions(n):
+    # the masks tested all at once drop exactly what is_elementary drops
+    want = sum(1 for t in census._conjunctions(n) if is_elementary(n, t))
+    assert census._elementary_conjunction_count(n) == want
+
+
 # the orbits of MC(n) under the 2^n * n! symmetries of the n-cube
 ORBIT_COUNTS = {0: 2, 1: 3, 2: 6, 3: 14, 4: 45, 5: 196}
 

@@ -27,8 +27,9 @@ N = 4
 # truth table: what a table or a graph is, not how a count is made
 HELPERS = {"boolfn.bits", "boolfn.colex_pairs",
            "boolfn.all_ones", "boolfn.variable_masks", "boolfn.literal_masks"}
-# H's clause-sweep and median-dp both keep a table by is_elementary
-EXCEPTIONS = {"H": {"boolfn.is_elementary", "boolfn._lock_masks"}}
+# functions that two engines of one quantity may share beyond HELPERS,
+# each with the reason; none today
+EXCEPTIONS: dict[str, set[str]] = {}
 
 # Functions are known by their code objects, so the nested code of a
 # comprehension or a lambda counts as part of the function around it,

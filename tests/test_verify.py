@@ -240,9 +240,30 @@ def test_run_memo_sees_a_patch_and_keeps_no_error(monkeypatch):
     monkeypatch.setattr(cgraph, "posets_of_graph", flaky)
     run, g = verify.Run(), cgraph.ColoredGraph.of(2, blue=[(1, 2)])
     with pytest.raises(AssertionError):
-        run.rows(g)
-    assert run.rows(g) == run.rows(g) == ["listed"]
+        run.answer("posets_of_graph", g)
+    assert run.answer("posets_of_graph", g) == run.answer("posets_of_graph", g) == ["listed"]
     assert len(calls) == 2
+
+
+def test_run_asks_each_graph_once(monkeypatch):
+    # the checks that walk graphs share the run's answers, and the
+    # oracle's labelled family reads them for the graphs they cover
+    asked, real = Counter(), cgraph.is_obtf
+
+    def spy(g):
+        asked[g] += 1
+        return real(g)
+
+    monkeypatch.setattr(cgraph, "is_obtf", spy)
+    run = verify.Run()
+    for n in (1, 2, 3):
+        for check in (verify.check_roundtrip, verify.check_partition_law,
+                      verify.check_walks, verify.check_pn_oracle):
+            assert [c.status for c in check(n, run)] == ["PASS"]
+    reps = {g for n in (1, 2, 3) for g, _ in cgraph.weighted_colored_graphs(n)}
+    labelled = {g for n in (1, 2, 3) for g in cgraph.enumerate_colored_graphs(n)}
+    assert set(asked) == reps | labelled
+    assert set(asked.values()) == {1}
 
 
 @pytest.fixture
