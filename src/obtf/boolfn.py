@@ -39,6 +39,7 @@ __all__ = [
     "realize_formula",
     "signed_literal",
     "signed_pair",
+    "switching",
     "truth_table",
     "variable_masks",
     "vertex_generators",
@@ -183,6 +184,26 @@ def orbits(members: Iterable[int], point_perms) -> Iterator[list[int]]:
                     seen.add(y)
                     orbit.append(y)
         yield orbit
+
+
+def switching(nbr: list[int], blue: list[int]) -> tuple[int, list[int]]:
+    """Switch the graph with neighbour and blue-neighbour rows nbr and blue
+    at the vertex set T that turns red a breadth-first forest grown from
+    each component's lowest vertex, neighbours ascending.  Returns T and
+    the blue rows after switching: all 0 iff the graph is balanced."""
+    flip = seen = 0     # T, and the vertices reached
+    for root in range(len(nbr)):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        queue = [root]
+        for u in queue:
+            for w in bits(nbr[u] & ~seen):
+                seen |= 1 << w
+                flip |= ((blue[u] >> w ^ flip >> u) & 1) << w
+                queue.append(w)
+    return flip, [blue[v] ^ nbr[v] & (~flip if flip >> v & 1 else flip)
+                  for v in range(len(nbr))]
 
 
 def colex_pairs(m: int) -> list[tuple[int, int]]:

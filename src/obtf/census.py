@@ -80,6 +80,7 @@ from .boolfn import (
     is_elementary,
     literal_masks,
     orbits,
+    switching,
     variable_masks,
     vertex_generators,
 )
@@ -337,29 +338,18 @@ def _fibre_count(m: int, p: int, levels: int, sig: Optional[dict]) -> int:
     return sum(_fibre_count(m + 1, lo | hi << (1 << m), levels - 1, sig) for lo, hi in pairs)
 
 
-def _orbit_sum(n: int, sig: Optional[dict]) -> int:
-    """The median-closed tables on n >= 1 variables (with sig, the
-    elementary ones), summed over the orbits of MC(m), m = min(n - 1, 5):
+# cached: both conventions count the same n's tables
+@lru_cache(maxsize=None)
+def _orbit_sum(n: int, elementary: bool) -> int:
+    """The median-closed tables on n >= 1 variables (the elementary ones
+    if elementary), summed over the orbits of MC(m), m = min(n - 1, 5):
     a symmetry g of the m-cube maps cubes to cubes and keeps elementarity,
     so it maps the fibre over p one-to-one onto the fibre over g.p, and
     each orbit counts |O| times its representative's fibre."""
     m = min(n - 1, 5)
+    sig = {} if elementary else None
     return sum(size * _fibre_count(m, rep, n - m, sig) for rep, size in _orbits(m)
-               if sig is None or is_elementary(m, rep))
-
-
-# cached, like the H count: both conventions count the same n's tables
-@lru_cache(maxsize=None)
-def _projection_count(n: int) -> int:
-    """The median-closed tables on n >= 1 variables, counted from the
-    orbits of their projections without holding them."""
-    return _orbit_sum(n, None)
-
-
-@lru_cache(maxsize=None)
-def _elementary_projection_count(n: int) -> int:
-    """The elementary median-closed tables on n variables."""
-    return 1 if n == 0 else _orbit_sum(n, {})    # n = 0: the constant True
+               if not elementary or is_elementary(m, rep))
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +377,11 @@ def _elementary_projection_count(n: int) -> int:
 # in T, later ones too, and keeps every triangle's blue parity (Harary
 # 1953; Zaslavsky, "Signed graphs", 1982): it maps a graph's completions
 # one-to-one onto the switched graph's.  So once the pairs among 0..b-1
-# are decided, their count depends only on the class _switch_key names,
-# and the DFS memoises it there for each vertex b < n - 1; the last
-# vertex's popcount is cheaper than its key.
+# are decided, their count depends only on the switching class, and the
+# DFS memoises it for each vertex b < n - 1 under the rows nbr and the
+# blue rows boolfn.switching leaves.  Its forest fixes T up to whole
+# components, which flip nothing, so those rows name the class.  The
+# last vertex's popcount is cheaper than its key.
 
 
 @lru_cache(maxsize=None)
@@ -417,26 +409,6 @@ def _star_states(b: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return full, tuple(ruled)
 
 
-def _switch_key(b: int, nbr: list[int], blue: list[int]) -> tuple:
-    """The switching class of the colored graph on vertices 0..b-1: each
-    component is searched breadth-first from its lowest vertex and T
-    chosen so that the search forest turns red.  The forest fixes T up to
-    whole components, which flip nothing, so the result is canonical."""
-    flip = seen = 0     # T, and the vertices reached
-    for root in range(b):
-        if seen >> root & 1:
-            continue
-        seen |= 1 << root
-        queue = [root]
-        for u in queue:
-            for w in bits(nbr[u] & ~seen):
-                seen |= 1 << w
-                flip |= ((blue[u] >> w ^ flip >> u) & 1) << w
-                queue.append(w)
-    return (b, *nbr[:b], *(blue[v] ^ nbr[v] & (~flip if flip >> v & 1 else flip)
-                           for v in range(b)))
-
-
 def _obtf_count_rec(nbr: list[int], blue: list[int], bad: int, k: int, pairs,
                     star: tuple, memo: dict) -> int:
     """Completions of the pairs from k on, and of the last vertex's star,
@@ -447,7 +419,7 @@ def _obtf_count_rec(nbr: list[int], blue: list[int], bad: int, k: int, pairs,
     a, b = pairs[k]
     key = None
     if a == 0:
-        key = _switch_key(b, nbr, blue)
+        key = (b, *nbr[:b], *switching(nbr[:b], blue[:b])[1])
         if key in memo:
             return memo[key]
     common = nbr[a] & nbr[b]
@@ -475,8 +447,9 @@ def _obtf_count_rec(nbr: list[int], blue: list[int], bad: int, k: int, pairs,
 def _obtf_count(n: int) -> int:
     """F(n): branch over the pairs of vertices 0..n-2 in colex order, cut
     a branch the moment a completed triangle is odd-blue (deleting edges
-    preserves the property, so pruning is sound), memoise by switching
-    class, and finish each branch by counting the stars of vertex n - 1.
+    preserves the property, so pruning is sound), memoise by the switching
+    class that boolfn.switching names, and finish each branch by counting
+    the stars of vertex n - 1.
 
     Each OBTF graph on n vertices is one OBTF graph on 0..n-2, which the
     pruned DFS reaches exactly once, plus one star (N, beta), a distinct
@@ -574,11 +547,12 @@ ENGINES = {
         "clause-sweep": (lambda n: len(_conjunctions(n)), 4),
         # below n = 2 no clause exists: only the empty formula's constant True
         "median-filter": (lambda n: 1 if n < 2 else len(_median_closed_tables(n)), 4),
-        "median-dp": (lambda n: 1 if n < 2 else _projection_count(n), 7),
+        "median-dp": (lambda n: 1 if n < 2 else _orbit_sum(n, False), 7),
     },
     "H": {
         "clause-sweep": (_elementary_conjunction_count, 4),
-        "median-dp": (lambda n: _elementary_projection_count(n), 7),
+        # n = 0: the constant True
+        "median-dp": (lambda n: 1 if n == 0 else _orbit_sum(n, True), 7),
     },
     "Pn": {
         "order-dfs": (lambda n: _order_count(2 * n, negation=True), litposet.P_N_GUARD),

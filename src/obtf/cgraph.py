@@ -19,7 +19,15 @@ from collections import namedtuple
 from typing import Iterator, Optional
 
 from . import litposet
-from .boolfn import ParseError, bits, colex_pairs, orbits, parse_lines, vertex_generators
+from .boolfn import (
+    ParseError,
+    bits,
+    colex_pairs,
+    orbits,
+    parse_lines,
+    switching,
+    vertex_generators,
+)
 from .litposet import P_N_GUARD, ResourceGuardError
 
 __all__ = [
@@ -148,81 +156,48 @@ def weighted_colored_graphs(n: int) -> Iterator[tuple[ColoredGraph, int]]:
             yield ColoredGraph(n, frozenset(edges) - blue, blue), weight
 
 
+def _masks(g: ColoredGraph) -> tuple[list[int], list[int]]:
+    """nbr[v] and blue[v], the neighbours and blue neighbours of vertex v
+    as bitmasks; index 0 unused."""
+    nbr, blue = [0] * (g.n + 1), [0] * (g.n + 1)
+    for rows, edges in ((nbr, g.red), (nbr, g.blue), (blue, g.blue)):
+        for u, v in edges:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return nbr, blue
+
+
 def triangles(g: ColoredGraph) -> list[tuple[int, int, int]]:
     """Vertex triples a < b < c whose three edges are all present, in
     lexicographic order: each edge (a, b), in sorted order, with the
     common neighbours c > b of a and b from their neighbour bitmasks, so
     the walk follows the edges, not the vertex triples."""
-    present = sorted(g.red | g.blue)
-    nbr = [0] * (g.n + 1)
-    for u, v in present:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    out = []
-    for a, b in present:
-        common = nbr[a] & nbr[b] >> (b + 1) << (b + 1)
-        while common:
-            c = common & -common
-            out.append((a, b, c.bit_length() - 1))
-            common ^= c
-    return out
+    nbr = _masks(g)[0]
+    return [(a, b, c) for a in range(1, g.n + 1) for b in bits(nbr[a] >> a + 1 << a + 1)
+            for c in bits(nbr[a] & nbr[b] >> b + 1 << b + 1)]
 
 
 def is_obtf(g: ColoredGraph) -> bool:
-    """No triangle with an odd number of blue edges."""
-    blue = g.blue
-    for a, b, c in triangles(g):
-        parity = ((a, b) in blue) + ((a, c) in blue) + ((b, c) in blue)
-        if parity % 2:
-            return False
-    return True
-
-
-def _adjacency(g: ColoredGraph) -> list[list[tuple[int, bool]]]:
-    """adj[v] = sorted (neighbor, is_blue) pairs; index 0 unused."""
-    adj: list[list[tuple[int, bool]]] = [[] for _ in range(g.n + 1)]
-    for u, v in g.red:
-        adj[u].append((v, False))
-        adj[v].append((u, False))
-    for u, v in g.blue:
-        adj[u].append((v, True))
-        adj[v].append((u, True))
-    for row in adj:
-        row.sort()
-    return adj
+    """No triangle with an odd number of blue edges: triangle a b c on
+    edge ab is odd iff ac and bc differ in colour exactly when ab is red."""
+    nbr, blue = _masks(g)
+    return not any((blue[a] ^ blue[b] ^ (nbr[a] if blue[a] >> b & 1 else 0)) & nbr[a] & nbr[b]
+                   for a, b in g.red | g.blue)
 
 
 def find_blue_bipartition(g: ColoredGraph) -> Optional[frozenset[int]]:
-    """Linear-time propagation: blue forces opposite sides, red the same.
-
-    The witness is the side W, as a vertex set: every blue edge crosses
-    between W and the other side U, every red edge stays inside one.
-    Component roots (taken in ascending vertex order) stay out of W, so
-    the witness is canonical.  Returns None when some constraint cycle is
-    frustrated; an empty W is still a witness.
-    """
-    adj = _adjacency(g)
-    side = [None] * (g.n + 1)
-    for root in range(1, g.n + 1):
-        if side[root] is not None:
-            continue
-        side[root] = 0
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for w, is_blue in adj[v]:
-                want = side[v] ^ 1 if is_blue else side[v]
-                if side[w] is None:
-                    side[w] = want
-                    queue.append(w)
-                elif side[w] != want:
-                    return None
-    return frozenset(v for v in range(1, g.n + 1) if side[v] == 1)
+    """The side W of a blue-bipartition, or None when some cycle is
+    frustrated: every blue edge crosses between W and the other side U,
+    every red edge stays inside one.  W is the set boolfn.switching
+    switches at, which puts each component's lowest vertex in U, so the
+    witness is canonical; an empty W is still a witness."""
+    flip, switched = switching(*_masks(g))
+    return None if any(switched) else frozenset(bits(flip))
 
 
 def bipartition_sweep(g: ColoredGraph) -> Optional[frozenset[int]]:
     """Brute-force witness search over all 2^n side assignments; retained
-    as the independent oracle for the propagation routine."""
+    as the independent oracle for find_blue_bipartition's switching."""
     if g.n > _BIPARTITION_SWEEP_GUARD:
         raise ResourceGuardError(
             f"bipartition sweep capped at n <= {_BIPARTITION_SWEEP_GUARD}, got {g.n}")
@@ -426,7 +401,7 @@ def find_odd_nonsimple_walk(g: ColoredGraph):
     Walks are enumerated up to rotation by starting each at its minimum
     vertex; blue parity and non-simplicity are rotation-invariant.
     """
-    adj = _adjacency(g)
+    nbr, blue = _masks(g)
     for start in range(1, g.n + 1):
         path = [start]
 
@@ -439,11 +414,9 @@ def find_odd_nonsimple_walk(g: ColoredGraph):
                     return list(path)
             if depth == 5:
                 return None
-            for w, is_blue in adj[v]:
-                if w < start:
-                    continue
+            for w in bits(nbr[v] >> start << start):
                 path.append(w)
-                hit = extend(w, parity + is_blue)
+                hit = extend(w, parity + (blue[v] >> w & 1))
                 path.pop()
                 if hit is not None:
                     return hit

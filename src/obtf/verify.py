@@ -356,7 +356,7 @@ def check_engine_agreement(n: int, run: Run) -> Iterator[CheckResult]:
 
 def check_bb_coherence(n: int, run: Run) -> Iterator[CheckResult]:
     """A bipartition witness exists iff zero vertex deletions suffice iff
-    zero edge deletions suffice; witnesses are valid; the propagation
+    zero edge deletions suffice; witnesses are valid; the switching
     search matches the brute-force sweep."""
     for g, _ in run.weighted(n):
         bp = run.answer("find_blue_bipartition", g)

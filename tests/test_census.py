@@ -105,10 +105,10 @@ class TestFunctionCounts:
 
     def test_h_elementary_count_made_once_per_n(self):
         # the t1 record reuses the t0 count of the elementary tables
-        census._elementary_projection_count.cache_clear()
+        census._orbit_sum.cache_clear()
         count("H", 5, "t0")
         count("H", 5, "t1")
-        info = census._elementary_projection_count.cache_info()
+        info = census._orbit_sum.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
     def test_h_clause_sweep_tests_each_table_once_per_n(self):

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obtf import census, cgraph
-from obtf.boolfn import bits, colex_pairs, is_elementary, literal_masks
+from obtf.boolfn import bits, colex_pairs, is_elementary, literal_masks, switching
 from test_boolfn import (
     associated_pairs,
     closure,
@@ -54,7 +54,7 @@ def test_dfs_pairs_are_the_colex_pairs(n):
 @pytest.mark.parametrize("n", range(6))
 def test_elementary_filter_on_every_family_member(n):
     want = sum(1 for t in _median_closed(n) if is_elementary(n, t))
-    assert census._elementary_projection_count(n) == want
+    assert census.count("H", n, "t0", "median-dp").value == want
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -138,17 +138,16 @@ def unweighted_elementary_count(n: int) -> int:
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
 def test_orbit_sum_equals_the_unweighted_count(n):
     # n = 6 walks the 224,716 tables on 5 variables: about 25 s
-    assert census._projection_count(n) == unweighted_count(n)
+    assert census._orbit_sum(n, False) == unweighted_count(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_elementary_orbit_sum_equals_the_unweighted_count(n):
-    assert census._elementary_projection_count(n) == unweighted_elementary_count(n)
+    assert census._orbit_sum(n, True) == unweighted_elementary_count(n)
 
 
 def test_n5_counts_never_build_the_clause_closure():
-    for cached in (census._conjunctions, census._projection_count,
-                   census._elementary_projection_count):
+    for cached in (census._conjunctions, census._orbit_sum):
         cached.cache_clear()
     for quantity in ("G", "H"):
         for convention in ("t0", "t1"):
@@ -197,10 +196,16 @@ def _switched(b: int, states: tuple, t: int) -> tuple:
                  for (a, c), s in zip(itertools.combinations(range(b), 2), states))
 
 
+def _switch_key(nbr: list[int], blue: list[int]) -> tuple:
+    """F's memo key, less its vertex count: the rows nbr and the blue rows
+    that boolfn.switching leaves."""
+    return (*nbr, *switching(nbr, blue)[1])
+
+
 @pytest.mark.parametrize("b", range(5))
 def test_switch_key_names_exactly_the_switching_classes(b):
     graphs = list(itertools.product((0, 1, 2), repeat=b * (b - 1) // 2))
-    key = {g: census._switch_key(b, *_rows(b, g)) for g in graphs}
+    key = {g: _switch_key(*_rows(b, g)) for g in graphs}
     cls = {g: frozenset(_switched(b, g, t) for t in range(1 << b)) for g in graphs}
     assert len(set(key.values())) == len(set(cls.values()))
     assert len({(key[g], cls[g]) for g in graphs}) == len(set(cls.values()))
@@ -223,7 +228,7 @@ def switched_pairs(draw):
 @given(case=switched_pairs())
 def test_switch_key_is_switching_invariant(case):
     b, states, other = case
-    assert census._switch_key(b, *_rows(b, states)) == census._switch_key(b, *_rows(b, other))
+    assert _switch_key(*_rows(b, states)) == _switch_key(*_rows(b, other))
 
 
 def _unruled_stars(b: int, states: tuple) -> set[int]:

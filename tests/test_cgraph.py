@@ -201,6 +201,15 @@ class TestObtf:
         assert is_obtf(FOUR_CYCLE)
         assert triangles(FOUR_CYCLE) == []
 
+    @pytest.mark.parametrize("n", range(5))
+    def test_matches_the_triangle_by_triangle_definition(self, n):
+        for g in enumerate_colored_graphs(n):
+            edges = g.red | g.blue
+            odd = any({(a, b), (a, c), (b, c)} <= edges
+                      and len({(a, b), (a, c), (b, c)} & g.blue) % 2
+                      for a, b, c in itertools.combinations(range(1, n + 1), 3))
+            assert is_obtf(g) == (not odd), format_colored_graph(g)
+
 
 class TestBipartition:
     def test_single_blue_edge(self):
@@ -219,7 +228,7 @@ class TestBipartition:
         g = ColoredGraph.of(5, red=[(2, 4)], blue=[(1, 3), (4, 5)])
         assert find_blue_bipartition(g) == frozenset({3, 5})
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_propagation_matches_sweep(self, n):
         for g in enumerate_colored_graphs(n):
             fast = find_blue_bipartition(g)
@@ -228,6 +237,11 @@ class TestBipartition:
             if fast is not None:
                 assert is_valid_bipartition(g, fast)
                 assert is_valid_bipartition(g, slow)
+                low = list(range(n + 1))    # the lowest vertex of each one's component
+                for _ in range(n):
+                    for u, v in g.red | g.blue:
+                        low[u] = low[v] = min(low[u], low[v])
+                assert not fast & set(low[1:])
 
 
 class TestDeletionDistances:
@@ -406,6 +420,16 @@ class TestClosedWalks:
 
     def test_empty_graph(self):
         assert find_odd_nonsimple_walk(ColoredGraph.of(3)) is None
+
+    def test_walks_take_neighbours_in_ascending_order(self):
+        assert find_odd_nonsimple_walk(ODD_TRIANGLE) == [1, 2, 1, 2, 3, 1]
+        frustrated = ColoredGraph.of(5, red=[(1, 2), (1, 5), (2, 5), (1, 3), (1, 4)],
+                                     blue=[(3, 4)])
+        assert find_odd_nonsimple_walk(frustrated) == [1, 2, 1, 3, 4, 1]
+        # no odd walk starts at 1, so the first one starts at 2
+        late = ColoredGraph.of(6, red=[(1, 4), (2, 3), (2, 5), (3, 6), (5, 6)],
+                               blue=[(2, 6), (4, 5)])
+        assert find_odd_nonsimple_walk(late) == [2, 3, 2, 3, 6, 2]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_exhaustive_small(self, n):

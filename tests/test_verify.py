@@ -326,8 +326,8 @@ def test_pn_oracle_fails_on_a_broken_order_stream(monkeypatch, change, detail):
 def test_engine_agreement_h_runs_two_routes(monkeypatch):
     # clause-sweep tests each conjunction table for a spine or an
     # associated pair, so a wrong projection count disagrees with it
-    real = census._elementary_projection_count
-    monkeypatch.setattr(census, "_elementary_projection_count", lambda n: real(n) + 1)
+    real = census._orbit_sum
+    monkeypatch.setattr(census, "_orbit_sum", lambda n, elementary: real(n, elementary) + 1)
     for n in range(2, 5):
         checks = [c for c in verify.check_engine_agreement(n, verify.Run())
                   if c.name == "engine-agreement-H"]
