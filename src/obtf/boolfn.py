@@ -23,8 +23,10 @@ from typing import Iterable, Iterator
 
 __all__ = [
     "CacheError",
+    "P_N_GUARD",
     "ParseError",
     "QUANTITIES",
+    "ResourceGuardError",
     "all_clauses",
     "all_ones",
     "bits",
@@ -46,10 +48,15 @@ __all__ = [
 ]
 
 
-# The census quantities and the census cache's error live here, beside
-# ParseError, so the command line can offer and catch them without
-# importing the census engines.
+# The census quantities, the size guards' error, Pn's cap and the census
+# cache's error live here, beside ParseError, so the command line can
+# offer and catch them without importing the engines.
 QUANTITIES = ("G", "H", "Pn", "F", "B")
+P_N_GUARD = 5
+
+
+class ResourceGuardError(RuntimeError):
+    """An operation was asked to exceed its exact-search size cap."""
 
 
 class CacheError(RuntimeError):

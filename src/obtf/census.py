@@ -38,22 +38,14 @@ the cube's symmetries, a signed cycle of the variables and a swap.
 
 strict_orders adds one point at a time and yields the orders sorted by
 pair-state vector.  Grouped by cover graph, it is the tests' oracle for
-the cover-graph multiplicity question, and on the 2n literals under
-negation it is census's only route to Pn: the order-dfs engine counts
-that stream without a membership check, growing the orders on all but
-the last point and adding each one's extensions by it, so the last and
-largest level is never built; verify compares the same
-stream, as a set of closure rows, with the graph-driven family, whose
-posets are checked for membership as the orientation search finds them.
-
-posets_per_cover_graph answers the cover-graph question per graph: for
-one triangle-free graph per orbit under relabelling, found by the same
-orbits walk as median-dp's, generated by boolfn.vertex_generators, it
-counts the orientations that make every edge a cover as
-litposet.cover_orders, the search that lists cgraph's posets too, yields
-them, with no list built.  The members of the largest orbits, as that
-walk lists them, are the witness candidates; boolfn.orbits is the only
-code that builds an orbit.
+the cover-graph multiplicity question (covers.posets_per_cover_graph),
+and on the 2n literals under negation it is census's only route to Pn:
+the order-dfs engine counts that stream without a membership check,
+growing the orders on all but the last point and adding each one's
+extensions by it, so the last and largest level is never built; verify
+compares the same stream, as a set of closure rows, with the
+graph-driven family, whose posets are checked for membership as the
+orientation search finds them.
 """
 
 from __future__ import annotations
@@ -67,12 +59,13 @@ from functools import lru_cache, reduce
 from math import comb
 from operator import or_
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from . import litposet
 from .boolfn import (
+    P_N_GUARD,
     QUANTITIES,
     CacheError,
+    ResourceGuardError,
     all_ones,
     bits,
     clause_masks,
@@ -82,9 +75,7 @@ from .boolfn import (
     orbits,
     switching,
     variable_masks,
-    vertex_generators,
 )
-from .litposet import ResourceGuardError
 
 # the builtin SHA-256, as random takes its _sha512: hashlib would load
 # OpenSSL's _hashlib for one checksum per record
@@ -109,13 +100,10 @@ __all__ = [
     "default_method",
     "max_n",
     "methods",
-    "posets_per_cover_graph",
     "record_checksum",
 ]
 
 ORDER_SEED = "pair-colex/state-lex/v1"
-
-COVER_QUESTION_GUARD = 6
 
 
 def conventions(quantity: str) -> tuple:
@@ -555,7 +543,7 @@ ENGINES = {
         "median-dp": (lambda n: 1 if n == 0 else _orbit_sum(n, True), 7),
     },
     "Pn": {
-        "order-dfs": (lambda n: _order_count(2 * n, negation=True), litposet.P_N_GUARD),
+        "order-dfs": (lambda n: _order_count(2 * n, negation=True), P_N_GUARD),
     },
     "F": {
         "dfs-prune": (lambda n: _obtf_count(n), 7),
@@ -724,89 +712,6 @@ def _grow(level, j: int, negation: bool):
     for rows in level:
         yield from [tuple(map(or_, map(or_, rows, under[d]), under1[flip[u]])) + (u, flip[d])
                     for d, u in _extensions(rows, _transpose(rows), True)]
-
-
-# ---------------------------------------------------------------------------
-# The cover-graph multiplicity question
-#
-# An order's covers are the edges of an orientation of its cover graph
-# with no directed cycle and no edge bridged by a longer directed path,
-# and the order is that orientation's closure.  So the orders whose cover
-# graph is a graph G are G's orientations of that kind, one each.  G has
-# no triangle, as the other two edges of an acyclic triangle bridge the
-# third, and relabelling the points keeps the count.  litposet.cover_orders
-# yields them, as it yields a colored graph's posets for cgraph.  A graph
-# stays a mask over colex_pairs(m) throughout: the orbit walk permutes
-# its bits, and its set bits, in order, are its edges in colex order.
-
-
-def _triangle_free_graphs(m: int, nbr: tuple = (), graph: int = 0):
-    """Yield every labelled triangle-free graph on points 0..m-1 as a mask
-    over colex_pairs(m), pair (a, b) being bit C(b, 2) + a: point b
-    joins each graph on 0..b-1 with an independent set s of it as its
-    neighbours, the bits from C(b, 2) on."""
-    b = len(nbr)
-    sets = [0]
-    for v in range(b):
-        sets += [s | 1 << v for s in sets if not nbr[v] & s]
-    shift = b * (b - 1) // 2
-    if b == m - 1:
-        yield from (graph | s << shift for s in sets)
-        return
-    for s in sets:
-        yield from _triangle_free_graphs(
-            m, tuple(r | (s >> v & 1) << b for v, r in enumerate(nbr)) + (s,), graph | s << shift)
-
-
-def _cover_orders(m: int, graph: int) -> Iterator[tuple[int, ...]]:
-    """An iterator over the closure rows of every strict order on points
-    0..m-1 whose cover graph is graph, a mask over colex_pairs(m): each
-    edge (a, b), in bit order, which is colex order, taken first as b < a,
-    pair state 2, so the large pair-state vectors come early, then a < b."""
-    pairs = colex_pairs(m)
-    seeds = [(((b, a),), ((a, b),)) for a, b in (pairs[k] for k in bits(graph))]
-    return litposet.cover_orders(m, seeds, 0)
-
-
-def posets_per_cover_graph(m: int) -> tuple[int, frozenset[tuple[int, int]]]:
-    """Over all strict orders on m labelled points, the largest number
-    sharing one cover graph, with a witness graph: the first, in
-    strict_orders' order, to reach that number.
-
-    The orders are counted per triangle-free graph, for one graph in each
-    orbit under relabelling.  strict_orders yields the orders sorted by
-    pair-state vector, so a graph with the most orders reaches that
-    number at its largest vector, and the witness is the member of a
-    largest orbit whose largest vector is smallest: only those members,
-    as the orbit walk met them, are searched again, each only until its
-    vectors pass the best so far, which _cover_orders, trying b < a
-    first, reaches early.  An order's vector fixes the order and so its
-    cover graph, so no two members share a vector, and neither the order
-    the members are met in nor the order their orders are yielded in can
-    change the witness or the count."""
-    if m > COVER_QUESTION_GUARD:
-        raise ResourceGuardError(
-            f"order enumeration capped at m <= {COVER_QUESTION_GUARD}, got {m}")
-    if m < 1:
-        raise ValueError("need at least one point")
-    most, candidates = 0, []
-    for orbit in orbits(_triangle_free_graphs(m), vertex_generators(m)):
-        found = sum(1 for _ in _cover_orders(m, orbit[0]))
-        if found > most:
-            most, candidates = found, []
-        if found == most:
-            candidates += orbit
-    pairs = colex_pairs(m)
-    best = None     # (largest vector, graph); a graph whose vectors pass it is dropped
-    for g in candidates:
-        top = []
-        for rows in _cover_orders(m, g):
-            top = max(top, [rows[a] >> b & 1 or (rows[b] >> a & 1) << 1 for a, b in pairs])
-            if best and top > best[0]:
-                break
-        else:
-            best = (top, g)
-    return most, frozenset((pairs[k][0] + 1, pairs[k][1] + 1) for k in bits(best[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ vertex/edge deletions to reach blue-bipartiteness, triangle components,
 the literal-level double cover, and the exact set of literal posets whose
 cover structure matches a given graph, graph by graph the poset family.
 A poset is its closure rows, as in litposet; posets_of_graph finds them
-with litposet.cover_orders, shared with census, and checks each one.
+with litposet.cover_orders, shared with covers, and checks each one.
 
 Vertices are labelled 1..n.  Edges are unordered (u, v) pairs stored with
 u < v; the fixed global edge order is colex: (1,2), (1,3), (2,3), (1,4), ...
@@ -20,7 +20,9 @@ from typing import Iterator, Optional
 
 from . import litposet
 from .boolfn import (
+    P_N_GUARD,
     ParseError,
+    ResourceGuardError,
     bits,
     colex_pairs,
     orbits,
@@ -28,7 +30,6 @@ from .boolfn import (
     switching,
     vertex_generators,
 )
-from .litposet import P_N_GUARD, ResourceGuardError
 
 __all__ = [
     "ColoredGraph",

@@ -14,13 +14,11 @@ import os
 import sys
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from . import litposet
-from .boolfn import QUANTITIES, CacheError, ParseError
-from .litposet import ResourceGuardError
+from .boolfn import QUANTITIES, CacheError, ParseError, ResourceGuardError
 
-# cgraph, census and verify load inside the commands that run them, so
-# each command starts without the others' modules; these imports serve
-# annotations only
+# cgraph, census, covers, litposet and verify load inside the commands
+# that run them, so each command starts without the others' modules;
+# these imports serve annotations only
 if TYPE_CHECKING:
     from . import cgraph, verify
     from .census import CensusRecord
@@ -146,29 +144,6 @@ def cmd_census(args) -> int:
 # verify
 
 
-def _cache_consistency(path: str) -> list[verify.CheckResult]:
-    """Recompute every cached record that its engine admits; each record
-    left out gets an INFO line with the engine's refusal."""
-    from . import census, verify   # only verify --cache rechecks census values
-    cache = census.CensusCache(path)
-    if not cache.path.exists():
-        return []
-    out = []
-    for rec in cache.load().values():
-        scope = f"{rec.quantity} n={rec.n} {rec.convention or '-'} {rec.method}"
-        try:
-            fresh = census.count(rec.quantity, rec.n, rec.convention, rec.method)
-        except (ResourceGuardError, ValueError) as exc:
-            out.append(verify.CheckResult("cache-consistency", scope, "INFO",
-                                          f"not rechecked: {exc}"))
-            continue
-        ok = fresh.value == rec.value and fresh.checksum == rec.checksum
-        out.append(verify.CheckResult(
-            "cache-consistency", scope, "PASS" if ok else "FAIL",
-            f"cached={rec.value} recomputed={fresh.value}"))
-    return out
-
-
 def _write_checks(checks: list[verify.CheckResult], fmt: str) -> None:
     if fmt == "json":
         _write_json([{"name": c.name, "scope": c.scope, "status": c.status,
@@ -201,7 +176,7 @@ def cmd_verify(args) -> int:
     seed = verify.DEFAULT_SEED if args.seed is None else args.seed
     checks = verify.run_suites(ns, seed=seed, big=args.big)
     if args.cache:
-        checks += _cache_consistency(args.cache)
+        checks += verify.cache_consistency(args.cache)
     _write_checks(checks, args.format)
     return EXIT_VERIFY if any(c.failed for c in checks) else EXIT_OK
 
@@ -248,6 +223,7 @@ def _analyze(g: cgraph.ColoredGraph) -> tuple[dict, list[tuple[int, ...]]]:
 def _write_analysis(info: dict, posets: list[tuple[int, ...]], fmt: str) -> None:
     """The table writes each poset as it formats it; json formats them
     all into the payload first, to print it in one piece."""
+    from . import litposet
     if fmt == "json":
         if "poset_count" in info:
             info["posets"] = [litposet.format_poset(p) for p in posets]
@@ -319,6 +295,7 @@ def cmd_posets(args) -> int:
         raise UserError("--n must be >= 0")
     if args.cover_multiplicity is not None and args.cover_multiplicity < 1:
         raise UserError("--cover-multiplicity must be >= 1")
+    from . import litposet   # every mode lists or searches posets
     if args.formula is not None:
         text = _read_input(args.formula)
         from .boolfn import parse_formula
@@ -352,8 +329,8 @@ def cmd_posets(args) -> int:
             sys.stdout.writelines(_numbered_posets(blocks))
         return EXIT_OK
     m = args.cover_multiplicity
-    from . import census   # the cover-multiplicity question is a census search
-    mult, witness = census.posets_per_cover_graph(m)
+    from .covers import posets_per_cover_graph   # only this mode asks it
+    mult, witness = posets_per_cover_graph(m)
     edges = sorted(witness)
     if args.format == "json":
         _write_json({"points": m, "max_multiplicity": mult,

@@ -8,7 +8,7 @@ bitmask rows, one per literal in the literal layout of boolfn
 Membership in the family (is_pn_member) is checked where a poset is
 made: poset_from_relations here, and cgraph.posets_of_graph on each one
 cover_orders finds.  cover_orders is the one search for the orders with
-a given cover graph; census also runs it on plain graphs.  A poset's cover
+a given cover graph; covers also runs it on plain graphs.  A poset's cover
 graph is the frozenset of its covering pairs of literal indices
 (cover_pairs), and its function the int truth table of boolfn
 (poset_to_function).
@@ -20,6 +20,7 @@ from typing import Iterable, Iterator
 
 from .boolfn import (
     ParseError,
+    ResourceGuardError,
     bits,
     literal_index,
     parse_lines,
@@ -30,8 +31,6 @@ from .boolfn import (
 
 __all__ = [
     "IMPLICATION_GUARD",
-    "P_N_GUARD",
-    "ResourceGuardError",
     "cover_orders",
     "cover_pairs",
     "cover_rows",
@@ -44,12 +43,7 @@ __all__ = [
     "transitive_closure",
 ]
 
-P_N_GUARD = 5
 IMPLICATION_GUARD = 14
-
-
-class ResourceGuardError(RuntimeError):
-    """An operation was asked to exceed its exact-search size cap."""
 
 
 def transitive_closure(rows: tuple[int, ...]) -> tuple[int, ...]:

@@ -6,7 +6,7 @@ from operator import getitem
 
 import pytest
 
-from obtf import census
+from obtf import census, covers
 from obtf.boolfn import (
     ParseError,
     _byte_images,
@@ -164,7 +164,7 @@ def random_cyclic_walk(size):
 # the members and generators of walks over 2 to 4 bytes
 WALKS = {
     "MC(4)": lambda: (list(census._grown(4)), census._cube_generators(4)),
-    "triangle-free(6)": lambda: (list(census._triangle_free_graphs(6)), vertex_generators(6)),
+    "triangle-free(6)": lambda: (list(covers._triangle_free_graphs(6)), vertex_generators(6)),
     **{f"random({size})": functools.partial(random_cyclic_walk, size) for size in (10, 21, 32)},
 }
 

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obtf import census, cgraph, litposet
-from obtf.boolfn import bits, colex_pairs, orbits, vertex_generators
+from obtf import census, cgraph, covers, litposet
+from obtf.boolfn import ResourceGuardError, bits, colex_pairs, orbits, vertex_generators
 from obtf.census import (
     CacheError,
     CensusCache,
@@ -20,11 +20,10 @@ from obtf.census import (
     count,
     default_method,
     max_n,
-    posets_per_cover_graph,
     record_checksum,
     strict_orders,
 )
-from obtf.litposet import ResourceGuardError
+from obtf.covers import posets_per_cover_graph
 from obtf.verify import run_suites
 from test_boolfn import adjacent_swaps, is_2sat_definable, is_median_closed, orbit_sizes
 
@@ -566,11 +565,11 @@ class TestCoverGraphQuestion:
         for rows in strict_orders(m):
             graph = sum(1 << index[pair] for pair in cover_pairs(rows))
             groups.setdefault(graph, set()).add(rows)
-        free = set(census._triangle_free_graphs(m))
+        free = set(covers._triangle_free_graphs(m))
         for graph in range(1 << len(index)):
             triangle = any(graph >> index[a, b] & graph >> index[a, c] & graph >> index[b, c] & 1
                            for a, b, c in itertools.combinations(range(m), 3))
-            found = list(census._cover_orders(m, graph))
+            found = list(covers._cover_orders(m, graph))
             assert (graph in free) != triangle
             assert len(found) == len(set(found))
             assert set(found) == groups.get(graph, set())
@@ -581,12 +580,12 @@ class TestCoverGraphQuestion:
     def test_orbits_of_triangle_free_graphs_count_every_order(self, m, orders, orbit_count):
         # the unlabelled triangle-free graphs (OEIS A006785), each weighted
         # by its orbit size, give the strict orders (OEIS A001035)
-        found = list(orbits(census._triangle_free_graphs(m), vertex_generators(m)))
+        found = list(orbits(covers._triangle_free_graphs(m), vertex_generators(m)))
         assert len(found) == orbit_count
         # the same representatives and sizes as under the adjacent swaps
         assert [(orbit[0], len(orbit)) for orbit in found] == orbit_sizes(
-            census._triangle_free_graphs(m), adjacent_swaps(m))
-        assert sum(len(orbit) * sum(1 for _ in census._cover_orders(m, orbit[0]))
+            covers._triangle_free_graphs(m), adjacent_swaps(m))
+        assert sum(len(orbit) * sum(1 for _ in covers._cover_orders(m, orbit[0]))
                    for orbit in found) == orders
 
     def test_six_points_match_the_grouping_oracle(self):
@@ -598,14 +597,14 @@ class TestCoverGraphQuestion:
         # tried first, each 6-cycle's large vectors come early and the
         # witness pass draws 834 more (2,016 with a < b first)
         drawn = []
-        search = census._cover_orders
+        search = covers._cover_orders
 
         def spy(m, graph):
             for rows in search(m, graph):
                 drawn.append(graph)
                 yield rows
 
-        monkeypatch.setattr(census, "_cover_orders", spy)
+        monkeypatch.setattr(covers, "_cover_orders", spy)
         assert posets_per_cover_graph(6) == (50, frozenset(
             {(1, 2), (1, 3), (2, 4), (3, 6), (4, 5), (5, 6)}))
         assert len(drawn) < 1600

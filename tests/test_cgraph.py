@@ -4,7 +4,7 @@ import re
 import pytest
 
 from obtf import census, litposet
-from obtf.boolfn import ParseError, bits, orbits
+from obtf.boolfn import ParseError, ResourceGuardError, bits, orbits
 from obtf.census import strict_orders
 from obtf.cgraph import (
     EDGE_GUARD,
@@ -27,7 +27,7 @@ from obtf.cgraph import (
     triangles,
     weighted_colored_graphs,
 )
-from obtf.litposet import ResourceGuardError, poset_from_relations
+from obtf.litposet import poset_from_relations
 from test_boolfn import adjacent_swaps
 
 G_BLUE = ColoredGraph.of(2, blue=[(1, 2)])

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obtf import census
+from obtf import covers
 from obtf.boolfn import (
     ParseError,
+    ResourceGuardError,
     all_ones,
     bits,
     is_elementary,
@@ -17,7 +18,6 @@ from obtf.boolfn import (
 from obtf.census import strict_orders
 from obtf.cgraph import ColoredGraph, enumerate_pn, graph_of_covers, posets_of_graph
 from obtf.litposet import (
-    ResourceGuardError,
     cover_orders,
     cover_pairs,
     cover_rows,
@@ -258,7 +258,7 @@ def test_cover_routine_finds_exactly_the_covers(rows):
 def test_order_is_among_its_cover_graphs_orders(rows):
     # the cover-graph question's orientation search, on up to 8 points
     graph = sum(1 << b * (b - 1) // 2 + a for a, b in cover_pairs(rows))
-    found = list(census._cover_orders(len(rows), graph))
+    found = list(covers._cover_orders(len(rows), graph))
     assert rows in found
     assert all(cover_pairs(order) == cover_pairs(rows) for order in found)
     assert len(set(found)) == len(found)

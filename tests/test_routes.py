@@ -1,12 +1,13 @@
-"""The engines that verify's engine-agreement lines compare share no kernel.
+"""The routes that verify's engine-agreement lines and identity rows
+compare share no kernel.
 
-A fresh interpreter runs every engine of every quantity with two or more
-engines at n = 4, each under sys.setprofile after every lru_cache in
-obtf is cleared (a cache hit calls no Python function, so it would leave
-no trace), and reports the obtf functions, by module and name, that each
-engine called.  Two engines of one quantity may share only HELPERS, the
-set-bit and pair helpers and the truth-table encoding, and what
-EXCEPTIONS names for their quantity.
+A fresh interpreter runs every engine of every quantity at n = 4, each
+under sys.setprofile after every lru_cache in obtf is cleared (a cache
+hit calls no Python function, so it would leave no trace), and reports
+the obtf functions, by module and name, that each engine called.  Two
+engines of one quantity may share only HELPERS, the set-bit and pair
+helpers and the truth-table encoding, and what EXCEPTIONS names for
+their quantity; so may the two routes of each row in IDENTITY_ROWS.
 """
 
 import json
@@ -30,6 +31,10 @@ HELPERS = {"boolfn.bits", "boolfn.colex_pairs",
 # functions that two engines of one quantity may share beyond HELPERS,
 # each with the reason; none today
 EXCEPTIONS: dict[str, set[str]] = {}
+# verify's identity rows whose two sides are single engines, each side
+# as (quantity, method): |Pn| = H(n, t0) counts the posets by the order
+# search and the elementary functions by the median-closure DP
+IDENTITY_ROWS = {"poset-function-bijection": (("Pn", "order-dfs"), ("H", "median-dp"))}
 
 # Functions are known by their code objects, so the nested code of a
 # comprehension or a lambda counts as part of the function around it,
@@ -60,8 +65,6 @@ def clear_caches():
 n = int(sys.argv[1])
 called = {}
 for quantity, engines in census.ENGINES.items():
-    if len(census.methods(quantity, n)) < 2:
-        continue
     for method in census.methods(quantity, n):
         seen = set()
         def record(frame, event, arg):
@@ -80,7 +83,8 @@ print(json.dumps(called))
 
 @pytest.fixture(scope="module")
 def called():
-    """quantity -> method -> the obtf functions its engine called at N."""
+    """quantity -> method -> the obtf functions its engine called at N,
+    for every engine whose cap admits N."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", PROBE, str(N)],
@@ -101,6 +105,7 @@ def test_every_agreeing_quantity_is_traced(called):
         "H": ["clause-sweep", "median-dp"],
         "F": ["dfs-prune", "flat-sweep"],
         "B": ["component-closed-form", "flat-sweep"],
+        "Pn": ["order-dfs"],
     }
     # each engine is seen doing its own work, beyond the helpers
     for routes in called.values():
@@ -125,3 +130,12 @@ def test_named_exceptions_are_still_shared(called):
     # an exception no pair needs any more is dropped, so the list stays true
     for quantity, names in EXCEPTIONS.items():
         assert any(names <= common for common in shared(called[quantity]).values())
+
+
+@pytest.mark.parametrize("row", sorted(IDENTITY_ROWS))
+def test_identity_rows_share_only_helpers(called, row):
+    (q1, m1), (q2, m2) = IDENTITY_ROWS[row]
+    first, second = called[q1][m1], called[q2][m2]
+    # each side is seen doing its own work, beyond the helpers
+    assert first - HELPERS and second - HELPERS
+    assert (first & second) - HELPERS == set()
